@@ -398,19 +398,10 @@ def detach(a: Tensor) -> Tensor:
 # geometry (it doubles as the transposed convolution used by the decoder) and
 # conv1d_weight_grad correlates input windows with output cotangents. Each
 # op's VJP is built from the other two, closing the set under differentiation.
-
-
-_EINSUM_PATHS: dict[tuple, list] = {}
-
-
-def _einsum(eq: str, *ops: np.ndarray) -> np.ndarray:
-    """einsum with the contraction path cached per (equation, shapes)."""
-    key = (eq,) + tuple(op.shape for op in ops)
-    path = _EINSUM_PATHS.get(key)
-    if path is None:
-        path = np.einsum_path(eq, *ops, optimize="optimal")[0]
-        _EINSUM_PATHS[key] = path
-    return np.einsum(eq, *ops, optimize=path)
+#
+# Each contraction runs as one BLAS matmul over (channel, tap) pairs when
+# groups == 1. Grouped (depthwise) weights are too thin for BLAS, so those go
+# to np.einsum's direct loop, which reads the strided windows without a copy.
 
 
 def _windows(xp: np.ndarray, kernel: int, stride: int, dilation: int) -> np.ndarray:
@@ -447,7 +438,10 @@ def conv1d(x: Tensor, w: Tensor, *, stride: int = 1, dilation: int = 1,
     xp = np.pad(x.data, ((0, 0), (pad, pad))) if pad else x.data
     win = _windows(xp, k, stride, dilation).reshape(groups, cg, t_out, k)
     wg = w.data.reshape(groups, cout // groups, cg, k)
-    y = _einsum("gitk,goik->got", win, wg).reshape(cout, t_out)
+    if groups == 1:
+        y = wg[0].reshape(cout, cg * k) @ win[0].transpose(0, 2, 1).reshape(cg * k, t_out)
+    else:
+        y = np.einsum("gitk,goik->got", win, wg).reshape(cout, t_out)
 
     def vjp(g):
         dx = conv1d_input_grad(g, w, stride=stride, dilation=dilation, groups=groups,
@@ -481,9 +475,12 @@ def conv1d_input_grad(g: Tensor, w: Tensor, *, stride: int = 1, dilation: int = 
     wg = w.data.reshape(groups, cout // groups, cg, k)
     dxp = np.zeros((cin, out_len + 2 * pad))
     hi = (t_out - 1) * stride + 1
+    if groups == 1:
+        contrib = (wg[0].transpose(1, 2, 0).reshape(cg * k, cout) @ gg[0]).reshape(cin, k, t_out)
+    else:
+        contrib = np.einsum("got,goik->gikt", gg, wg).reshape(cin, k, t_out)
     for tap in range(k):
-        contrib = _einsum("got,goi->git", gg, wg[..., tap])
-        dxp[:, tap * dilation: tap * dilation + hi: stride] += contrib.reshape(cin, t_out)
+        dxp[:, tap * dilation: tap * dilation + hi: stride] += contrib[:, tap]
     dx = dxp[:, pad: pad + out_len] if pad else dxp
 
     def vjp(c):
@@ -513,7 +510,11 @@ def conv1d_weight_grad(x: Tensor, g: Tensor, *, kernel: int, stride: int = 1,
     xp = np.pad(x.data, ((0, 0), (pad, pad))) if pad else x.data
     win = _windows(xp, kernel, stride, dilation).reshape(groups, cg, t_out, kernel)
     gg = g.data.reshape(groups, cout // groups, t_out)
-    dw = _einsum("got,gitk->goik", gg, win).reshape(cout, cg, kernel)
+    if groups == 1:
+        cols = win[0].transpose(1, 0, 2).reshape(t_out, cg * kernel)
+        dw = (gg[0] @ cols).reshape(cout, cg, kernel)
+    else:
+        dw = np.einsum("got,gitk->goik", gg, win).reshape(cout, cg, kernel)
 
     def vjp(c):
         dx = conv1d_input_grad(g, c, stride=stride, dilation=dilation, groups=groups,

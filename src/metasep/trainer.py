@@ -2,11 +2,13 @@
 
 The meta objective is the sum over a task batch of each task's query loss
 evaluated at parameters adapted by exactly one inner gradient step on that
-task's support mixture. MAML differentiates through the adaptation (the
-adapted parameters stay graph expressions of the initialization), FOMAML
-severs that dependence by re-leafing the adapted values, and joint training
-skips adaptation entirely, pooling support and query mixtures as ordinary
-supervised data.
+task's support mixture. FOMAML takes the query gradient at the adapted
+parameters, treating the adaptation as constant; MAML is FOMAML plus one
+Hessian-vector product through the support gradient, which makes it the
+exact gradient through the adaptation; joint training skips adaptation
+entirely, pooling support and query mixtures as ordinary supervised data.
+All three go through :func:`meta_gradient`, which differentiates each
+mixture's loss before building the next one's graph.
 
 Anything with ``support_loss`` / ``query_loss`` methods over parameter
 tensors can be trained; separation tasks are one such adapter, and the test
@@ -16,13 +18,14 @@ closed forms.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -43,6 +46,9 @@ class TaskLoss(Protocol):
     def support_loss(self, params: Mapping[str, Tensor]) -> Tensor: ...
 
     def query_loss(self, params: Mapping[str, Tensor]) -> Tensor: ...
+
+
+LossFn = Callable[[Mapping[str, Tensor]], Tensor]
 
 
 @dataclass
@@ -129,21 +135,11 @@ class SeparationTask:
         return model_mod.mixture_loss_tensors(self._support, params, self.config)
 
     def query_loss(self, params: Mapping[str, Tensor]) -> Tensor:
-        terms = [model_mod.mixture_loss_tensors(q, params, self.config)
-                 for q in self._queries]
-        total = terms[0]
-        for t in terms[1:]:
-            total = ad.add(total, t)
-        return ad.scalar_mul(1.0 / len(terms), total)
+        return _mean_loss(_loss_terms(self, "query"), params)
 
     def pooled_loss(self, params: Mapping[str, Tensor]) -> Tensor:
         """Mean uPIT loss over support and query mixtures together."""
-        pairs = [self._support] + self._queries
-        terms = [model_mod.mixture_loss_tensors(p, params, self.config) for p in pairs]
-        total = terms[0]
-        for t in terms[1:]:
-            total = ad.add(total, t)
-        return ad.scalar_mul(1.0 / len(terms), total)
+        return _mean_loss(_loss_terms(self, "pooled"), params)
 
     def query_si_snri(self, params: ParamVector) -> float:
         vals = [model_mod.evaluate_si_snri(q, params, self.config) for q in self._queries]
@@ -154,17 +150,18 @@ class SeparationTask:
             return self.support_loss(_const_tensors(params)).item()
 
 
+def _mean_loss(losses: Sequence[LossFn], params: Mapping[str, Tensor]) -> Tensor:
+    return ad.scalar_mul(1.0 / len(losses), functools.reduce(ad.add, (f(params) for f in losses)))
+
+
 def _const_tensors(theta: ParamVector) -> "OrderedDict[str, Tensor]":
     return OrderedDict((n, ad.tensor(theta.view(n))) for n in theta.names())
 
 
-def _task_name(task) -> str:
-    return getattr(task, "name", task.__class__.__name__)
-
-
 def _check_finite(loss: Tensor, task, phase: str) -> None:
     if not np.isfinite(loss.data):
-        raise TrainingDiverged(f"{phase} loss is non-finite for task {_task_name(task)}")
+        name = getattr(task, "name", task.__class__.__name__)
+        raise TrainingDiverged(f"{phase} loss is non-finite for task {name}")
 
 
 # ---------------------------------------------------------------------------
@@ -185,79 +182,91 @@ class AdaptedParams:
 
 def inner_adapt(theta: ParamVector, task: TaskLoss, alpha: float,
                 create_graph: bool = True) -> AdaptedParams:
-    """One support gradient step; the result stays differentiable in theta
-    when create_graph is set (the second-order path), and is re-leafed
-    otherwise (the first-order path)."""
+    """One support gradient step; the result stays differentiable in theta,
+    through the support gradient too when create_graph is set (the
+    second-order path)."""
     leaves = theta.to_leaves()
     loss = task.support_loss(leaves)
     _check_finite(loss, task, "support")
     grads = ad.grad(loss, list(leaves.values()), create_graph=create_graph)
-    if create_graph:
-        prime = OrderedDict(
-            (n, ad.sub(leaf, ad.scalar_mul(alpha, g)))
-            for (n, leaf), g in zip(leaves.items(), grads))
-    else:
-        prime = OrderedDict(
-            (n, ad.tensor(leaf.data - alpha * g.data, requires_grad=True))
-            for (n, leaf), g in zip(leaves.items(), grads))
+    prime = OrderedDict((n, ad.sub(leaf, ad.scalar_mul(alpha, g)))
+                        for (n, leaf), g in zip(leaves.items(), grads))
     return AdaptedParams(prime=prime, leaves=leaves, support_loss=loss.item())
 
 
+def _loss_terms(task: TaskLoss, phase: str) -> list[LossFn]:
+    """The losses averaged into a task's "query" or "pooled" (joint) loss: one
+    per mixture for a separation task (support first), else its whole query
+    (and support) loss."""
+    if isinstance(task, SeparationTask):
+        pairs = task._queries if phase == "query" else [task._support] + task._queries
+        return [functools.partial(model_mod.mixture_loss_tensors, pair, config=task.config)
+                for pair in pairs]
+    return [task.query_loss] if phase == "query" else [task.support_loss, task.query_loss]
+
+
+def _flat_grad(theta: ParamVector, output: Tensor, leaves: Mapping[str, Tensor]) -> np.ndarray:
+    grads = ad.grad(output, list(leaves.values()))
+    return theta.flatten_named({n: g.data for n, g in zip(leaves, grads)}).values
+
+
+def _mean_gradient(theta: ParamVector, task: TaskLoss, phase: str) -> tuple[np.ndarray, float]:
+    """Gradient and value at theta of the mean of the task's loss terms; each
+    term's graph is differentiated and dropped before the next is built."""
+    terms = _loss_terms(task, phase)
+    total, value = np.zeros_like(theta.values), 0.0
+    for loss_fn in terms:
+        leaves = theta.to_leaves()
+        loss = loss_fn(leaves)
+        _check_finite(loss, task, phase)
+        total += _flat_grad(theta, loss, leaves)
+        value += loss.item()
+        del leaves, loss
+    return total / len(terms), value / len(terms)
+
+
 def _meta_task_gradient(theta: ParamVector, task: TaskLoss, alpha: float,
-                        second_order: bool) -> tuple[np.ndarray, float]:
-    adapted = inner_adapt(theta, task, alpha, create_graph=second_order)
-    q_loss = task.query_loss(adapted.prime)
-    _check_finite(q_loss, task, "query")
-    wrt = adapted.leaves if second_order else adapted.prime
-    grads = ad.grad(q_loss, list(wrt.values()))
-    flat = theta.flatten_named({n: g.data for n, g in zip(wrt, grads)})
-    return flat.values, q_loss.item()
+                        mode: str) -> tuple[np.ndarray, float]:
+    """One task's meta-gradient and loss. fomaml is the query gradient g_q at
+    theta' = theta - alpha g_s, built at fresh leaves; maml is the exact
+    (I - alpha H_s) g_q (Finn et al. 2017), the gradient of <theta'(theta), g_q>
+    through the kept support graph: one Hessian-vector product (Pearlmutter 1994)."""
+    if mode == "joint":
+        return _mean_gradient(theta, task, "pooled")
+    adapted = inner_adapt(theta, task, alpha, create_graph=mode == "maml")
+    g_q, q_loss = _mean_gradient(adapted.to_vector(theta), task, "query")
+    if mode == "maml":
+        v = theta.replace(g_q)
+        g_q = _flat_grad(theta, functools.reduce(ad.add, (
+            ad.dot(p, ad.tensor(v.view(n))) for n, p in adapted.prime.items())), adapted.leaves)
+    return g_q, q_loss
+
+
+def meta_gradient(theta: ParamVector, tasks: Sequence[TaskLoss], alpha: float,
+                  mode: str) -> tuple[ParamVector, float]:
+    """Sum of the tasks' meta-gradients under `mode` (joint ignores alpha),
+    and the mean task loss."""
+    total, losses = np.zeros_like(theta.values), []
+    for task in tasks:
+        g, loss = _meta_task_gradient(theta, task, alpha, mode)
+        total += g
+        losses.append(loss)
+    return theta.replace(total), float(np.mean(losses))
 
 
 def meta_gradient_maml(theta: ParamVector, tasks: Sequence[TaskLoss],
                        alpha: float) -> ParamVector:
-    """Exact gradient of the summed query losses through each adaptation."""
-    total = np.zeros_like(theta.values)
-    for task in tasks:
-        g, _ = _meta_task_gradient(theta, task, alpha, second_order=True)
-        total += g
-    return theta.replace(total)
+    return meta_gradient(theta, tasks, alpha, "maml")[0]
 
 
 def meta_gradient_fomaml(theta: ParamVector, tasks: Sequence[TaskLoss],
                          alpha: float) -> ParamVector:
-    """Query gradients at the adapted parameters, adaptation treated as
-    constant in theta."""
-    total = np.zeros_like(theta.values)
-    for task in tasks:
-        g, _ = _meta_task_gradient(theta, task, alpha, second_order=False)
-        total += g
-    return theta.replace(total)
+    return meta_gradient(theta, tasks, alpha, "fomaml")[0]
 
 
 def query_pool_gradient(theta: ParamVector, tasks: Sequence[TaskLoss]) -> ParamVector:
-    """Sum over tasks of the query-loss gradient at theta, no adaptation."""
-    total = np.zeros_like(theta.values)
-    for task in tasks:
-        leaves = theta.to_leaves()
-        loss = task.query_loss(leaves)
-        _check_finite(loss, task, "query")
-        grads = ad.grad(loss, list(leaves.values()))
-        total += theta.flatten_named({n: g.data for n, g in zip(leaves, grads)}).values
-    return theta.replace(total)
-
-
-def _joint_gradient(theta: ParamVector, tasks: Sequence["SeparationTask"]) -> tuple[np.ndarray, float]:
-    total = np.zeros_like(theta.values)
-    losses = []
-    for task in tasks:
-        leaves = theta.to_leaves()
-        loss = task.pooled_loss(leaves)
-        _check_finite(loss, task, "pooled")
-        grads = ad.grad(loss, list(leaves.values()))
-        total += theta.flatten_named({n: g.data for n, g in zip(leaves, grads)}).values
-        losses.append(loss.item())
-    return total, float(np.mean(losses))
+    """Query-loss gradient at theta, no adaptation: the alpha = 0 case."""
+    return meta_gradient(theta, tasks, 0.0, "fomaml")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -311,19 +320,7 @@ def train(task_sets: Sequence[taskgen.AccentTaskSet], train_config: TrainConfig,
                 task_sets, min(cfg.meta_batch, total_tasks), seed=batch_seed)
             tasks = [adapter(t) for t in batch]
             try:
-                if cfg.mode == "joint":
-                    grad_vals, batch_loss = _joint_gradient(theta, tasks)
-                else:
-                    second = cfg.mode == "maml"
-                    grad_vals = np.zeros_like(theta.values)
-                    q_losses = []
-                    for task in tasks:
-                        g, ql = _meta_task_gradient(theta, task, cfg.inner_lr,
-                                                    second_order=second)
-                        grad_vals += g
-                        q_losses.append(ql)
-                    batch_loss = float(np.mean(q_losses))
-                grad_vec = theta.replace(grad_vals)
+                grad_vec, batch_loss = meta_gradient(theta, tasks, cfg.inner_lr, cfg.mode)
                 if cfg.outer_optimizer == "adam":
                     theta, state = adam_update(theta, grad_vec, state, cfg.outer_lr,
                                                cfg.weight_decay, cfg.adam_beta1,

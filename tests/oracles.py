@@ -2,10 +2,15 @@
 
 Everything here is deliberately naive (loops, direct formulas) and never
 calls into the package's compute paths, so a test comparing against these
-functions is a genuine two-route check.
+functions is a genuine two-route check. The one exception is
+``reverse_over_reverse_maml``, which runs on the package's autodiff engine
+but along the direct route the trainer's Hessian-vector-product form avoids.
 """
 
 import numpy as np
+
+from metasep import autodiff as ad
+from metasep import trainer
 
 
 def naive_conv1d(x, w, stride=1, dilation=1, groups=1, pad=0):
@@ -113,3 +118,12 @@ def reference_adam_step(theta, g, m, v, t, lr, beta1, beta2, eps, weight_decay):
     v_hat = v / (1.0 - beta2 ** t)
     theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * weight_decay * theta
     return theta, m, v, t
+
+
+def reverse_over_reverse_maml(theta, task, alpha):
+    """One task's MAML meta-gradient as the query loss differentiated through
+    the differentiable inner step, the whole query graph stacked on the
+    differentiated support graph (flat numpy vector)."""
+    adapted = trainer.inner_adapt(theta, task, alpha, create_graph=True)
+    grads = ad.grad(task.query_loss(adapted.prime), list(adapted.leaves.values()))
+    return theta.flatten_named({n: g.data for n, g in zip(adapted.leaves, grads)}).values

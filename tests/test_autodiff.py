@@ -164,7 +164,9 @@ def test_conv1d_gradients(seed, stride, dilation, groups, pad):
                label=f"conv1d.w[{seed}]")
 
 
-@pytest.mark.parametrize("seed,stride,dilation,groups,pad", CONV_GRAD_CASES[:6])
+# the last case overlaps strided taps (stride < K) with padding and groups
+@pytest.mark.parametrize("seed,stride,dilation,groups,pad",
+                         CONV_GRAD_CASES[:6] + [(8, 2, 1, 2, 1)])
 def test_conv1d_input_grad_gradients(seed, stride, dilation, groups, pad):
     rng = RNG(500 + seed)
     out_len = 21
@@ -181,6 +183,35 @@ def test_conv1d_input_grad_gradients(seed, stride, dilation, groups, pad):
     _gradcheck(lambda wt: ad.conv1d_input_grad(ad.tensor(g0), wt, **kw), w0,
                label=f"tconv.w[{seed}]")
     assert cin >= 1
+
+
+# K=16, stride 8 is the encoder/decoder geometry
+TCONV_SECOND_ORDER_CASES = [(0, 16, 8, 1, 1, 0), (1, 5, 2, 1, 2, 1), (2, 3, 1, 2, 3, 2)]
+
+
+@pytest.mark.parametrize("seed,k,stride,dilation,groups,pad", TCONV_SECOND_ORDER_CASES)
+def test_conv1d_input_grad_second_order(seed, k, stride, dilation, groups, pad):
+    """Gradient of a function of conv1d_input_grad's own gradient (built with
+    create_graph) against central differences, and the forward against the
+    naive transposed convolution."""
+    rng = RNG(800 + seed)
+    out_len = 4 * k + 3
+    span = dilation * (k - 1) + 1
+    t_out = (out_len + 2 * pad - span) // stride + 1
+    g0 = rng.normal(size=(2 * groups, t_out))
+    w0 = rng.normal(size=(2 * groups, 2, k))
+    kw = dict(stride=stride, dilation=dilation, groups=groups, pad=pad, out_len=out_len)
+    got = ad.conv1d_input_grad(ad.tensor(g0), ad.tensor(w0), **kw)
+    np.testing.assert_allclose(got.data, naive_conv_transpose1d(g0, w0, **kw),
+                               rtol=0, atol=1e-12)
+
+    def grad_norm(wt):
+        gt = ad.tensor(g0, requires_grad=True)
+        (dg,) = ad.grad(scalar_loss(ad.conv1d_input_grad(gt, wt, **kw)), [gt],
+                        create_graph=True)
+        return ad.sq_norm(dg)
+
+    _gradcheck(grad_norm, w0, label=f"tconv second order[{seed}]")
 
 
 @pytest.mark.parametrize("seed,stride,dilation,groups,pad", CONV_GRAD_CASES[:4])

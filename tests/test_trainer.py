@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from metasep import autodiff as ad
 from metasep import dsp, model, taskgen, trainer
 from metasep.model import SeparatorConfig
 from metasep.trainer import TrainConfig
-from oracles import assert_fd_close, reference_adam_step
+from oracles import assert_fd_close, reference_adam_step, reverse_over_reverse_maml
 
 RNG = np.random.default_rng
 
@@ -212,6 +214,87 @@ def test_meta_gradient_matches_finite_differences_on_micro_model():
                         label=f"meta coord {c}")
 
 
+def test_maml_matches_reverse_over_reverse_oracle_on_every_coordinate():
+    theta = model.init_params(MICRO, seed=4)
+    tasks = [trainer.SeparationTask(make_task(41 + k), MICRO) for k in range(2)]
+    alpha = 0.05
+    got, _ = trainer.meta_gradient(theta, tasks, alpha, "maml")
+    want = theta.replace(sum(reverse_over_reverse_maml(theta, t, alpha) for t in tasks))
+    fo, _ = trainer.meta_gradient(theta, tasks, alpha, "fomaml")
+    # the Hessian term is not negligible, so the comparison has teeth
+    assert np.max(np.abs(want.values - fo.values)) > 1e-3 * np.max(np.abs(want.values))
+    prelus = [n for n in theta.names() if n.endswith(".prelu")]
+    assert prelus and all(theta.view(n).shape == () for n in prelus)
+    for name in theta.names():
+        np.testing.assert_allclose(got.view(name), want.view(name), rtol=1e-10, atol=0,
+                                   err_msg=name)
+
+
+def test_joint_meta_gradient_is_pooled_loss_gradient():
+    theta = model.init_params(MICRO, seed=5)
+    tasks = [trainer.SeparationTask(make_task(60 + k), MICRO) for k in range(2)]
+    got, loss = trainer.meta_gradient(theta, tasks, 0.3, "joint")
+    want = np.zeros(theta.dim)
+    values = []
+    for sep in tasks:
+        leaves = theta.to_leaves()
+        pooled = sep.pooled_loss(leaves)
+        grads = ad.grad(pooled, list(leaves.values()))
+        want += theta.flatten_named({n: g.data for n, g in zip(leaves, grads)}).values
+        values.append(pooled.item())
+    np.testing.assert_allclose(got.values, want, rtol=1e-10, atol=0)
+    assert loss == pytest.approx(np.mean(values), rel=1e-12)
+
+
+class TrackedQuadraticTask(QuadraticTask):
+    """Quadratic task that keeps a weak reference to every loss it returns
+    and notes, whenever it builds one, which other task's losses are alive."""
+
+    def __init__(self, built, leaks, *args):
+        super().__init__(*args)
+        self.built, self.leaks = built, leaks
+
+    def _track(self, loss):
+        self.leaks += [t.name for t, ref in self.built if t is not self and ref() is not None]
+        self.built.append((self, weakref.ref(loss)))
+        return loss
+
+    def support_loss(self, p):
+        return self._track(super().support_loss(p))
+
+    def query_loss(self, p):
+        return self._track(super().query_loss(p))
+
+
+@pytest.mark.parametrize("mode", trainer.MODES)
+def test_meta_gradient_frees_each_task_graph_before_the_next(mode):
+    built, leaks = [], []
+    tasks = [TrackedQuadraticTask(built, leaks, 1.0, 1.0, 1.0, 3.0),
+             TrackedQuadraticTask(built, leaks, 0.5, -1.0, 2.0, 0.0)]
+    trainer.meta_gradient(theta_vec(0.3), tasks, 0.05, mode)
+    assert {t for t, _ in built} == set(tasks)
+    assert leaks == []
+
+
+@pytest.mark.parametrize("mode", trainer.MODES)
+def test_meta_gradient_keeps_one_query_mixture_graph_alive(mode, monkeypatch):
+    sep = trainer.SeparationTask(make_task(42), MICRO)
+    built, alive_at_build = [], []
+    real = model.mixture_loss_tensors
+
+    def tracked(pair, params, config):
+        alive_at_build.append(sum(ref() is not None for ref in built))
+        loss = real(pair, params, config)
+        if pair is not sep._support or mode == "joint":
+            built.append(weakref.ref(loss))
+        return loss
+
+    monkeypatch.setattr(model, "mixture_loss_tensors", tracked)
+    trainer.meta_gradient(model.init_params(MICRO, seed=6), [sep], 0.01, mode)
+    assert len(built) == (5 if mode == "joint" else 4)
+    assert alive_at_build == [0] * len(alive_at_build)
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 
@@ -283,8 +366,8 @@ def test_one_epoch_full_batch_is_exactly_one_sgd_update():
     assert len(result.log) == 1
 
     tasks = [trainer.SeparationTask(t, MICRO) for ts in sets for t in ts.tasks]
-    grad_vals, _ = trainer._joint_gradient(theta0, tasks)
-    np.testing.assert_allclose(result.params.values, theta0.values - 1e-3 * grad_vals,
+    grad_vec, _ = trainer.meta_gradient(theta0, tasks, 0.0, "joint")
+    np.testing.assert_allclose(result.params.values, theta0.values - 1e-3 * grad_vec.values,
                                rtol=0, atol=1e-12)
 
 
