@@ -8,7 +8,9 @@ degenerate.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 import wave
 from dataclasses import dataclass
@@ -199,6 +201,22 @@ def si_snr_improvement(pair: MixturePair, estimates) -> float:
 # file formats
 
 _RAW_HEADER = struct.Struct("<Q")
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open a temporary file beside ``path`` for writing; it replaces ``path``
+    (``os.replace``) only when the block completes. A write that fails
+    leaves the previous file as it was and no temporary file behind. There
+    is no fsync: this guards against half-written files, not power loss."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_wav(path, wav: Waveform) -> None:

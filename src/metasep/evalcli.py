@@ -108,18 +108,9 @@ class SweepResult:
         return max(rows, key=lambda r: r["mean_si_snri_db"])
 
 
-def _load_checkpoint(path) -> tuple[ParamVector, SeparatorConfig, dict]:
-    return model_mod.load_checkpoint(path)
-
-
-def meta_test(params: ParamVector, config: SeparatorConfig, checkpoint_extra: dict,
-              test_sets, beta_ft: float, noisy: bool = False,
-              report: EvalReport | None = None) -> EvalReport:
-    """Adapt-and-score every test task; aggregates into an EvalReport.
-
-    Accents seen in training must not appear in the test sets (the whole
-    point is adaptation to unseen domains), so overlap is rejected.
-    """
+def _check_test_sets(checkpoint_extra: dict, test_sets) -> None:
+    """Accents seen in training must not appear in the test sets (the whole
+    point is adaptation to unseen domains), so overlap is rejected."""
     train_accents = set(checkpoint_extra.get("train_accents", ()))
     test_accents = {ts.accent for ts in test_sets}
     overlap = train_accents & test_accents
@@ -128,14 +119,40 @@ def meta_test(params: ParamVector, config: SeparatorConfig, checkpoint_extra: di
     if not test_sets:
         raise EvalError("no test task sets given")
 
+
+def _test_tasks(test_sets) -> list[tuple[str, taskgen.MetaTask]]:
+    """(accent, task) pairs in the order meta_test scores them."""
+    return [(ts.accent, task) for ts in sorted(test_sets, key=lambda s: s.accent)
+            for task in ts.tasks]
+
+
+def meta_test(params: ParamVector, config: SeparatorConfig, checkpoint_extra: dict,
+              test_sets, beta_ft: float, noisy: bool = False,
+              report: EvalReport | None = None, *,
+              prepared: list[trainer.PreparedAdapt] | None = None) -> EvalReport:
+    """Adapt-and-score every test task; aggregates into an EvalReport.
+
+    ``prepared`` holds ``trainer.prepare_adapt`` of every test task, in this
+    function's order, for the same parameters and condition; without it each
+    task is prepared as it is scored.
+    """
+    _check_test_sets(checkpoint_extra, test_sets)
+    tasks = _test_tasks(test_sets)
+    if prepared is None:
+        prepared = (trainer.prepare_adapt(params, task, config, noisy=noisy)
+                    for _, task in tasks)
+    elif len(prepared) != len(tasks) or any(
+            prep.task is not task or prep.theta is not params or prep.noisy != noisy
+            for prep, (_, task) in zip(prepared, tasks)):
+        raise EvalError("prepared adaptation does not match these parameters, "
+                        "test tasks and condition")
+
     condition = "noisy" if noisy else "clean"
     before: dict[str, list[float]] = {}
     after: dict[str, list[float]] = {}
-    for ts in sorted(test_sets, key=lambda s: s.accent):
-        for task in ts.tasks:
-            res = trainer.finetune_adapt(params, task, beta_ft, config, noisy=noisy)
-            before.setdefault(ts.accent, []).append(res.query_si_snri_pre)
-            after.setdefault(ts.accent, []).append(res.query_si_snri_post)
+    for (accent, _), prep in zip(tasks, prepared):
+        before.setdefault(accent, []).append(prep.query_si_snri_pre)
+        after.setdefault(accent, []).append(prep.query_si_snri(prep.adapted(beta_ft)))
 
     if report is None:
         report = EvalReport()
@@ -158,6 +175,8 @@ def beta_sweep(params: ParamVector, config: SeparatorConfig, checkpoint_extra: d
                test_sets, grid=BETA_GRID, noisy: bool = False,
                force: bool = False) -> SweepResult:
     """meta_test across an adaptation-rate grid; reports the argmax rate.
+    Each test task's support gradient and "before" score are computed once,
+    so a rate costs one parameter update and the query forwards per task.
 
     Meta-trained checkpoints keep their adaptation rate pinned at 0.01 (other
     values degrade them badly), so sweeping one requires force=True.
@@ -171,10 +190,14 @@ def beta_sweep(params: ParamVector, config: SeparatorConfig, checkpoint_extra: d
             raise EvalError(
                 f"checkpoint was trained with {mode}; its adaptation rate is fixed at "
                 f"{META_BETA_DEFAULT} (pass force=True / --force to sweep anyway)")
+    _check_test_sets(checkpoint_extra, test_sets)
+    prepared = [trainer.prepare_adapt(params, task, config, noisy=noisy)
+                for _, task in _test_tasks(test_sets)]
     result = SweepResult()
     condition = "noisy" if noisy else "clean"
     for beta in grid:
-        rep = meta_test(params, config, checkpoint_extra, test_sets, beta, noisy=noisy)
+        rep = meta_test(params, config, checkpoint_extra, test_sets, beta, noisy=noisy,
+                        prepared=prepared)
         result.add(condition, beta, rep.overall_mean(condition, "after"))
     return result
 
@@ -214,10 +237,12 @@ def emit_report(report: EvalReport, out_dir, stem: str = "report") -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{stem}.csv"
-    csv_path.write_text(report_to_csv_text(report))
+    with dsp.atomic_open(csv_path) as f:
+        f.write(report_to_csv_text(report))
     json_path = out_dir / f"{stem}.json"
     payload = {"rows": report.rows, "summary": report.summary(), "meta": report.meta}
-    json_path.write_text(json.dumps(payload, indent=1, sort_keys=True))
+    with dsp.atomic_open(json_path) as f:
+        f.write(json.dumps(payload, indent=1, sort_keys=True))
     return {"csv": csv_path, "json": json_path}
 
 
@@ -231,12 +256,13 @@ def emit_sweep(result: SweepResult, out_dir, stem: str = "sweep") -> dict:
     for row in result.rows:
         writer.writerow([row["condition"], repr(row["beta_ft"]),
                          repr(row["mean_si_snri_db"])])
-    csv_path.write_text(buf.getvalue())
+    with dsp.atomic_open(csv_path) as f:
+        f.write(buf.getvalue())
     json_path = out_dir / f"{stem}.json"
     best = {cond: result.best(cond)
             for cond in {r["condition"] for r in result.rows}}
-    json_path.write_text(json.dumps({"rows": result.rows, "best": best},
-                                    indent=1, sort_keys=True))
+    with dsp.atomic_open(json_path) as f:
+        f.write(json.dumps({"rows": result.rows, "best": best}, indent=1, sort_keys=True))
     return {"csv": csv_path, "json": json_path}
 
 
@@ -247,8 +273,8 @@ def emit_sweep(result: SweepResult, out_dir, stem: str = "sweep") -> dict:
 def _write_resolved_config(out_dir, command: str, resolved: dict) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"{command}_config.json").write_text(
-        json.dumps(resolved, indent=1, sort_keys=True))
+    with dsp.atomic_open(out_dir / f"{command}_config.json") as f:
+        f.write(json.dumps(resolved, indent=1, sort_keys=True))
 
 
 def _load_json_config(path) -> dict:
@@ -335,7 +361,7 @@ def cmd_train(args) -> dict:
 
 
 def cmd_finetune(args) -> dict:
-    params, model_config, extra = _load_checkpoint(args.checkpoint)
+    params, model_config, extra = model_mod.load_checkpoint(args.checkpoint)
     sets = _split_sets(args.tasks)
     test_sets = sets["test"]
     wanted = [ts for ts in test_sets if ts.accent == args.accent] if args.accent \
@@ -359,7 +385,7 @@ def cmd_finetune(args) -> dict:
 
 
 def cmd_evaluate(args) -> dict:
-    params, model_config, extra = _load_checkpoint(args.checkpoint)
+    params, model_config, extra = model_mod.load_checkpoint(args.checkpoint)
     sets = _split_sets(args.tasks)
     beta = args.beta if args.beta is not None else META_BETA_DEFAULT
     report = meta_test(params, model_config, extra, sets["test"], beta, noisy=False)
@@ -376,7 +402,7 @@ def cmd_evaluate(args) -> dict:
 
 
 def cmd_sweep_beta(args) -> dict:
-    params, model_config, extra = _load_checkpoint(args.checkpoint)
+    params, model_config, extra = model_mod.load_checkpoint(args.checkpoint)
     sets = _split_sets(args.tasks)
     grid = tuple(float(x) for x in args.grid.split(",")) if args.grid else BETA_GRID
     result = beta_sweep(params, model_config, extra, sets["test"], grid=grid,

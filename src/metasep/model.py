@@ -19,6 +19,7 @@ import json
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -368,21 +369,46 @@ def save_checkpoint(path, params: ParamVector, config: SeparatorConfig,
         "extra": dict(extra or {}),
     }
     blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as f:
+    with dsp.atomic_open(path, "wb") as f:
         f.write(_HEADER.pack(len(blob)))
         f.write(blob)
         f.write(np.ascontiguousarray(params.values, dtype="<f8").tobytes())
 
 
+def _layout_entries(config: SeparatorConfig) -> tuple[list, int]:
+    """The header layout of a checkpoint of `config` (contiguous slices in
+    param_shapes order) and its parameter count."""
+    entries, off = [], 0
+    for name, shape in param_shapes(config).items():
+        entries.append([name, off, list(shape)])
+        off += int(np.prod(shape, dtype=np.int64))
+    return entries, off
+
+
 def load_checkpoint(path) -> tuple[ParamVector, SeparatorConfig, dict]:
-    raw = open(path, "rb").read()
-    (hlen,) = _HEADER.unpack_from(raw)
-    header = json.loads(raw[_HEADER.size:_HEADER.size + hlen])
-    if header.get("format") != CHECKPOINT_FORMAT:
+    """Read a checkpoint, rejecting one whose layout is not its config's or
+    whose length is not the header plus 8 bytes per parameter."""
+    raw = Path(path).read_bytes()
+    try:
+        (hlen,) = _HEADER.unpack_from(raw)
+        header = json.loads(raw[_HEADER.size:_HEADER.size + hlen])
+    except (struct.error, ValueError) as err:
+        raise ValueError(f"{path}: unreadable checkpoint header ({err})") from err
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    values = np.frombuffer(raw, dtype="<f8", count=header["dim"],
-                           offset=_HEADER.size + hlen).copy()
-    layout = OrderedDict((name, (off, tuple(shape)))
-                         for name, off, shape in header["layout"])
-    params = ParamVector(values, layout)
-    return params, SeparatorConfig.from_dict(header["config"]), header["extra"]
+    try:
+        config = SeparatorConfig.from_dict(header["config"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"{path}: bad separator config in the header ({err})") from err
+    layout, dim = _layout_entries(config)
+    if header.get("layout") != layout or header.get("dim") != dim:
+        raise ValueError(f"{path}: parameter layout does not match the checkpoint's "
+                         f"config ({dim} parameters)")
+    offset = _HEADER.size + hlen
+    if len(raw) != offset + 8 * dim:
+        raise ValueError(f"{path}: {len(raw)} bytes, expected {offset + 8 * dim} "
+                         f"for {dim} parameters")
+    values = np.frombuffer(raw, dtype="<f8", count=dim, offset=offset).copy()
+    params = ParamVector(values, OrderedDict((name, (off, tuple(shape)))
+                                             for name, off, shape in layout))
+    return params, config, header.get("extra", {})

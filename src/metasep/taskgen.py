@@ -182,10 +182,6 @@ class MetaTask:
     def query_pairs(self, noisy: bool = False) -> list[MixturePair]:
         return [self.mixture(k, noisy=noisy) for k in self.query_indices]
 
-    def pooled_pairs(self, noisy: bool = False) -> list[MixturePair]:
-        """Support plus queries, the mixtures a joint baseline trains on."""
-        return [self.support_pair(noisy)] + self.query_pairs(noisy)
-
 
 @dataclass
 class AccentTaskSet:
@@ -432,7 +428,8 @@ def write_task_archive(out_dir, task_sets, split: SplitSpec, seed: int) -> Path:
         "accents": accents,
     }
     path = out_dir / "tasks.json"
-    path.write_text(json.dumps(index, indent=1, sort_keys=True))
+    with dsp.atomic_open(path) as f:
+        f.write(json.dumps(index, indent=1, sort_keys=True))
     return path
 
 

@@ -30,9 +30,11 @@ from typing import Callable, Mapping, Protocol, Sequence
 import numpy as np
 
 from . import autodiff as ad
+from . import dsp
 from . import model as model_mod
 from . import taskgen
 from .autodiff import ParamVector, Tensor
+from .dsp import MixturePair
 from .model import SeparatorConfig
 
 MODES = ("joint", "maml", "fomaml")
@@ -142,12 +144,12 @@ class SeparationTask:
         return _mean_loss(_loss_terms(self, "pooled"), params)
 
     def query_si_snri(self, params: ParamVector) -> float:
-        vals = [model_mod.evaluate_si_snri(q, params, self.config) for q in self._queries]
-        return float(np.mean(vals))
+        return _mean_si_snri(self._queries, params, self.config)
 
-    def support_loss_value(self, params: ParamVector) -> float:
-        with ad.no_grad():
-            return self.support_loss(_const_tensors(params)).item()
+
+def _mean_si_snri(pairs: Sequence[MixturePair], params: ParamVector,
+                  config: SeparatorConfig) -> float:
+    return float(np.mean([model_mod.evaluate_si_snri(q, params, config) for q in pairs]))
 
 
 def _mean_loss(losses: Sequence[LossFn], params: Mapping[str, Tensor]) -> Tensor:
@@ -369,13 +371,54 @@ def _write_outputs(result: TrainResult, cfg: TrainConfig,
     ckpt = out_dir / "checkpoint.msep"
     model_mod.save_checkpoint(ckpt, result.params, model_config, extra)
     result.checkpoint_path = ckpt
-    with open(out_dir / "train_log.jsonl", "w") as f:
+    with dsp.atomic_open(out_dir / "train_log.jsonl") as f:
         for row in result.log:
             f.write(json.dumps(row) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # one-shot adaptation (meta testing inner step)
+
+
+@dataclass
+class PreparedAdapt:
+    """The rate-independent part of one-shot adaptation on one task: the
+    support gradient and the scores at theta. It keeps the task, not its
+    mixtures, so scoring a rate rebuilds the query mixtures."""
+
+    theta: ParamVector
+    task: taskgen.MetaTask
+    config: SeparatorConfig
+    noisy: bool
+    support_grad: np.ndarray
+    support_loss_pre: float
+    query_si_snri_pre: float
+
+    def adapted(self, beta_ft: float) -> ParamVector:
+        return self.theta.replace(self.theta.values - beta_ft * self.support_grad)
+
+    def query_si_snri(self, params: ParamVector) -> float:
+        return _mean_si_snri(self.task.query_pairs(noisy=self.noisy), params, self.config)
+
+    def support_loss_value(self, params: ParamVector) -> float:
+        with ad.no_grad():
+            return model_mod.mixture_loss_tensors(self.task.support_pair(noisy=self.noisy),
+                                                  _const_tensors(params), self.config).item()
+
+
+def prepare_adapt(theta: ParamVector, task: taskgen.MetaTask, config: SeparatorConfig,
+                  noisy: bool = False) -> PreparedAdapt:
+    """Support gradient, support loss and query Si-SNRi at theta, computed
+    once per task however many rates are scored."""
+    sep = SeparationTask(task, config, noisy=noisy)
+    leaves = theta.to_leaves()
+    loss = sep.support_loss(leaves)
+    _check_finite(loss, sep, "support")
+    g, value = _flat_grad(theta, loss, leaves), loss.item()
+    del leaves, loss  # the support graph, before the query forwards
+    return PreparedAdapt(theta=theta, task=task, config=config, noisy=noisy,
+                         support_grad=g, support_loss_pre=value,
+                         query_si_snri_pre=sep.query_si_snri(theta))
 
 
 @dataclass
@@ -390,14 +433,12 @@ class AdaptResult:
 def finetune_adapt(theta: ParamVector, task: taskgen.MetaTask, beta_ft: float,
                    model_config: SeparatorConfig, noisy: bool = False) -> AdaptResult:
     """One plain gradient step on the support mixture, scored on the queries."""
-    sep = SeparationTask(task, model_config, noisy=noisy)
-    pre_snri = sep.query_si_snri(theta)
-    adapted_expr = inner_adapt(theta, sep, beta_ft, create_graph=False)
-    adapted = adapted_expr.to_vector(theta)
+    prep = prepare_adapt(theta, task, model_config, noisy=noisy)
+    adapted = prep.adapted(beta_ft)
     return AdaptResult(
         adapted=adapted,
-        support_loss_pre=adapted_expr.support_loss,
-        support_loss_post=sep.support_loss_value(adapted),
-        query_si_snri_pre=pre_snri,
-        query_si_snri_post=sep.query_si_snri(adapted),
+        support_loss_pre=prep.support_loss_pre,
+        support_loss_post=prep.support_loss_value(adapted),
+        query_si_snri_pre=prep.query_si_snri_pre,
+        query_si_snri_post=prep.query_si_snri(adapted),
     )

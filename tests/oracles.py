@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive (loops, direct formulas) and never
 calls into the package's compute paths, so a test comparing against these
-functions is a genuine two-route check. The one exception is
-``reverse_over_reverse_maml``, which runs on the package's autodiff engine
-but along the direct route the trainer's Hessian-vector-product form avoids.
+functions is a genuine two-route check. The two exceptions run on the
+package's autodiff engine: ``reverse_over_reverse_maml`` along the direct
+route the trainer's Hessian-vector-product form avoids, and
+``finetune_via_inner_adapt`` along the route one-shot adaptation took before
+its rate-independent part was split off.
 """
 
 import numpy as np
@@ -127,3 +129,16 @@ def reverse_over_reverse_maml(theta, task, alpha):
     adapted = trainer.inner_adapt(theta, task, alpha, create_graph=True)
     grads = ad.grad(task.query_loss(adapted.prime), list(adapted.leaves.values()))
     return theta.flatten_named({n: g.data for n, g in zip(adapted.leaves, grads)}).values
+
+
+def finetune_via_inner_adapt(theta, task, beta, config, noisy=False):
+    """One-shot adaptation as a differentiable inner step with no kept graph:
+    (adapted vector, support loss pre/post, query Si-SNRi pre/post)."""
+    sep = trainer.SeparationTask(task, config, noisy=noisy)
+    pre_snri = sep.query_si_snri(theta)
+    inner = trainer.inner_adapt(theta, sep, beta, create_graph=False)
+    adapted = inner.to_vector(theta)
+    with ad.no_grad():
+        support_post = sep.support_loss(
+            {n: ad.tensor(adapted.view(n)) for n in adapted.names()}).item()
+    return adapted, inner.support_loss, support_post, pre_snri, sep.query_si_snri(adapted)

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from metasep import evalcli, model, taskgen, trainer
+import metasep
+from metasep import autodiff as ad
+from metasep import dsp, evalcli, model, taskgen, trainer
 from metasep.model import SeparatorConfig
 from test_trainer import MICRO, make_task_sets
 
@@ -105,6 +111,75 @@ def test_sweep_best_row(params, test_sets):
     sweep = evalcli.beta_sweep(params, MICRO, extra, test_sets, grid=(1e-4, 1e-3))
     best = sweep.best("clean")
     assert best["mean_si_snri_db"] == max(r["mean_si_snri_db"] for r in sweep.rows)
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_full_grid_sweep_equals_meta_test_at_every_rate(params, test_sets, noisy):
+    extra = dict(CKPT_EXTRA, mode="joint")
+    sweep = evalcli.beta_sweep(params, MICRO, extra, test_sets, noisy=noisy)
+    condition = "noisy" if noisy else "clean"
+    assert [r["beta_ft"] for r in sweep.rows] == list(evalcli.BETA_GRID)
+    for row in sweep.rows:
+        report = evalcli.meta_test(params, MICRO, extra, test_sets, row["beta_ft"],
+                                   noisy=noisy)
+        assert row["mean_si_snri_db"] == report.overall_mean(condition, "after")
+
+
+@pytest.fixture
+def work_counts(monkeypatch):
+    """Counts of autodiff.grad calls and of mixture builds per (task, index)."""
+    counts = {"grad": 0, "mixtures": {}}
+    grad, mixture = ad.grad, taskgen.MetaTask.mixture
+
+    def counting_grad(*args, **kwargs):
+        counts["grad"] += 1
+        return grad(*args, **kwargs)
+
+    def counting_mixture(task, index, noisy=False):
+        key = (id(task), index)
+        counts["mixtures"][key] = counts["mixtures"].get(key, 0) + 1
+        return mixture(task, index, noisy)
+
+    monkeypatch.setattr(ad, "grad", counting_grad)
+    monkeypatch.setattr(taskgen.MetaTask, "mixture", counting_mixture)
+    return counts
+
+
+def test_sweep_takes_one_support_gradient_per_task(params, test_sets, work_counts):
+    extra = dict(CKPT_EXTRA, mode="joint")
+    evalcli.beta_sweep(params, MICRO, extra, test_sets)
+    tasks = [t for ts in test_sets for t in ts.tasks]
+    rates = len(evalcli.BETA_GRID)
+    assert work_counts["grad"] == len(tasks)
+    for task in tasks:
+        assert work_counts["mixtures"][(id(task), task.support_index)] == 1
+        for q in task.query_indices:  # "before" once, then once per rate
+            assert work_counts["mixtures"][(id(task), q)] == 1 + rates
+    assert sum(work_counts["mixtures"].values()) == len(tasks) * (5 + 4 * rates)
+
+
+@pytest.mark.parametrize("bad", ["overlap", "empty"])
+def test_sweep_rejects_test_sets_before_any_work(params, test_sets, work_counts, bad):
+    if bad == "overlap":
+        extra, sets = dict(CKPT_EXTRA, mode="joint", train_accents=["acc02"]), test_sets
+    else:
+        extra, sets = dict(CKPT_EXTRA, mode="joint"), []
+    with pytest.raises(evalcli.EvalError):
+        evalcli.beta_sweep(params, MICRO, extra, sets)
+    assert work_counts["grad"] == 0 and not work_counts["mixtures"]
+
+
+def test_meta_test_rejects_prepared_work_of_other_inputs(params, test_sets):
+    tasks = [t for ts in sorted(test_sets, key=lambda s: s.accent) for t in ts.tasks]
+    prepared = [trainer.prepare_adapt(params, t, MICRO) for t in tasks]
+    report = evalcli.meta_test(params, MICRO, CKPT_EXTRA, test_sets, 1e-3, prepared=prepared)
+    assert report.rows == evalcli.meta_test(params, MICRO, CKPT_EXTRA, test_sets, 1e-3).rows
+    other = params.replace(params.values.copy())
+    for theta, noisy, given in [(params, True, prepared), (other, False, prepared),
+                                (params, False, prepared[1:])]:
+        with pytest.raises(evalcli.EvalError, match="prepared"):
+            evalcli.meta_test(theta, MICRO, CKPT_EXTRA, test_sets, 1e-3, noisy=noisy,
+                              prepared=given)
 
 
 # ---------------------------------------------------------------------------
@@ -213,3 +288,82 @@ def test_cli_error_is_machine_readable(tmp_path, capsys):
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert "error" in err and err["error"]["type"]
+
+
+# ---------------------------------------------------------------------------
+# artifact writes and package import
+
+
+def _artifact_writers(params, test_sets):
+    """name -> (file whose write is made to fail, function writing into a dir)."""
+    report = evalcli.meta_test(params, MICRO, CKPT_EXTRA, test_sets, beta_ft=0.01)
+    sweep = evalcli.SweepResult()
+    sweep.add("clean", 1e-3, -1.5)
+    result = trainer.TrainResult(params=params, log=[{"epoch": 0, "train_loss": 1.0}])
+    split = taskgen.SplitSpec(train=[ts.accent for ts in test_sets], dev=[], test=[])
+    return {
+        "checkpoint": ("ck.msep", lambda d: model.save_checkpoint(
+            d / "ck.msep", params, MICRO, CKPT_EXTRA)),
+        "report": ("report.csv", lambda d: evalcli.emit_report(report, d)),
+        "sweep": ("sweep.csv", lambda d: evalcli.emit_sweep(sweep, d)),
+        "resolved config": ("evaluate_config.json", lambda d: evalcli._write_resolved_config(
+            d, "evaluate", {"command": "evaluate"})),
+        "train log": ("train_log.jsonl", lambda d: trainer._write_outputs(
+            result, trainer.TrainConfig(mode="joint"), MICRO, test_sets, d)),
+        "task archive": ("tasks.json", lambda d: taskgen.write_task_archive(
+            d, test_sets, split, seed=0)),
+    }
+
+
+def _snapshot(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("writer", ["checkpoint", "report", "sweep", "resolved config",
+                                    "train log", "task archive"])
+def test_failed_artifact_write_keeps_previous_file(params, test_sets, tmp_path,
+                                                   monkeypatch, writer):
+    target, write = _artifact_writers(params, test_sets)[writer]
+    write(tmp_path)
+    previous = _snapshot(tmp_path)
+    assert target in previous
+
+    class HalfWrite:
+        """Writes half of the first chunk it is given, then fails."""
+
+        def __init__(self, f):
+            self.f = f
+
+        def write(self, data):
+            self.f.write(data[:len(data) // 2])
+            self.f.flush()
+            raise OSError("disk full")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        f = open(file, mode, *args, **kwargs)
+        return HalfWrite(f) if Path(file).name.startswith(f".{target}.") else f
+
+    monkeypatch.setattr(dsp, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        write(tmp_path)
+    assert _snapshot(tmp_path) == previous  # byte-identical, no temporary left
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_import_pins_blas_threads_unless_set(preset):
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(metasep.__file__).resolve().parents[1])
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    out = subprocess.run(
+        [sys.executable, "-c", "import os, metasep; print(os.environ['OPENBLAS_NUM_THREADS'], "
+         "os.environ['OMP_NUM_THREADS'], os.environ['MKL_NUM_THREADS'])"],
+        env=env, capture_output=True, text=True, timeout=60, check=True).stdout.split()
+    assert out == [preset or "1", "1", "1"]

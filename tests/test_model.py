@@ -1,3 +1,7 @@
+import json
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -359,4 +363,47 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     path = tmp_path / "x.msep"
     path.write_bytes(b"\x08\x00\x00\x00\x00\x00\x00\x00{\"a\":1}")
     with pytest.raises(ValueError):
+        model.load_checkpoint(path)
+
+
+def _saved_checkpoint(tmp_path):
+    params = model.init_params(TINY, seed=36)
+    path = tmp_path / "ck.msep"
+    model.save_checkpoint(path, params, TINY, {"mode": "joint"})
+    return path, params
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path, _ = _saved_checkpoint(tmp_path)
+    path.write_bytes(path.read_bytes() + b"\x00" * 8)
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*bytes, expected"):
+        model.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("cut", [1, 8, 10_000])
+def test_checkpoint_rejects_truncated_file(tmp_path, cut):
+    path, _ = _saved_checkpoint(tmp_path)
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        model.load_checkpoint(path)
+
+
+def _widen_conv_channels(header):
+    header["config"]["conv_channels"] += 1
+
+
+def _transpose_encoder(header):  # same parameter count, other shapes
+    header["layout"][0][2] = header["layout"][0][2][::-1]
+
+
+@pytest.mark.parametrize("edit", [_widen_conv_channels, _transpose_encoder])
+def test_checkpoint_rejects_layout_of_another_config(tmp_path, edit):
+    path, params = _saved_checkpoint(tmp_path)
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", raw)
+    header = json.loads(raw[8:8 + hlen])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(struct.pack("<Q", len(blob)) + blob + raw[8 + hlen:])
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*layout does not match"):
         model.load_checkpoint(path)

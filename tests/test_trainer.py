@@ -7,7 +7,8 @@ from metasep import autodiff as ad
 from metasep import dsp, model, taskgen, trainer
 from metasep.model import SeparatorConfig
 from metasep.trainer import TrainConfig
-from oracles import assert_fd_close, reference_adam_step, reverse_over_reverse_maml
+from oracles import (assert_fd_close, finetune_via_inner_adapt, reference_adam_step,
+                     reverse_over_reverse_maml)
 
 RNG = np.random.default_rng
 
@@ -491,6 +492,36 @@ def test_finetune_matches_inner_adapt_algebra():
                                   beta, create_graph=False)
     np.testing.assert_array_equal(res.adapted.values, adapted.to_vector(theta).values)
     assert res.support_loss_pre == adapted.support_loss
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_finetune_matches_inner_adapt_route_bit_for_bit(noisy):
+    theta = model.init_params(MICRO, seed=10)
+    task = make_task(93)
+    res = trainer.finetune_adapt(theta, task, beta_ft=0.02, model_config=MICRO, noisy=noisy)
+    adapted, support_pre, support_post, snri_pre, snri_post = finetune_via_inner_adapt(
+        theta, task, 0.02, MICRO, noisy=noisy)
+    assert res.adapted == adapted
+    assert (res.support_loss_pre, res.support_loss_post) == (support_pre, support_post)
+    assert (res.query_si_snri_pre, res.query_si_snri_post) == (snri_pre, snri_post)
+
+
+def test_prepared_adapt_scores_any_rate_like_finetune():
+    theta = model.init_params(MICRO, seed=11)
+    task = make_task(94)
+    prep = trainer.prepare_adapt(theta, task, MICRO)
+    for beta in (0.0, 1e-3, 0.05):
+        res = trainer.finetune_adapt(theta, task, beta_ft=beta, model_config=MICRO)
+        assert prep.adapted(beta) == res.adapted
+        assert prep.query_si_snri(prep.adapted(beta)) == res.query_si_snri_post
+        assert prep.query_si_snri_pre == res.query_si_snri_pre
+
+
+def test_prepare_adapt_rejects_non_finite_support_loss():
+    theta = model.init_params(MICRO, seed=12)
+    theta = theta.replace(np.full_like(theta.values, np.nan))
+    with pytest.raises(trainer.TrainingDiverged, match="support"):
+        trainer.prepare_adapt(theta, make_task(95), MICRO)
 
 
 def test_finetune_reduces_support_loss_at_small_step():
