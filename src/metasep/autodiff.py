@@ -10,7 +10,8 @@ machinery.
 Design constraints honored throughout:
 
 * all arithmetic in float64; forward and backward are bit-deterministic,
-* explicit shapes only -- the sole broadcast allowed is scalar-times-tensor,
+* explicit shapes only -- the broadcasts allowed are scalar-times-tensor and
+  the per-channel bias, scale and shift of the fused layer primitives,
 * convolution, its input-gradient (transposed convolution) and its
   weight-gradient form a closed triple: each one's VJP is expressed with the
   other two, so arbitrarily high derivative orders stay exact.
@@ -30,15 +31,10 @@ import numpy as np
 __all__ = [
     "Tensor",
     "ParamVector",
-    "Graph",
     "ShapeMismatchError",
     "NonScalarOutputError",
-    "UnsupportedSecondOrderError",
     "tensor",
     "grad",
-    "forward",
-    "gradient",
-    "second_order_gradient",
     "no_grad",
     "add",
     "sub",
@@ -67,6 +63,9 @@ __all__ = [
     "conv1d_input_grad",
     "conv1d_weight_grad",
     "detach",
+    "add_channel_bias",
+    "prelu",
+    "gln",
 ]
 
 _LN10 = math.log(10.0)
@@ -78,18 +77,6 @@ class ShapeMismatchError(ValueError):
 
 class NonScalarOutputError(ValueError):
     """Raised when a gradient is requested of a non-scalar output."""
-
-
-class UnsupportedSecondOrderError(RuntimeError):
-    """Raised when a second-order pass hits a primitive without a
-    differentiable backward rule (never silently falls back to first order)."""
-
-
-# Ops listed here have a backward rule that is not itself differentiable.
-# The built-in primitive set is fully closed under differentiation, so the
-# registry starts empty; it exists so extensions fail loudly instead of
-# producing silently wrong second-order gradients.
-FIRST_ORDER_ONLY_OPS: set[str] = set()
 
 
 _ids = itertools.count()
@@ -261,7 +248,7 @@ def add_constant(a: Tensor, c: float) -> Tensor:
 
 
 def scale(a: Tensor, s: Tensor) -> Tensor:
-    """Scalar tensor times tensor, the one permitted broadcast."""
+    """Scalar tensor times tensor."""
     _check(s.data.shape == (), "scale", f"scale factor must be a scalar, got {s.data.shape}")
     return _node("scale", a.data * s.data, (a, s),
                  lambda g: (scale(g, s) if a.requires_grad else None,
@@ -527,6 +514,99 @@ def conv1d_weight_grad(x: Tensor, g: Tensor, *, kernel: int, stride: int = 1,
 
 
 # ---------------------------------------------------------------------------
+# fused layer primitives
+#
+# A channel bias, a PReLU and a global layer norm each record one node. Their
+# VJPs are written in tracked primitives, so second order stays exact. The gLN
+# backward needs x_hat = (x - mean) * inv and inv = 1 / sqrt(var + eps) as
+# functions of x; two private nodes provide them from the forward's (mean,
+# inv), and their own VJPs are built from each other again.
+
+
+def add_channel_bias(x: Tensor, b: Tensor) -> Tensor:
+    """x:(C, T) plus b:(C,) at every time step."""
+    _check(x.data.ndim == 2 and b.data.shape == x.data.shape[:1], "add_channel_bias",
+           f"expected (C, T) and (C,), got {x.data.shape} and {b.data.shape}")
+    return _node("add_channel_bias", x.data + b.data[:, None], (x, b),
+                 lambda g: (g if x.requires_grad else None,
+                            sum_time(g) if b.requires_grad else None))
+
+
+def prelu(x: Tensor, a: Tensor) -> Tensor:
+    """max(x, 0) + a * min(x, 0) with a scalar slope a."""
+    _check(a.data.shape == (), "prelu", f"slope must be a scalar, got {a.data.shape}")
+    return _gated(x, a, x.data > 0.0)
+
+
+def _gated(x: Tensor, a: Tensor, gate: np.ndarray) -> Tensor:
+    """x where the boolean gate holds, a * x elsewhere. As in relu, the gate
+    is a constant of the backward pass, so the map is linear in x and in a."""
+
+    def vjp(g):
+        dx = _gated(g, a, gate) if x.requires_grad else None
+        # the negative part of x is the same map with the gate inverted and slope 0
+        da = dot(g, _gated(x, Tensor(0.0), ~gate)) if a.requires_grad else None
+        return (dx, da)
+
+    return _node("prelu", np.where(gate, x.data, a.data * x.data), (x, a), vjp)
+
+
+def gln(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """Global layer norm (Conv-TasNet): x:(C, T) normalized by the mean and
+    variance over all of it, then each channel scaled by gamma and shifted by
+    beta."""
+    _check(x.data.ndim == 2 and gamma.data.shape == beta.data.shape == x.data.shape[:1],
+           "gln", f"expected (C, T), (C,) and (C,), got {x.data.shape}, "
+           f"{gamma.data.shape} and {beta.data.shape}")
+    n = x.data.size
+    mu = (1.0 / n) * x.data.sum()
+    centered = x.data - mu
+    inv = 1.0 / np.sqrt((1.0 / n) * (centered * centered).sum() + float(eps))
+    stats = (mu, inv)
+
+    def vjp(g):
+        xhat = _gln_normalize(x, stats)
+        dx = None
+        if x.requires_grad:
+            dx = _gln_input_grad(x, stats, xhat, mul(g, expand_time(gamma, g.data.shape[1])))
+        dgamma = sum_time(mul(g, xhat)) if gamma.requires_grad else None
+        dbeta = sum_time(g) if beta.requires_grad else None
+        return (dx, dgamma, dbeta)
+
+    y = centered * inv * gamma.data[:, None] + beta.data[:, None]
+    return _node("gln", y, (x, gamma, beta), vjp)
+
+
+def _gln_input_grad(x: Tensor, stats: tuple, xhat: Tensor, h: Tensor) -> Tensor:
+    """Cotangent of x for a cotangent h of x_hat:
+    inv * (h - mean(h) - x_hat * mean(h * x_hat))."""
+    centered = sub(h, expand_scalar(mean_all(h), h.data.shape))
+    return scale(sub(centered, scale(xhat, mean_all(mul(h, xhat)))), _gln_inv(x, stats))
+
+
+def _gln_normalize(x: Tensor, stats: tuple) -> Tensor:
+    mu, inv = stats
+    out = _node("gln_normalize", (x.data - mu) * inv, (x,), None)
+    ref = weakref.ref(out)
+    out._vjp = (lambda h: (_gln_input_grad(x, stats, ref(), h),)) if out.requires_grad else None
+    return out
+
+
+def _gln_inv(x: Tensor, stats: tuple) -> Tensor:
+    # d inv / dx = -inv^2 * x_hat / n
+    out = _node("gln_inv", np.asarray(stats[1]), (x,), None)
+    ref = weakref.ref(out)
+
+    def vjp(s):
+        inv = ref()
+        return (scale(_gln_normalize(x, stats),
+                      scalar_mul(-1.0 / x.data.size, mul(s, mul(inv, inv)))),)
+
+    out._vjp = vjp if out.requires_grad else None
+    return out
+
+
+# ---------------------------------------------------------------------------
 # reverse pass
 
 
@@ -577,9 +657,6 @@ def grad(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> l
             if g is None:
                 continue
             if node._vjp is not None:
-                if create_graph and node.op in FIRST_ORDER_ONLY_OPS:
-                    raise UnsupportedSecondOrderError(
-                        f"primitive {node.op!r} has no registered second derivative")
                 for p, pg in zip(node._parents, node._vjp(g)):
                     if pg is None or not p.requires_grad:
                         continue
@@ -679,80 +756,3 @@ class ParamVector:
         return (isinstance(other, ParamVector)
                 and self.layout == other.layout
                 and np.array_equal(self.values, other.values))
-
-
-# ---------------------------------------------------------------------------
-# reusable computation wrapper
-
-
-class Graph:
-    """A re-runnable computation: a builder over (params, inputs) tensors.
-
-    The builder receives a mapping of parameter-name to leaf tensor (or None
-    when the graph takes no parameters) followed by one tensor per declared
-    input, and returns a Tensor or a sequence of Tensors. Re-running the same
-    graph on the same values is bit-identical because every primitive is
-    deterministic.
-    """
-
-    def __init__(self, build: Callable, *, n_inputs: int, name: str = "graph"):
-        self.build = build
-        self.n_inputs = int(n_inputs)
-        self.name = name
-
-    def _run(self, params: ParamVector | None, inputs: Sequence[np.ndarray],
-             free: bool):
-        if len(inputs) != self.n_inputs:
-            raise ShapeMismatchError(
-                f"{self.name}: expected {self.n_inputs} inputs, got {len(inputs)}")
-        leaves = params.to_leaves() if params is not None else None
-        in_tensors = [Tensor(np.asarray(x, dtype=np.float64)) for x in inputs]
-        if free:
-            with no_grad():
-                result = self.build(leaves, *in_tensors)
-        else:
-            result = self.build(leaves, *in_tensors)
-        if isinstance(result, Tensor):
-            outs: tuple[Tensor, ...] = (result,)
-        else:
-            outs = tuple(result)
-        return outs, leaves
-
-
-def forward(graph: Graph, params: ParamVector | None,
-            inputs: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Evaluate a graph; returns plain arrays."""
-    outs, _ = graph._run(params, inputs, free=True)
-    bad = [o for o in outs if not np.all(np.isfinite(o.data))]
-    if bad:
-        raise FloatingPointError(f"{graph.name}: non-finite output from op {bad[0].op!r}")
-    return [o.data.copy() for o in outs]
-
-
-def _scalar_loss(graph: Graph, params: ParamVector,
-                 inputs: Sequence[np.ndarray]):
-    outs, leaves = graph._run(params, inputs, free=False)
-    if len(outs) != 1 or outs[0].data.shape != ():
-        shapes = [o.data.shape for o in outs]
-        raise NonScalarOutputError(
-            f"{graph.name}: gradient needs a single scalar output, got {shapes}")
-    return outs[0], leaves
-
-
-def gradient(graph: Graph, params: ParamVector,
-             inputs: Sequence[np.ndarray] = ()) -> ParamVector:
-    """d(scalar loss)/d(params) for every parameter dimension."""
-    loss, leaves = _scalar_loss(graph, params, inputs)
-    gs = grad(loss, list(leaves.values()))
-    return params.flatten_named({n: g.data for n, g in zip(leaves, gs)})
-
-
-def second_order_gradient(graph: Graph, params: ParamVector,
-                          inputs: Sequence[np.ndarray] = ()) -> ParamVector:
-    """Total derivative of a loss whose builder embeds an inner `grad` call.
-
-    The builder may call :func:`grad` with ``create_graph=True`` on quantities
-    derived from the parameter leaves; the chain through those embedded
-    gradient nodes is differentiated exactly, never approximated.
-    """
-    return gradient(graph, params, inputs)

@@ -321,7 +321,13 @@ def cmd_build_tasks(args) -> dict:
         counts = (args.train_accents or cfg["split_counts"][0],
                   args.dev_accents or cfg.get("split_counts", [0, 0, 0])[1],
                   args.test_accents or cfg.get("split_counts", [0, 0, 0])[2])
-    split = taskgen.split_accents(corpus.accents(), seed=args.seed, counts=counts)
+    accents = corpus.accents()
+    split = taskgen.split_accents(accents, seed=args.seed, counts=counts)
+    if not split.train or not split.test:
+        raise EvalError(
+            f"accent split train={len(split.train)}, dev={len(split.dev)}, "
+            f"test={len(split.test)} of {len(accents)} accents needs at least one "
+            f"train and one test accent")
     task_sets = taskgen.build_accent_task_sets(corpus, split, seed=args.seed)
     index = taskgen.write_task_archive(args.out, task_sets, split, seed=args.seed)
     resolved = {"command": "build-tasks", "seed": args.seed,

@@ -177,28 +177,8 @@ def _as_param_tensors(params: ParamVector | Mapping[str, Tensor]) -> Mapping[str
 # building blocks over tensors
 
 
-def _prelu(x: Tensor, alpha: Tensor) -> Tensor:
-    # max(x, 0) + alpha * min(x, 0)
-    return ad.sub(ad.relu(x), ad.scale(ad.relu(ad.neg(x)), alpha))
-
-
-def _gln(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Global layer normalization over channels and time."""
-    n = x.data.size
-    mu = ad.scalar_mul(1.0 / n, ad.sum_all(x))
-    centered = ad.sub(x, ad.expand_scalar(mu, x.data.shape))
-    var = ad.scalar_mul(1.0 / n, ad.sum_all(ad.mul(centered, centered)))
-    inv = ad.div(ad.tensor(1.0), ad.sqrt(ad.add_constant(var, GLN_EPS)))
-    t = x.data.shape[1]
-    normed = ad.scale(centered, inv)
-    return ad.add(ad.mul(normed, ad.expand_time(gamma, t)), ad.expand_time(beta, t))
-
-
-def _conv_block(x: Tensor, w: Tensor, b: Tensor | None, **kw) -> Tensor:
-    y = ad.conv1d(x, w, **kw)
-    if b is not None:
-        y = ad.add(y, ad.expand_time(b, y.data.shape[1]))
-    return y
+def _conv_block(x: Tensor, w: Tensor, b: Tensor, **kw) -> Tensor:
+    return ad.add_channel_bias(ad.conv1d(x, w, **kw), b)
 
 
 def encode_tensors(x: Tensor, p: Mapping[str, Tensor], config: SeparatorConfig) -> Tensor:
@@ -217,20 +197,22 @@ def separate_mask_tensors(x_enc: Tensor, p: Mapping[str, Tensor],
             pre = f"tcn.{r}.{x}."
             dilation = 2 ** x
             h = _conv_block(feat, p[pre + "expand.weight"], p[pre + "expand.bias"])
-            h = _prelu(h, p[pre + "expand.prelu"])
+            h = ad.prelu(h, p[pre + "expand.prelu"])
             if config.norm == "gln":
-                h = _gln(h, p[pre + "expand.norm.gamma"], p[pre + "expand.norm.beta"])
+                h = ad.gln(h, p[pre + "expand.norm.gamma"], p[pre + "expand.norm.beta"],
+                           GLN_EPS)
             h = _conv_block(h, p[pre + "depthwise.weight"], p[pre + "depthwise.bias"],
                             dilation=dilation, groups=config.conv_channels,
                             pad=dilation * (config.kernel - 1) // 2)
-            h = _prelu(h, p[pre + "depthwise.prelu"])
+            h = ad.prelu(h, p[pre + "depthwise.prelu"])
             if config.norm == "gln":
-                h = _gln(h, p[pre + "depthwise.norm.gamma"], p[pre + "depthwise.norm.beta"])
+                h = ad.gln(h, p[pre + "depthwise.norm.gamma"], p[pre + "depthwise.norm.beta"],
+                           GLN_EPS)
             res = _conv_block(h, p[pre + "residual.weight"], p[pre + "residual.bias"])
             skip = _conv_block(h, p[pre + "skip.weight"], p[pre + "skip.bias"])
             feat = ad.add(feat, res)
             skip_sum = skip if skip_sum is None else ad.add(skip_sum, skip)
-    head = _prelu(skip_sum, p["mask.prelu"])
+    head = ad.prelu(skip_sum, p["mask.prelu"])
     logits = _conv_block(head, p["mask.weight"], p["mask.bias"])
     stacked = ad.sigmoid(logits)
     h = config.enc_channels

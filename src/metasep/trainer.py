@@ -267,8 +267,10 @@ def meta_gradient_fomaml(theta: ParamVector, tasks: Sequence[TaskLoss],
 
 
 def query_pool_gradient(theta: ParamVector, tasks: Sequence[TaskLoss]) -> ParamVector:
-    """Query-loss gradient at theta, no adaptation: the alpha = 0 case."""
-    return meta_gradient(theta, tasks, 0.0, "fomaml")[0]
+    """Query-loss gradient at theta, no adaptation: the alpha = 0 case of
+    meta_gradient, without the support gradient that theta - 0 g discards."""
+    return theta.replace(sum((_mean_gradient(theta, task, "query")[0] for task in tasks),
+                             np.zeros_like(theta.values)))
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,26 @@ def test_criterion_1_gradient_suite():
                             g0, 1e-5, f"wgrad.g[{i}]")
             cases += 4
 
+        for seed in range(2):
+            rng = RNG(7800 + seed)
+            x0 = rng.normal(size=(4, 6))
+            x0 = np.where(np.abs(x0) < 0.05, x0 + 0.2, x0)  # away from the PReLU kink
+            b0, g0, be0 = rng.normal(size=(3, 4))
+            a0 = rng.normal(size=())
+            T = ad.tensor
+            fused = [
+                ("add_channel_bias.x", lambda t: ad.add_channel_bias(t, T(b0)), x0),
+                ("add_channel_bias.b", lambda t: ad.add_channel_bias(T(x0), t), b0),
+                ("prelu.x", lambda t: ad.prelu(t, T(a0)), x0),
+                ("prelu.a", lambda t: ad.prelu(T(x0), t), a0),
+                ("gln.x", lambda t: ad.gln(t, T(g0), T(be0), 1e-8), x0),
+                ("gln.gamma", lambda t: ad.gln(T(x0), t, T(be0), 1e-8), g0),
+                ("gln.beta", lambda t: ad.gln(T(x0), T(g0), t, 1e-8), be0),
+            ]
+            for name, fn, v0 in fused:
+                _gradcheck_case(fn, v0, 1e-5, f"{name}[{seed}]")
+                cases += 1
+
         assert cases >= 100, f"only {cases} primitive gradient cases"
 
         # end-to-end uPIT loss through the full separator, every coordinate

@@ -17,16 +17,16 @@ def scalar_loss(t):
 
 
 def test_forward_identity_graph():
-    g = ad.Graph(lambda params, x: x, n_inputs=1, name="identity")
     t = RNG(0).normal(size=(3, 5))
-    (out,) = ad.forward(g, None, [t])
-    assert np.array_equal(out, t)
+    with ad.no_grad():
+        out = ad.reshape(ad.tensor(t), t.shape)
+    assert np.array_equal(out.data, t)
 
 
 def test_forward_sigmoid_at_zero():
-    g = ad.Graph(lambda params, x: ad.sigmoid(x), n_inputs=1)
-    (out,) = ad.forward(g, None, [np.zeros(())])
-    assert out == 0.5
+    with ad.no_grad():
+        out = ad.sigmoid(ad.tensor(np.zeros(())))
+    assert out.data == 0.5
 
 
 def test_forward_two_layer_conv_matches_straight_line():
@@ -34,13 +34,11 @@ def test_forward_two_layer_conv_matches_straight_line():
     x = rng.normal(size=(2, 30))
     w1 = rng.normal(size=(4, 2, 5))
     w2 = rng.normal(size=(3, 4, 3))
-    params = ad.ParamVector.from_arrays({"w1": w1, "w2": w2})
+    p = ad.ParamVector.from_arrays({"w1": w1, "w2": w2}).to_leaves()
 
-    def build(p, xin):
-        h = ad.sigmoid(ad.conv1d(xin, p["w1"], stride=2, pad=1))
-        return ad.conv1d(h, p["w2"], dilation=2, pad=2)
-
-    (got,) = ad.forward(ad.Graph(build, n_inputs=1), params, [x])
+    with ad.no_grad():
+        h = ad.sigmoid(ad.conv1d(ad.tensor(x), p["w1"], stride=2, pad=1))
+        got = ad.conv1d(h, p["w2"], dilation=2, pad=2).data
 
     h = 1.0 / (1.0 + np.exp(-naive_conv1d(x, w1, stride=2, pad=1)))
     want = naive_conv1d(h, w2, dilation=2, pad=2)
@@ -229,6 +227,75 @@ def test_conv1d_weight_grad_gradients(seed, stride, dilation, groups, pad):
                label=f"wgrad.g[{seed}]")
 
 
+# fused layer primitives: op -> (function, names of its tensor inputs)
+FUSED_OPS = {
+    "add_channel_bias": (ad.add_channel_bias, ("x", "b")),
+    "prelu": (ad.prelu, ("x", "a")),
+    "gln": (lambda x, gamma, beta: ad.gln(x, gamma, beta, 1e-8), ("x", "gamma", "beta")),
+}
+FUSED_CASES = [(op, arg) for op, (_, args) in FUSED_OPS.items() for arg in args]
+FUSED_IDS = [f"{op}.{arg}" for op, arg in FUSED_CASES]
+
+
+def _fused_inputs(rng):
+    x = rng.normal(size=(4, 6))
+    x = np.where(np.abs(x) < 0.05, x + 0.2, x)  # away from the PReLU kink
+    return {"x": x, "b": rng.normal(size=4), "a": rng.normal(size=()),
+            "gamma": rng.normal(size=4), "beta": rng.normal(size=4)}
+
+
+@pytest.mark.parametrize("op,arg", FUSED_CASES, ids=FUSED_IDS)
+@pytest.mark.parametrize("seed", range(4))
+def test_fused_primitive_gradients(op, arg, seed):
+    fn, names = FUSED_OPS[op]
+    vals = _fused_inputs(RNG(900 + seed))
+
+    def make(t):
+        return fn(*(t if n == arg else ad.tensor(vals[n]) for n in names))
+
+    _gradcheck(make, vals[arg], label=f"{op}.{arg}[seed={seed}]")
+
+
+@pytest.mark.parametrize("op,arg", FUSED_CASES, ids=FUSED_IDS)
+@pytest.mark.parametrize("seed", range(2))
+def test_fused_primitive_second_order(op, arg, seed):
+    """Gradient with respect to one input of the squared norm of the op's own
+    create-graph gradient with respect to every input, against central
+    differences."""
+    fn, names = FUSED_OPS[op]
+    vals = _fused_inputs(RNG(950 + seed))
+
+    def grad_norm(v):
+        ins = [ad.tensor(v if n == arg else vals[n], requires_grad=True) for n in names]
+        grads = ad.grad(scalar_loss(fn(*ins)), ins, create_graph=True)
+        total = ad.sq_norm(grads[0])
+        for g in grads[1:]:
+            total = ad.add(total, ad.sq_norm(g))
+        return total, ins[names.index(arg)]
+
+    out, leaf = grad_norm(vals[arg])
+    (got,) = ad.grad(out, [leaf])
+    num = fd_gradient(lambda v: grad_norm(v)[0].item(), vals[arg], step=1e-5)
+    assert_fd_close(got.data, num, rtol=1e-5, label=f"{op}.{arg} second order[{seed}]")
+
+
+def test_fused_primitive_forwards_match_composed_layers():
+    vals = _fused_inputs(RNG(990))
+    x, b, a, gamma, beta = (vals[n] for n in ("x", "b", "a", "gamma", "beta"))
+    eps = 1e-8
+    got = {name: fn(*(ad.tensor(vals[n]) for n in names)).data
+           for name, (fn, names) in FUSED_OPS.items()}
+    centered = x - x.mean()
+    want = {
+        "add_channel_bias": x + b[:, None],
+        "prelu": np.maximum(x, 0.0) - a * np.maximum(-x, 0.0),
+        "gln": centered / np.sqrt(np.mean(centered ** 2) + eps) * gamma[:, None]
+        + beta[:, None],
+    }
+    for name in FUSED_OPS:
+        np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12, err_msg=name)
+
+
 # ---------------------------------------------------------------------------
 # spec'd example values
 
@@ -331,20 +398,6 @@ def test_gradient_of_unused_leaf_is_zero():
     assert np.array_equal(gu.data, np.zeros(3))
 
 
-def test_second_order_unsupported_op_raises():
-    x = ad.tensor(1.5, requires_grad=True)
-    y = ad.mul(x, x)
-    ad.FIRST_ORDER_ONLY_OPS.add("mul")
-    try:
-        with pytest.raises(ad.UnsupportedSecondOrderError, match="mul"):
-            ad.grad(y, [x], create_graph=True)
-        # first-order use stays allowed
-        (g,) = ad.grad(ad.mul(x, x), [x])
-        assert g.item() == 3.0
-    finally:
-        ad.FIRST_ORDER_ONLY_OPS.discard("mul")
-
-
 def test_no_grad_suppresses_recording():
     x = ad.tensor(2.0, requires_grad=True)
     with ad.no_grad():
@@ -354,40 +407,27 @@ def test_no_grad_suppresses_recording():
     assert g.item() == 4.0
 
 
-def test_graph_gradient_and_second_order_facade():
-    params = ad.ParamVector.from_arrays({"theta": np.array(3.0)})
-
-    loss_graph = ad.Graph(lambda p: ad.mul(p["theta"], p["theta"]), n_inputs=0)
-    g = ad.gradient(loss_graph, params)
-    assert g.view("theta") == pytest.approx(6.0)
+def test_gradient_and_second_order_through_inner_grad():
+    theta = ad.tensor(3.0, requires_grad=True)
+    (g,) = ad.grad(ad.mul(theta, theta), [theta])
+    assert g.item() == pytest.approx(6.0)
 
     # quadratic-in-quadratic: L(theta') with theta' = theta - a * dLsup/dtheta
     alpha, a, u, b, v = 0.1, 1.0, 1.0, 1.0, 3.0
-
-    def meta(p):
-        th = p["theta"]
-        diff = ad.add_constant(th, -u)
-        sup = ad.scalar_mul(a, ad.mul(diff, diff))
-        (gs,) = ad.grad(sup, [th], create_graph=True)
-        th_prime = ad.sub(th, ad.scalar_mul(alpha, gs))
-        dq = ad.add_constant(th_prime, -v)
-        return ad.scalar_mul(b, ad.mul(dq, dq))
-
-    theta0 = ad.ParamVector.from_arrays({"theta": np.array(0.0)})
-    got = ad.second_order_gradient(ad.Graph(meta, n_inputs=0), theta0)
+    th = ad.tensor(0.0, requires_grad=True)
+    diff = ad.add_constant(th, -u)
+    sup = ad.scalar_mul(a, ad.mul(diff, diff))
+    (gs,) = ad.grad(sup, [th], create_graph=True)
+    th_prime = ad.sub(th, ad.scalar_mul(alpha, gs))
+    dq = ad.add_constant(th_prime, -v)
+    (got,) = ad.grad(ad.scalar_mul(b, ad.mul(dq, dq)), [th])
     theta_prime = 0.0 - alpha * 2 * a * (0.0 - u)
     want = 2 * b * (theta_prime - v) * (1 - 2 * a * alpha)
-    assert got.view("theta") == pytest.approx(want, abs=1e-12)
+    assert got.item() == pytest.approx(want, abs=1e-12)
     assert want == pytest.approx(-4.48)
 
     with pytest.raises(ad.NonScalarOutputError):
-        ad.gradient(ad.Graph(lambda p: ad.expand_scalar(p["theta"], (2,)), n_inputs=0), params)
-
-
-def test_graph_forward_rejects_wrong_input_count():
-    g = ad.Graph(lambda p, x: x, n_inputs=1)
-    with pytest.raises(ad.ShapeMismatchError):
-        ad.forward(g, None, [])
+        ad.grad(ad.expand_scalar(theta, (2,)), [theta])
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,23 @@ def test_cli_error_is_machine_readable(tmp_path, capsys):
     assert "error" in err and err["error"]["type"]
 
 
+@pytest.mark.parametrize("n_accents,counts,resolved", [
+    (2, [], "train=0, dev=1, test=1 of 2 accents"),
+    (4, ["--train-accents", 3], "train=3, dev=0, test=0 of 4 accents"),
+])
+def test_build_tasks_rejects_degenerate_split(tmp_path, capsys, n_accents, counts, resolved):
+    assert evalcli.main(["--seed", "3", "--out", str(tmp_path / "corpus"), "synth-corpus",
+                         "--accents", str(n_accents), "--speakers", "2"]) == 0
+    capsys.readouterr()
+    code = evalcli.main(["--seed", "3", "--out", str(tmp_path / "tasks"), "build-tasks",
+                         "--manifest", str(tmp_path / "corpus" / "manifest.jsonl"),
+                         *map(str, counts)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "EvalError" and resolved in err["message"]
+    assert not (tmp_path / "tasks" / "tasks.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # artifact writes and package import
 

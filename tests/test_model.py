@@ -330,6 +330,22 @@ def test_end_to_end_gradient_matches_finite_differences():
                         label=f"param coord {c}")
 
 
+def test_mixture_graph_uses_fused_layers():
+    """Bias adds, PReLUs and gLNs are one node each: the loss graph has no
+    decomposed-layer node left."""
+    leaves = model.init_params(TINY, seed=33).to_leaves()
+    loss = model.mixture_loss_tensors(make_pair(n=240, seed=34), leaves, TINY)
+    ops, stack, seen = set(), [loss], set()
+    while stack:
+        node = stack.pop()
+        if node._id not in seen:
+            seen.add(node._id)
+            ops.add(node.op)
+            stack.extend(node._parents)
+    assert {"add_channel_bias", "prelu", "gln"} <= ops
+    assert not ops & {"expand_time", "relu", "neg"}
+
+
 # ---------------------------------------------------------------------------
 # Si-SNRi evaluation and checkpoints
 

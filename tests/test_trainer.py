@@ -181,6 +181,20 @@ def test_alpha_zero_meta_gradients_equal_pooled_query_gradient():
     np.testing.assert_allclose(g_fo.values, g_pool.values, rtol=0, atol=1e-12)
 
 
+def test_query_pool_gradient_skips_the_support_gradient(monkeypatch):
+    sets = make_task_sets(2, 1)
+    tasks = [trainer.SeparationTask(t, MICRO) for ts in sets for t in ts.tasks]
+    theta = model.init_params(MICRO, seed=3)
+    g_fo = trainer.meta_gradient_fomaml(theta, tasks, alpha=0.0)
+
+    def no_support_step(*args, **kwargs):
+        raise AssertionError("query_pool_gradient took a support gradient")
+
+    monkeypatch.setattr(trainer, "inner_adapt", no_support_step)
+    # theta - 0 * g_s is theta, so the result is the alpha = 0 FOMAML bits
+    assert np.array_equal(trainer.query_pool_gradient(theta, tasks).values, g_fo.values)
+
+
 def test_meta_gradient_matches_finite_differences_on_micro_model():
     theta = model.init_params(MICRO, seed=4)
     sep = trainer.SeparationTask(make_task(41), MICRO)
