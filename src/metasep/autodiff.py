@@ -62,7 +62,6 @@ __all__ = [
     "conv1d",
     "conv1d_input_grad",
     "conv1d_weight_grad",
-    "detach",
     "add_channel_bias",
     "prelu",
     "gln",
@@ -126,50 +125,12 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.shape}, grad={self.requires_grad})"
-
-    # Operator sugar for same-shape elementwise math and python scalars.
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.shape))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other, self.shape), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self.shape))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self.shape), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scalar_mul(float(other), self)
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return scalar_mul(float(other), self)
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other, self.shape))
-
-    def __neg__(self):
-        return neg(self)
 
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
     return Tensor(data, requires_grad=requires_grad)
-
-
-def _as_tensor(x, shape) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.full(shape, float(x)))
 
 
 def _node(op: str, data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable) -> Tensor:
@@ -371,10 +332,6 @@ def pad_channels(a: Tensor, lo: int, total: int) -> Tensor:
     data[lo:lo + c] = a.data
     return _node("pad_channels", data, (a,),
                  lambda g: (slice_channels(g, lo, lo + c),))
-
-
-def detach(a: Tensor) -> Tensor:
-    return a.detach()
 
 
 # ---------------------------------------------------------------------------
@@ -743,6 +700,10 @@ class ParamVector:
         """Fresh requires-grad leaf tensors, one per named slice."""
         return OrderedDict((name, Tensor(self.view(name).copy(), requires_grad=True))
                            for name in self.layout)
+
+    def to_constants(self) -> "OrderedDict[str, Tensor]":
+        """Constant tensors over each named slice's view; no gradient flows to them."""
+        return OrderedDict((name, Tensor(self.view(name))) for name in self.layout)
 
     def flatten_named(self, named: Mapping[str, np.ndarray]) -> "ParamVector":
         """Pack per-slice arrays (e.g. gradients) into a vector with this layout."""

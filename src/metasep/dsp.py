@@ -59,10 +59,6 @@ class Waveform:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.rate
-
 
 @dataclass
 class MixturePair:
@@ -246,7 +242,7 @@ def read_wav(path) -> Waveform:
 def write_raw(path, wav: Waveform) -> None:
     """Lossless float64 storage: 8-byte little-endian length, then samples."""
     data = np.ascontiguousarray(wav.samples, dtype="<f8")
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(_RAW_HEADER.pack(data.size))
         f.write(data.tobytes())
 

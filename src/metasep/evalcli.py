@@ -328,6 +328,11 @@ def cmd_build_tasks(args) -> dict:
             f"accent split train={len(split.train)}, dev={len(split.dev)}, "
             f"test={len(split.test)} of {len(accents)} accents needs at least one "
             f"train and one test accent")
+    left_out = sorted(set(accents) - set(split.all_accents()))
+    if counts is not None and left_out:
+        raise EvalError(f"split counts train={counts[0]}, dev={counts[1]}, test={counts[2]} "
+                        f"leave out {len(left_out)} of {len(accents)} accents: "
+                        f"{', '.join(left_out)}")
     task_sets = taskgen.build_accent_task_sets(corpus, split, seed=args.seed)
     index = taskgen.write_task_archive(args.out, task_sets, split, seed=args.seed)
     resolved = {"command": "build-tasks", "seed": args.seed,
@@ -374,7 +379,11 @@ def cmd_finetune(args) -> dict:
         else test_sets
     if not wanted:
         raise EvalError(f"no test accent {args.accent!r} in the archive")
-    task = wanted[0].tasks[args.task_index]
+    tasks = wanted[0].tasks
+    if not 0 <= args.task_index < len(tasks):
+        raise EvalError(f"task index {args.task_index} is out of range: accent "
+                        f"{wanted[0].accent} has {len(tasks)} tasks")
+    task = tasks[args.task_index]
     beta = args.beta if args.beta is not None else META_BETA_DEFAULT
     res = trainer.finetune_adapt(params, task, beta, model_config, noisy=args.noise)
     out = {

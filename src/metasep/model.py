@@ -93,21 +93,6 @@ class SeparatorConfig:
         return cls(**dict(d))
 
 
-@dataclass
-class MaskSet:
-    """Per-source masks over the latent representation, each value in [0, 1]."""
-
-    masks: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        shapes = {m.shape for m in self.masks}
-        if len(shapes) != 1:
-            raise ValueError(f"masks must share a shape, got {shapes}")
-        for m in self.masks:
-            if m.min() < 0.0 or m.max() > 1.0:
-                raise ValueError("mask values must lie in [0, 1]")
-
-
 # ---------------------------------------------------------------------------
 # parameters
 
@@ -165,12 +150,6 @@ def init_params(config: SeparatorConfig, seed: int) -> ParamVector:
         else:  # pragma: no cover - no other shapes exist
             raise AssertionError(name)
     return ParamVector.from_arrays(arrays)
-
-
-def _as_param_tensors(params: ParamVector | Mapping[str, Tensor]) -> Mapping[str, Tensor]:
-    if isinstance(params, ParamVector):
-        return {name: ad.tensor(params.view(name)) for name in params.names()}
-    return params
 
 
 # ---------------------------------------------------------------------------
@@ -240,42 +219,12 @@ def forward_separate_tensors(x: Tensor, p: Mapping[str, Tensor],
             for d in apply_mask_tensors(x_enc, masks)]
 
 
-# ---------------------------------------------------------------------------
-# public array-level surface
-
-
-def encode(x, params, config: SeparatorConfig) -> np.ndarray:
-    p = _as_param_tensors(params)
+def forward_separate(x, params: ParamVector,
+                     config: SeparatorConfig) -> tuple[Waveform, Waveform]:
+    """The separated waveforms, with no graph recorded."""
     with ad.no_grad():
-        return encode_tensors(ad.tensor(dsp._as_samples(x)), p, config).data
-
-
-def separate_masks(x_enc: np.ndarray, params, config: SeparatorConfig) -> MaskSet:
-    p = _as_param_tensors(params)
-    with ad.no_grad():
-        masks = separate_mask_tensors(ad.tensor(x_enc), p, config)
-    return MaskSet(tuple(m.data for m in masks))
-
-
-def apply_masks(x_enc: np.ndarray, masks: MaskSet) -> list[np.ndarray]:
-    out = []
-    for m in masks.masks:
-        if m.shape != x_enc.shape:
-            raise ValueError(f"mask shape {m.shape} does not match features {x_enc.shape}")
-        out.append(x_enc * m)
-    return out
-
-
-def decode(d: np.ndarray, params, config: SeparatorConfig) -> Waveform:
-    p = _as_param_tensors(params)
-    with ad.no_grad():
-        return Waveform(decode_tensors(ad.tensor(d), p, config).data)
-
-
-def forward_separate(x, params, config: SeparatorConfig) -> tuple[Waveform, Waveform]:
-    p = _as_param_tensors(params)
-    with ad.no_grad():
-        outs = forward_separate_tensors(ad.tensor(dsp._as_samples(x)), p, config)
+        outs = forward_separate_tensors(ad.tensor(dsp._as_samples(x)),
+                                        params.to_constants(), config)
     return tuple(Waveform(o.data) for o in outs)
 
 

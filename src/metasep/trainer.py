@@ -156,10 +156,6 @@ def _mean_loss(losses: Sequence[LossFn], params: Mapping[str, Tensor]) -> Tensor
     return ad.scalar_mul(1.0 / len(losses), functools.reduce(ad.add, (f(params) for f in losses)))
 
 
-def _const_tensors(theta: ParamVector) -> "OrderedDict[str, Tensor]":
-    return OrderedDict((n, ad.tensor(theta.view(n))) for n in theta.names())
-
-
 def _check_finite(loss: Tensor, task, phase: str) -> None:
     if not np.isfinite(loss.data):
         name = getattr(task, "name", task.__class__.__name__)
@@ -197,14 +193,16 @@ def inner_adapt(theta: ParamVector, task: TaskLoss, alpha: float,
 
 
 def _loss_terms(task: TaskLoss, phase: str) -> list[LossFn]:
-    """The losses averaged into a task's "query" or "pooled" (joint) loss: one
-    per mixture for a separation task (support first), else its whole query
-    (and support) loss."""
+    """The losses averaged into a task's "support", "query" or "pooled" (joint)
+    loss: one per mixture for a separation task (support first), else its
+    whole support and/or query loss."""
     if isinstance(task, SeparationTask):
-        pairs = task._queries if phase == "query" else [task._support] + task._queries
+        pairs = {"support": [task._support], "query": task._queries,
+                 "pooled": [task._support] + task._queries}[phase]
         return [functools.partial(model_mod.mixture_loss_tensors, pair, config=task.config)
                 for pair in pairs]
-    return [task.query_loss] if phase == "query" else [task.support_loss, task.query_loss]
+    return {"support": [task.support_loss], "query": [task.query_loss],
+            "pooled": [task.support_loss, task.query_loss]}[phase]
 
 
 def _flat_grad(theta: ParamVector, output: Tensor, leaves: Mapping[str, Tensor]) -> np.ndarray:
@@ -254,23 +252,6 @@ def meta_gradient(theta: ParamVector, tasks: Sequence[TaskLoss], alpha: float,
         total += g
         losses.append(loss)
     return theta.replace(total), float(np.mean(losses))
-
-
-def meta_gradient_maml(theta: ParamVector, tasks: Sequence[TaskLoss],
-                       alpha: float) -> ParamVector:
-    return meta_gradient(theta, tasks, alpha, "maml")[0]
-
-
-def meta_gradient_fomaml(theta: ParamVector, tasks: Sequence[TaskLoss],
-                         alpha: float) -> ParamVector:
-    return meta_gradient(theta, tasks, alpha, "fomaml")[0]
-
-
-def query_pool_gradient(theta: ParamVector, tasks: Sequence[TaskLoss]) -> ParamVector:
-    """Query-loss gradient at theta, no adaptation: the alpha = 0 case of
-    meta_gradient, without the support gradient that theta - 0 g discards."""
-    return theta.replace(sum((_mean_gradient(theta, task, "query")[0] for task in tasks),
-                             np.zeros_like(theta.values)))
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +386,7 @@ class PreparedAdapt:
     def support_loss_value(self, params: ParamVector) -> float:
         with ad.no_grad():
             return model_mod.mixture_loss_tensors(self.task.support_pair(noisy=self.noisy),
-                                                  _const_tensors(params), self.config).item()
+                                                  params.to_constants(), self.config).item()
 
 
 def prepare_adapt(theta: ParamVector, task: taskgen.MetaTask, config: SeparatorConfig,
@@ -413,11 +394,7 @@ def prepare_adapt(theta: ParamVector, task: taskgen.MetaTask, config: SeparatorC
     """Support gradient, support loss and query Si-SNRi at theta, computed
     once per task however many rates are scored."""
     sep = SeparationTask(task, config, noisy=noisy)
-    leaves = theta.to_leaves()
-    loss = sep.support_loss(leaves)
-    _check_finite(loss, sep, "support")
-    g, value = _flat_grad(theta, loss, leaves), loss.item()
-    del leaves, loss  # the support graph, before the query forwards
+    g, value = _mean_gradient(theta, sep, "support")
     return PreparedAdapt(theta=theta, task=task, config=config, noisy=noisy,
                          support_grad=g, support_loss_pre=value,
                          query_si_snri_pre=sep.query_si_snri(theta))

@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive (loops, direct formulas) and never
 calls into the package's compute paths, so a test comparing against these
-functions is a genuine two-route check. The two exceptions run on the
-package's autodiff engine: ``reverse_over_reverse_maml`` along the direct
-route the trainer's Hessian-vector-product form avoids, and
+functions is a genuine two-route check. The exceptions run on the package's
+autodiff engine: ``reverse_over_reverse_maml`` along the direct route the
+trainer's Hessian-vector-product form avoids, ``query_pool_gradient`` on each
+task's whole query loss instead of the trainer's per-mixture gradients, and
 ``finetune_via_inner_adapt`` along the route one-shot adaptation took before
 its rate-independent part was split off.
 """
@@ -129,6 +130,18 @@ def reverse_over_reverse_maml(theta, task, alpha):
     adapted = trainer.inner_adapt(theta, task, alpha, create_graph=True)
     grads = ad.grad(task.query_loss(adapted.prime), list(adapted.leaves.values()))
     return theta.flatten_named({n: g.data for n, g in zip(adapted.leaves, grads)}).values
+
+
+def query_pool_gradient(theta, tasks):
+    """Sum over the tasks of the query-loss gradient at theta with no
+    adaptation, one grad of each task's query_loss (flat numpy vector): the
+    alpha = 0 meta-gradient."""
+    total = np.zeros_like(theta.values)
+    for task in tasks:
+        leaves = theta.to_leaves()
+        grads = ad.grad(task.query_loss(leaves), list(leaves.values()))
+        total += theta.flatten_named({n: g.data for n, g in zip(leaves, grads)}).values
+    return total
 
 
 def finetune_via_inner_adapt(theta, task, beta, config, noisy=False):

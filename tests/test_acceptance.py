@@ -19,7 +19,7 @@ from metasep import autodiff as ad
 from metasep import dsp, evalcli, model, taskgen, trainer
 from metasep.model import SeparatorConfig
 from metasep.trainer import TrainConfig
-from oracles import assert_fd_close, brute_force_upit, fd_gradient
+from oracles import assert_fd_close, brute_force_upit, fd_gradient, query_pool_gradient
 from test_trainer import MICRO, QuadraticTask, make_task, make_task_sets, theta_vec
 
 RNG = np.random.default_rng
@@ -222,8 +222,8 @@ def test_criterion_2_second_order_oracle():
             alpha = rng.uniform(0.01, 0.3)
             task = QuadraticTask(a, u, b, v)
             theta = theta_vec(theta0)
-            got_maml = trainer.meta_gradient_maml(theta, [task], alpha).view("theta")
-            got_fo = trainer.meta_gradient_fomaml(theta, [task], alpha).view("theta")
+            got_maml = trainer.meta_gradient(theta, [task], alpha, "maml")[0].view("theta")
+            got_fo = trainer.meta_gradient(theta, [task], alpha, "fomaml")[0].view("theta")
             theta_prime = task.adapted(theta0, alpha)
             assert abs(got_maml - 2 * b * (theta_prime - v) * (1 - 2 * a * alpha)) <= 1e-8
             assert abs(got_fo - 2 * b * (theta_prime - v)) <= 1e-8
@@ -238,11 +238,11 @@ def test_criterion_3_alpha_zero_identity():
         sets = make_task_sets(2, 1)
         tasks = [trainer.SeparationTask(t, MICRO) for ts in sets for t in ts.tasks]
         theta = model.init_params(MICRO, seed=3)
-        g_maml = trainer.meta_gradient_maml(theta, tasks, alpha=0.0)
-        g_fo = trainer.meta_gradient_fomaml(theta, tasks, alpha=0.0)
-        g_pool = trainer.query_pool_gradient(theta, tasks)
-        assert np.max(np.abs(g_maml.values - g_pool.values)) <= 1e-12
-        assert np.max(np.abs(g_fo.values - g_pool.values)) <= 1e-12
+        g_maml = trainer.meta_gradient(theta, tasks, 0.0, "maml")[0]
+        g_fo = trainer.meta_gradient(theta, tasks, 0.0, "fomaml")[0]
+        g_pool = query_pool_gradient(theta, tasks)
+        assert np.max(np.abs(g_maml.values - g_pool)) <= 1e-12
+        assert np.max(np.abs(g_fo.values - g_pool)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -455,17 +455,17 @@ def test_criterion_8_maml_costs_more_than_fomaml():
         tasks = [trainer.SeparationTask(make_task(600 + i, n=32000), TREND_CONFIG)
                  for i in range(4)]
 
-        trainer.meta_gradient_fomaml(theta, tasks, alpha=0.01)  # warm-up
-        trainer.meta_gradient_maml(theta, tasks, alpha=0.01)
+        trainer.meta_gradient(theta, tasks, 0.01, "fomaml")  # warm-up
+        trainer.meta_gradient(theta, tasks, 0.01, "maml")
         gc.collect()
         gc.disable()
         try:
             for trial in range(3):
                 t0 = time.perf_counter()
-                trainer.meta_gradient_fomaml(theta, tasks, alpha=0.01)
+                trainer.meta_gradient(theta, tasks, 0.01, "fomaml")
                 fo = time.perf_counter() - t0
                 t0 = time.perf_counter()
-                trainer.meta_gradient_maml(theta, tasks, alpha=0.01)
+                trainer.meta_gradient(theta, tasks, 0.01, "maml")
                 ma = time.perf_counter() - t0
                 print(f"    trial {trial}: fomaml {fo:.2f}s, maml {ma:.2f}s "
                       f"(ratio {ma / fo:.2f})")

@@ -293,6 +293,8 @@ def test_cli_error_is_machine_readable(tmp_path, capsys):
 @pytest.mark.parametrize("n_accents,counts,resolved", [
     (2, [], "train=0, dev=1, test=1 of 2 accents"),
     (4, ["--train-accents", 3], "train=3, dev=0, test=0 of 4 accents"),
+    (4, ["--train-accents", 2, "--test-accents", 1],
+     "train=2, dev=0, test=1 leave out 1 of 4 accents: synth03"),
 ])
 def test_build_tasks_rejects_degenerate_split(tmp_path, capsys, n_accents, counts, resolved):
     assert evalcli.main(["--seed", "3", "--out", str(tmp_path / "corpus"), "synth-corpus",
@@ -305,6 +307,22 @@ def test_build_tasks_rejects_degenerate_split(tmp_path, capsys, n_accents, count
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "EvalError" and resolved in err["message"]
     assert not (tmp_path / "tasks" / "tasks.json").exists()
+
+
+@pytest.mark.parametrize("index", [-1, 2])
+def test_finetune_rejects_task_index_out_of_range(params, test_sets, tmp_path, capsys, index):
+    split = taskgen.SplitSpec(train=[], dev=[], test=[ts.accent for ts in test_sets])
+    taskgen.write_task_archive(tmp_path / "tasks", test_sets, split, seed=0)
+    model.save_checkpoint(tmp_path / "ck.msep", params, MICRO, CKPT_EXTRA)
+    code = evalcli.main(["--out", str(tmp_path / "ft"), "finetune",
+                         "--checkpoint", str(tmp_path / "ck.msep"),
+                         "--tasks", str(tmp_path / "tasks"), "--task-index", str(index)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "EvalError"
+    assert f"task index {index} is out of range" in err["message"]
+    assert f"{test_sets[0].accent} has 2 tasks" in err["message"]
+    assert not (tmp_path / "ft").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +347,8 @@ def _artifact_writers(params, test_sets):
             result, trainer.TrainConfig(mode="joint"), MICRO, test_sets, d)),
         "task archive": ("tasks.json", lambda d: taskgen.write_task_archive(
             d, test_sets, split, seed=0)),
+        "archive segment": ("000000.f64", lambda d: dsp.write_raw(
+            d / "000000.f64", dsp.Waveform(test_sets[0].tasks[0].segments_a[0]))),
     }
 
 
@@ -338,7 +358,7 @@ def _snapshot(root: Path) -> dict:
 
 
 @pytest.mark.parametrize("writer", ["checkpoint", "report", "sweep", "resolved config",
-                                    "train log", "task archive"])
+                                    "train log", "task archive", "archive segment"])
 def test_failed_artifact_write_keeps_previous_file(params, test_sets, tmp_path,
                                                    monkeypatch, writer):
     target, write = _artifact_writers(params, test_sets)[writer]

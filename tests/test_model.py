@@ -59,7 +59,8 @@ def test_encode_identity_config():
     params = model.init_params(cfg, seed=0)
     params.view("encoder.weight")[:] = 1.0
     x = RNG(0).normal(size=50)
-    out = model.encode(x, params, cfg)
+    with ad.no_grad():
+        out = model.encode_tensors(ad.tensor(x), params.to_constants(), cfg).data
     assert out.shape == (1, 50)
     np.testing.assert_allclose(out[0], x, rtol=0, atol=1e-15)
 
@@ -68,14 +69,16 @@ def test_encode_matches_naive_convolution():
     cfg = TINY
     params = model.init_params(cfg, seed=1)
     x = RNG(2).normal(size=96)
-    got = model.encode(x, params, cfg)
+    with ad.no_grad():
+        got = model.encode_tensors(ad.tensor(x), params.to_constants(), cfg).data
     want = naive_conv1d(x[None, :], params.view("encoder.weight"), stride=cfg.enc_stride)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_encode_rejects_too_short_input():
-    with pytest.raises(ValueError, match="shorter"):
-        model.encode(np.ones(8), model.init_params(TINY, 0), TINY)
+    p = model.init_params(TINY, 0).to_constants()
+    with pytest.raises(ValueError, match="shorter"), ad.no_grad():
+        model.encode_tensors(ad.tensor(np.ones(8)), p, TINY)
 
 
 # ---------------------------------------------------------------------------
@@ -83,23 +86,26 @@ def test_encode_rejects_too_short_input():
 
 
 def test_masks_lie_in_unit_interval():
-    params = model.init_params(TINY, seed=3)
-    x_enc = model.encode(RNG(4).normal(size=160), params, TINY)
-    masks = model.separate_masks(x_enc, params, TINY)
-    assert len(masks.masks) == 2
-    for m in masks.masks:
+    p = model.init_params(TINY, seed=3).to_constants()
+    with ad.no_grad():
+        x_enc = model.encode_tensors(ad.tensor(RNG(4).normal(size=160)), p, TINY)
+        masks = model.separate_mask_tensors(x_enc, p, TINY)
+    assert len(masks) == 2
+    for m in masks:
         assert m.shape == x_enc.shape
-        assert m.min() >= 0.0 and m.max() <= 1.0
+        assert m.data.min() >= 0.0 and m.data.max() <= 1.0
 
 
 def test_zeroed_mask_head_gives_half_masks():
     params = model.init_params(TINY, seed=5)
     params.view("mask.weight")[:] = 0.0
     params.view("mask.bias")[:] = 0.0
-    x_enc = model.encode(RNG(6).normal(size=160), params, TINY)
-    masks = model.separate_masks(x_enc, params, TINY)
-    for m in masks.masks:
-        np.testing.assert_array_equal(m, np.full_like(m, 0.5))
+    p = params.to_constants()
+    with ad.no_grad():
+        x_enc = model.encode_tensors(ad.tensor(RNG(6).normal(size=160)), p, TINY)
+        masks = model.separate_mask_tensors(x_enc, p, TINY)
+    for m in masks:
+        np.testing.assert_array_equal(m.data, np.full_like(m.data, 0.5))
 
 
 def test_receptive_field_impulse_probe():
@@ -111,18 +117,19 @@ def test_receptive_field_impulse_probe():
     expected = cfg.receptive_field_frames()
     assert expected == 1 + (cfg.kernel - 1) * sum(cfg.dilations())
 
-    params = model.init_params(cfg, seed=7)
+    p = model.init_params(cfg, seed=7).to_constants()
     frames = 4 * expected
     base = np.zeros((cfg.enc_channels, frames))
     probe = base.copy()
     center = frames // 2
     probe[1, center] = 1.0
 
-    m_base = model.separate_masks(base, params, cfg)
-    m_probe = model.separate_masks(probe, params, cfg)
+    with ad.no_grad():
+        m_base = model.separate_mask_tensors(ad.tensor(base), p, cfg)
+        m_probe = model.separate_mask_tensors(ad.tensor(probe), p, cfg)
     changed = np.zeros(frames, dtype=bool)
-    for a, b in zip(m_base.masks, m_probe.masks):
-        changed |= np.any(a != b, axis=0)
+    for a, b in zip(m_base, m_probe):
+        changed |= np.any(a.data != b.data, axis=0)
     idx = np.flatnonzero(changed)
     assert idx.size == expected
     assert idx[0] == center - (expected - 1) // 2
@@ -135,36 +142,41 @@ def test_receptive_field_impulse_probe():
 
 def test_apply_masks_identity_and_zero():
     x_enc = RNG(8).normal(size=(4, 9))
-    ones = model.MaskSet((np.ones_like(x_enc), np.zeros_like(x_enc)))
-    d1, d2 = model.apply_masks(x_enc, ones)
-    np.testing.assert_array_equal(d1, x_enc)
-    np.testing.assert_array_equal(d2, np.zeros_like(x_enc))
+    with ad.no_grad():
+        d1, d2 = model.apply_mask_tensors(
+            ad.tensor(x_enc), [ad.tensor(np.ones_like(x_enc)), ad.tensor(np.zeros_like(x_enc))])
+    np.testing.assert_array_equal(d1.data, x_enc)
+    np.testing.assert_array_equal(d2.data, np.zeros_like(x_enc))
 
 
 def test_apply_masks_complementary_sum():
     x_enc = RNG(9).normal(size=(4, 9))
     m = RNG(10).uniform(size=(4, 9))
-    d1, d2 = model.apply_masks(x_enc, model.MaskSet((m, 1.0 - m)))
-    np.testing.assert_allclose(d1 + d2, x_enc, rtol=0, atol=1e-15)
+    with ad.no_grad():
+        d1, d2 = model.apply_mask_tensors(ad.tensor(x_enc), [ad.tensor(m), ad.tensor(1.0 - m)])
+    np.testing.assert_allclose(d1.data + d2.data, x_enc, rtol=0, atol=1e-15)
 
 
 def test_apply_masks_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
-        model.apply_masks(np.ones((4, 9)), model.MaskSet((np.ones((4, 8)), np.ones((4, 8)))))
+    with pytest.raises(ad.ShapeMismatchError), ad.no_grad():
+        model.apply_mask_tensors(ad.tensor(np.ones((4, 9))),
+                                 [ad.tensor(np.ones((4, 8))), ad.tensor(np.ones((4, 8)))])
 
 
 def test_masked_features_bounded_by_input():
-    params = model.init_params(TINY, seed=11)
-    x_enc = model.encode(RNG(12).normal(size=160), params, TINY)
-    masks = model.separate_masks(x_enc, params, TINY)
-    for d in model.apply_masks(x_enc, masks):
-        assert np.all(np.abs(d) <= np.abs(x_enc) + 1e-15)
+    p = model.init_params(TINY, seed=11).to_constants()
+    with ad.no_grad():
+        x_enc = model.encode_tensors(ad.tensor(RNG(12).normal(size=160)), p, TINY)
+        masked = model.apply_mask_tensors(x_enc, model.separate_mask_tensors(x_enc, p, TINY))
+    for d in masked:
+        assert np.all(np.abs(d.data) <= np.abs(x_enc.data) + 1e-15)
 
 
 def test_decode_zero_input():
-    params = model.init_params(TINY, seed=13)
-    out = model.decode(np.zeros((8, 10)), params, TINY)
-    np.testing.assert_array_equal(out.samples, np.zeros(9 * 8 + 16))
+    p = model.init_params(TINY, seed=13).to_constants()
+    with ad.no_grad():
+        out = model.decode_tensors(ad.tensor(np.zeros((8, 10))), p, TINY)
+    np.testing.assert_array_equal(out.data, np.zeros(9 * 8 + 16))
 
 
 def test_encode_decode_pseudo_inverse_reconstruction():
@@ -177,9 +189,10 @@ def test_encode_decode_pseudo_inverse_reconstruction():
     params.view("encoder.weight")[:] = w[:, None, :]
     params.view("decoder.weight")[:] = np.linalg.inv(w).T[:, None, :]
     x = RNG(16).normal(size=64)
-    x_enc = model.encode(x, params, cfg)
-    out = model.decode(x_enc, params, cfg)
-    assert np.max(np.abs(out.samples - x)) <= 1e-6
+    p = params.to_constants()
+    with ad.no_grad():
+        out = model.decode_tensors(model.encode_tensors(ad.tensor(x), p, cfg), p, cfg)
+    assert np.max(np.abs(out.data - x)) <= 1e-6
 
 
 def test_decode_gradient_matches_finite_differences():
@@ -220,12 +233,14 @@ def test_forward_separate_composition_matches_stages():
     params = model.init_params(TINY, seed=22)
     pair = make_pair(n=240, seed=23)
     est = model.forward_separate(pair.mixture, params, TINY)
-    x_enc = model.encode(pair.mixture, params, TINY)
-    masks = model.separate_masks(x_enc, params, TINY)
-    staged = [model.decode(d, params, TINY)
-              for d in model.apply_masks(x_enc, masks)]
+    p = params.to_constants()
+    with ad.no_grad():
+        x_enc = model.encode_tensors(ad.tensor(pair.mixture.samples), p, TINY)
+        masks = model.separate_mask_tensors(x_enc, p, TINY)
+        staged = [model.decode_tensors(d, p, TINY)
+                  for d in model.apply_mask_tensors(x_enc, masks)]
     for a, b in zip(est, staged):
-        np.testing.assert_array_equal(a.samples, b.samples)
+        np.testing.assert_array_equal(a.samples, b.data)
 
 
 # ---------------------------------------------------------------------------

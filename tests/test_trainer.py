@@ -7,8 +7,8 @@ from metasep import autodiff as ad
 from metasep import dsp, model, taskgen, trainer
 from metasep.model import SeparatorConfig
 from metasep.trainer import TrainConfig
-from oracles import (assert_fd_close, finetune_via_inner_adapt, reference_adam_step,
-                     reverse_over_reverse_maml)
+from oracles import (assert_fd_close, finetune_via_inner_adapt, query_pool_gradient,
+                     reference_adam_step, reverse_over_reverse_maml)
 
 RNG = np.random.default_rng
 
@@ -128,8 +128,8 @@ def test_inner_adapt_rejects_non_finite_loss():
 def test_maml_fomaml_frozen_example():
     task = QuadraticTask(a=1.0, u=1.0, b=1.0, v=3.0)
     theta = theta_vec(0.0)
-    g_maml = trainer.meta_gradient_maml(theta, [task], alpha=0.1)
-    g_fo = trainer.meta_gradient_fomaml(theta, [task], alpha=0.1)
+    g_maml = trainer.meta_gradient(theta, [task], 0.1, "maml")[0]
+    g_fo = trainer.meta_gradient(theta, [task], 0.1, "fomaml")[0]
     assert g_maml.view("theta") == pytest.approx(-4.48, abs=1e-12)
     assert g_fo.view("theta") == pytest.approx(-5.6, abs=1e-12)
 
@@ -142,8 +142,8 @@ def test_quadratic_closed_forms_random_family(seed):
     alpha = rng.uniform(0.01, 0.3)
     task = QuadraticTask(a, u, b, v)
     theta = theta_vec(theta0)
-    got_maml = trainer.meta_gradient_maml(theta, [task], alpha).view("theta")
-    got_fo = trainer.meta_gradient_fomaml(theta, [task], alpha).view("theta")
+    got_maml = trainer.meta_gradient(theta, [task], alpha, "maml")[0].view("theta")
+    got_fo = trainer.meta_gradient(theta, [task], alpha, "fomaml")[0].view("theta")
     assert abs(got_maml - task.maml_grad(theta0, alpha)) <= 1e-8
     assert abs(got_fo - task.fomaml_grad(theta0, alpha)) <= 1e-8
 
@@ -151,7 +151,7 @@ def test_quadratic_closed_forms_random_family(seed):
 def test_meta_gradient_sums_over_batch():
     tasks = [QuadraticTask(1.0, 1.0, 1.0, 3.0), QuadraticTask(0.5, -1.0, 2.0, 0.0)]
     theta = theta_vec(0.3)
-    got = trainer.meta_gradient_maml(theta, tasks, alpha=0.05).view("theta")
+    got = trainer.meta_gradient(theta, tasks, 0.05, "maml")[0].view("theta")
     want = sum(t.maml_grad(0.3, 0.05) for t in tasks)
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -161,8 +161,8 @@ def test_fomaml_maml_gap_shrinks_linearly_in_alpha():
     theta = theta_vec(0.9)
     gaps = []
     for alpha in (1e-1, 1e-2, 1e-3):
-        g_m = trainer.meta_gradient_maml(theta, [task], alpha).view("theta")
-        g_f = trainer.meta_gradient_fomaml(theta, [task], alpha).view("theta")
+        g_m = trainer.meta_gradient(theta, [task], alpha, "maml")[0].view("theta")
+        g_f = trainer.meta_gradient(theta, [task], alpha, "fomaml")[0].view("theta")
         gaps.append(abs(g_m - g_f))
     assert gaps[0] > gaps[1] > gaps[2]
     # closed form: gap = |2 b (theta'-v)| * 2 a alpha, i.e. O(alpha)
@@ -174,25 +174,11 @@ def test_alpha_zero_meta_gradients_equal_pooled_query_gradient():
     sets = make_task_sets(2, 1)
     tasks = [trainer.SeparationTask(t, MICRO) for ts in sets for t in ts.tasks]
     theta = model.init_params(MICRO, seed=3)
-    g_maml = trainer.meta_gradient_maml(theta, tasks, alpha=0.0)
-    g_fo = trainer.meta_gradient_fomaml(theta, tasks, alpha=0.0)
-    g_pool = trainer.query_pool_gradient(theta, tasks)
-    np.testing.assert_allclose(g_maml.values, g_pool.values, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(g_fo.values, g_pool.values, rtol=0, atol=1e-12)
-
-
-def test_query_pool_gradient_skips_the_support_gradient(monkeypatch):
-    sets = make_task_sets(2, 1)
-    tasks = [trainer.SeparationTask(t, MICRO) for ts in sets for t in ts.tasks]
-    theta = model.init_params(MICRO, seed=3)
-    g_fo = trainer.meta_gradient_fomaml(theta, tasks, alpha=0.0)
-
-    def no_support_step(*args, **kwargs):
-        raise AssertionError("query_pool_gradient took a support gradient")
-
-    monkeypatch.setattr(trainer, "inner_adapt", no_support_step)
-    # theta - 0 * g_s is theta, so the result is the alpha = 0 FOMAML bits
-    assert np.array_equal(trainer.query_pool_gradient(theta, tasks).values, g_fo.values)
+    g_maml = trainer.meta_gradient(theta, tasks, 0.0, "maml")[0]
+    g_fo = trainer.meta_gradient(theta, tasks, 0.0, "fomaml")[0]
+    g_pool = query_pool_gradient(theta, tasks)
+    np.testing.assert_allclose(g_maml.values, g_pool, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(g_fo.values, g_pool, rtol=0, atol=1e-12)
 
 
 def test_meta_gradient_matches_finite_differences_on_micro_model():
@@ -208,7 +194,7 @@ def test_meta_gradient_matches_finite_differences_on_micro_model():
         l_sw = -0.5 * (dsp.si_snr(pair.sources[0], est[1]) + dsp.si_snr(pair.sources[1], est[0]))
         assert abs(l_id - l_sw) > 0.05
 
-    analytic = trainer.meta_gradient_maml(theta, [sep], alpha)
+    analytic = trainer.meta_gradient(theta, [sep], alpha, "maml")[0]
 
     def meta_objective(values):
         pv = theta.replace(values)
@@ -403,12 +389,12 @@ def test_single_joint_step_descends_at_small_lr():
     theta0 = model.init_params(MICRO, seed=2)
     sep = trainer.SeparationTask(task, MICRO)
     with ad.no_grad():
-        before = sep.pooled_loss(trainer._const_tensors(theta0)).item()
+        before = sep.pooled_loss(theta0.to_constants()).item()
     cfg = TrainConfig(mode="joint", epochs=1, meta_batch=1, seed=2,
                       outer_lr=1e-4, weight_decay=0.0)
     result = trainer.train(sets, cfg, MICRO, init=theta0.copy())
     with ad.no_grad():
-        after = sep.pooled_loss(trainer._const_tensors(result.params)).item()
+        after = sep.pooled_loss(result.params.to_constants()).item()
     assert after < before
 
 
