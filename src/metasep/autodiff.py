@@ -12,6 +12,9 @@ Design constraints honored throughout:
 * all arithmetic in float64; forward and backward are bit-deterministic,
 * explicit shapes only -- the broadcasts allowed are scalar-times-tensor and
   the per-channel bias, scale and shift of the fused layer primitives,
+* ``expand_scalar`` and ``expand_time`` return read-only ``np.broadcast_to``
+  views that own no memory (an in-place write into one raises); ``dot`` (and
+  ``sq_norm`` on it) is one primitive, not a ``sum_all`` of a ``mul``,
 * convolution, its input-gradient (transposed convolution) and its
   weight-gradient form a closed triple: each one's VJP is expressed with the
   other two, so arbitrarily high derivative orders stay exact.
@@ -213,7 +216,7 @@ def scale(a: Tensor, s: Tensor) -> Tensor:
     _check(s.data.shape == (), "scale", f"scale factor must be a scalar, got {s.data.shape}")
     return _node("scale", a.data * s.data, (a, s),
                  lambda g: (scale(g, s) if a.requires_grad else None,
-                            sum_all(mul(g, a)) if s.requires_grad else None))
+                            dot(g, a) if s.requires_grad else None))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -280,7 +283,7 @@ def mean_all(a: Tensor) -> Tensor:
 def expand_scalar(s: Tensor, shape: tuple[int, ...]) -> Tensor:
     _check(s.data.shape == (), "expand_scalar", f"expected a scalar, got {s.data.shape}")
     shape = tuple(int(d) for d in shape)
-    return _node("expand_scalar", np.full(shape, float(s.data)), (s,),
+    return _node("expand_scalar", np.broadcast_to(s.data, shape), (s,),
                  lambda g: (sum_all(g),))
 
 
@@ -294,12 +297,16 @@ def sum_time(a: Tensor) -> Tensor:
 def expand_time(a: Tensor, t: int) -> Tensor:
     """(C,) -> (C, T), replicating each channel across time."""
     _check(a.data.ndim == 1, "expand_time", f"expected a (C,) tensor, got {a.data.shape}")
-    data = np.repeat(a.data[:, None], int(t), axis=1)
+    data = np.broadcast_to(a.data[:, None], (a.data.shape[0], int(t)))
     return _node("expand_time", data, (a,), lambda g: (sum_time(g),))
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
-    return sum_all(mul(a, b))
+    """Sum of the elementwise product of two same-shape tensors, as one node."""
+    _same_shape("dot", a, b)
+    return _node("dot", np.dot(a.data.ravel(), b.data.ravel()), (a, b),
+                 lambda g: (scale(b, g) if a.requires_grad else None,
+                            scale(a, g) if b.requires_grad else None))
 
 
 def sq_norm(a: Tensor) -> Tensor:
@@ -505,7 +512,8 @@ def _gated(x: Tensor, a: Tensor, gate: np.ndarray) -> Tensor:
         da = dot(g, _gated(x, Tensor(0.0), ~gate)) if a.requires_grad else None
         return (dx, da)
 
-    return _node("prelu", np.where(gate, x.data, a.data * x.data), (x, a), vjp)
+    # one multiply by where(gate, 1, a); the closure keeps only the boolean gate
+    return _node("prelu", x.data * np.where(gate, 1.0, a.data), (x, a), vjp)
 
 
 def gln(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
@@ -523,29 +531,35 @@ def gln(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
 
     def vjp(g):
         xhat = _gln_normalize(x, stats)
+        g_sum = sum_time(g)
         dx = None
         if x.requires_grad:
-            dx = _gln_input_grad(x, stats, xhat, mul(g, expand_time(gamma, g.data.shape[1])))
+            # the sum of h = g * gamma over (C, T) is <sum_t g, gamma>
+            h = mul(g, expand_time(gamma, g.data.shape[1]))
+            dx = _gln_input_grad(x, stats, xhat, h, dot(g_sum, gamma))
         dgamma = sum_time(mul(g, xhat)) if gamma.requires_grad else None
-        dbeta = sum_time(g) if beta.requires_grad else None
+        dbeta = g_sum if beta.requires_grad else None
         return (dx, dgamma, dbeta)
 
     y = centered * inv * gamma.data[:, None] + beta.data[:, None]
     return _node("gln", y, (x, gamma, beta), vjp)
 
 
-def _gln_input_grad(x: Tensor, stats: tuple, xhat: Tensor, h: Tensor) -> Tensor:
-    """Cotangent of x for a cotangent h of x_hat:
+def _gln_input_grad(x: Tensor, stats: tuple, xhat: Tensor, h: Tensor, h_sum: Tensor) -> Tensor:
+    """Cotangent of x for a cotangent h of x_hat whose sum is h_sum:
     inv * (h - mean(h) - x_hat * mean(h * x_hat))."""
-    centered = sub(h, expand_scalar(mean_all(h), h.data.shape))
-    return scale(sub(centered, scale(xhat, mean_all(mul(h, xhat)))), _gln_inv(x, stats))
+    n = h.data.size
+    centered = sub(h, expand_scalar(scalar_mul(1.0 / n, h_sum), h.data.shape))
+    proj = scalar_mul(1.0 / n, dot(h, xhat))
+    return scale(sub(centered, scale(xhat, proj)), _gln_inv(x, stats))
 
 
 def _gln_normalize(x: Tensor, stats: tuple) -> Tensor:
     mu, inv = stats
     out = _node("gln_normalize", (x.data - mu) * inv, (x,), None)
     ref = weakref.ref(out)
-    out._vjp = (lambda h: (_gln_input_grad(x, stats, ref(), h),)) if out.requires_grad else None
+    out._vjp = ((lambda h: (_gln_input_grad(x, stats, ref(), h, sum_all(h)),))
+                if out.requires_grad else None)
     return out
 
 

@@ -215,15 +215,15 @@ DEFAULT_SPLIT_COUNTS = (85, 19, 19)
 
 
 def split_accents(accents, seed: int, counts: tuple[int, int, int] | None = None) -> SplitSpec:
-    """Seeded random accent split; 85/19/19 when the corpus is big enough."""
+    """Seeded random accent split. Without counts every accent is placed: the
+    paper's 85/19/19 on 123 accents, any further accents going to train."""
     accents = sorted(accents)
     if counts is None:
         if len(accents) >= sum(DEFAULT_SPLIT_COUNTS):
-            counts = DEFAULT_SPLIT_COUNTS
+            _, n_dev, n_test = DEFAULT_SPLIT_COUNTS
         else:
-            n_test = max(1, len(accents) // 6)
-            n_dev = max(1, len(accents) // 6)
-            counts = (len(accents) - n_dev - n_test, n_dev, n_test)
+            n_dev = n_test = max(1, len(accents) // 6)
+        counts = (len(accents) - n_dev - n_test, n_dev, n_test)
     if sum(counts) > len(accents):
         raise TaskGenError(f"split counts {counts} exceed the {len(accents)} accents available")
     order = _child_rng(seed, "split").permutation(len(accents))

@@ -90,7 +90,7 @@ def test_criterion_1_gradient_suite():
                 cases += 1
 
         for name, fn in [("add", ad.add), ("sub", ad.sub), ("mul", ad.mul),
-                         ("div", ad.div)]:
+                         ("div", ad.div), ("dot", ad.dot)]:
             for seed in range(2):
                 rng = RNG(6000 + cases)
                 a0 = rng.normal(size=(3, 5))

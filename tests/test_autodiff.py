@@ -114,6 +114,7 @@ def test_unary_primitive_gradients(name, fn, shape, domain, seed):
 
 BINARY_CASES = [
     ("add", ad.add), ("sub", ad.sub), ("mul", ad.mul), ("div", ad.div),
+    ("dot", ad.dot),
 ]
 
 
@@ -277,6 +278,69 @@ def test_fused_primitive_second_order(op, arg, seed):
     (got,) = ad.grad(out, [leaf])
     num = fd_gradient(lambda v: grad_norm(v)[0].item(), vals[arg], step=1e-5)
     assert_fd_close(got.data, num, rtol=1e-5, label=f"{op}.{arg} second order[{seed}]")
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("seed", range(2))
+def test_dot_second_order(side, seed):
+    """Gradient with respect to one input of the squared norm of dot's own
+    create-graph gradient with respect to both inputs, against central
+    differences."""
+    rng = RNG(970 + seed)
+    vals = [rng.normal(size=(3, 5)), rng.normal(size=(3, 5))]
+
+    def grad_norm(v):
+        ins = [ad.tensor(v if i == side else vals[i], requires_grad=True) for i in range(2)]
+        ga, gb = ad.grad(scalar_loss(ad.dot(*ins)), ins, create_graph=True)
+        return ad.add(ad.sq_norm(ga), ad.sq_norm(gb)), ins[side]
+
+    out, leaf = grad_norm(vals[side])
+    (got,) = ad.grad(out, [leaf])
+    num = fd_gradient(lambda v: grad_norm(v)[0].item(), vals[side], step=1e-5)
+    assert_fd_close(got.data, num, rtol=1e-5, label=f"dot.{side} second order[{seed}]")
+
+
+def _bits(arr):
+    return np.asarray(arr, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.25, -1.5])
+def test_prelu_forward_and_input_vjp_are_bit_exact(slope):
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -2.0, 5e-324, -5e-324])
+    x = np.concatenate([special, RNG(980).normal(size=23)])
+    g = np.concatenate([special[::-1], RNG(981).normal(size=23)])
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        out = ad.prelu(ad.tensor(x, requires_grad=True), ad.tensor(slope))
+        dx, _ = out._vjp(ad.tensor(g))
+        assert np.array_equal(_bits(out.data), _bits(np.where(x > 0, x, slope * x)))
+        assert np.array_equal(_bits(dx.data), _bits(np.where(x > 0, g, slope * g)))
+
+
+def test_broadcasts_are_read_only_views():
+    s = ad.tensor(2.0, requires_grad=True)
+    c = ad.tensor(np.arange(3.0), requires_grad=True)
+    for out in (ad.expand_scalar(s, (4, 5)), ad.expand_time(c, 6)):
+        assert not out.data.flags.writeable and not out.data.flags.owndata
+        with pytest.raises(ValueError):
+            out.data[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            out.data += 1.0
+    np.testing.assert_array_equal(ad.expand_time(c, 6).data,
+                                  np.repeat(np.arange(3.0)[:, None], 6, axis=1))
+
+
+def test_sum_all_gradient_is_a_view_that_flatten_named_copies():
+    x = ad.tensor(RNG(985).normal(size=(3, 4)), requires_grad=True)
+    (g,) = ad.grad(ad.sum_all(x), [x])
+    np.testing.assert_array_equal(g.data, np.ones((3, 4)))
+    assert not g.data.flags.writeable
+    pv = ad.ParamVector.from_arrays({"w": np.zeros((3, 4)), "c": np.zeros(2)})
+    packed = pv.flatten_named({"w": g.data, "c": np.arange(2.0)})
+    w = packed.view("w")
+    assert w.flags.writeable and w.flags.c_contiguous and packed.values.flags.owndata
+    np.testing.assert_array_equal(packed.values, np.r_[np.ones(12), 0.0, 1.0])
+    w[0, 0] = 7.0  # the packed gradient is its own memory, not the broadcast's
+    np.testing.assert_array_equal(g.data, np.ones((3, 4)))
 
 
 def test_fused_primitive_forwards_match_composed_layers():

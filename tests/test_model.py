@@ -345,20 +345,48 @@ def test_end_to_end_gradient_matches_finite_differences():
                         label=f"param coord {c}")
 
 
+def _graph_nodes(roots):
+    nodes, stack, seen = [], list(roots), set()
+    while stack:
+        node = stack.pop()
+        if node._id not in seen:
+            seen.add(node._id)
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
 def test_mixture_graph_uses_fused_layers():
     """Bias adds, PReLUs and gLNs are one node each: the loss graph has no
     decomposed-layer node left."""
     leaves = model.init_params(TINY, seed=33).to_leaves()
     loss = model.mixture_loss_tensors(make_pair(n=240, seed=34), leaves, TINY)
-    ops, stack, seen = set(), [loss], set()
-    while stack:
-        node = stack.pop()
-        if node._id not in seen:
-            seen.add(node._id)
-            ops.add(node.op)
-            stack.extend(node._parents)
+    ops = {node.op for node in _graph_nodes([loss])}
     assert {"add_channel_bias", "prelu", "gln"} <= ops
     assert not ops & {"expand_time", "relu", "neg"}
+
+
+def test_second_order_graph_keeps_no_materialized_broadcasts():
+    """The create-graph support gradient, which MAML keeps alive for its
+    Hessian-vector product, holds broadcasts as read-only views, no
+    sum_all-of-mul chains, and no float multiplier in a PReLU closure."""
+    leaves = model.init_params(TINY, seed=33).to_leaves()
+    loss = model.mixture_loss_tensors(make_pair(n=240, seed=34), leaves, TINY)
+    grads = ad.grad(loss, list(leaves.values()), create_graph=True)
+    nodes = _graph_nodes([loss, *grads])
+    by_op = {}
+    for node in nodes:
+        by_op.setdefault(node.op, []).append(node)
+    assert by_op.get("expand_scalar") and by_op.get("expand_time") and by_op.get("dot")
+    for node in by_op["expand_scalar"] + by_op["expand_time"]:
+        assert not node.data.flags.writeable and not node.data.flags.owndata, node
+    for node in by_op.get("sum_all", []):
+        assert all(p.op != "mul" for p in node._parents), node
+    for node in by_op["prelu"]:
+        x = node._parents[0]
+        cells = [c.cell_contents for c in node._vjp.__closure__ or ()]
+        assert not any(isinstance(v, np.ndarray) and v.dtype.kind == "f"
+                       and v.shape == x.data.shape for v in cells), node
 
 
 # ---------------------------------------------------------------------------

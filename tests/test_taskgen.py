@@ -199,7 +199,21 @@ def test_split_disjoint_and_counted():
 
 def test_split_default_for_large_corpora():
     split = taskgen.split_accents([f"a{i:03d}" for i in range(130)], seed=2)
-    assert (len(split.train), len(split.dev), len(split.test)) == (85, 19, 19)
+    assert (len(split.train), len(split.dev), len(split.test)) == (92, 19, 19)
+
+
+@pytest.mark.parametrize("n", [123, 124, 130])
+def test_split_default_places_every_accent_once(n):
+    accents = [f"a{i:03d}" for i in range(n)]
+    split = taskgen.split_accents(accents, seed=3)
+    assert sorted(split.all_accents()) == accents
+    assert (len(split.dev), len(split.test)) == (19, 19)
+
+
+def test_split_default_keeps_the_paper_split_on_123_accents():
+    accents = [f"a{i:03d}" for i in range(123)]
+    assert taskgen.split_accents(accents, seed=4) == taskgen.split_accents(
+        accents, seed=4, counts=(85, 19, 19))
 
 
 def test_split_rejects_overlap():
