@@ -27,7 +27,7 @@ import math
 import threading
 import weakref
 from collections import OrderedDict
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -53,7 +53,6 @@ __all__ = [
     "log10",
     "clamp_min",
     "sum_all",
-    "mean_all",
     "expand_scalar",
     "sum_time",
     "expand_time",
@@ -185,16 +184,16 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _same_shape("div", a, b)
-    out = _node("div", a.data / b.data, (a, b), None)
-    # weakref avoids an out->vjp->out cycle; out is alive whenever its vjp runs
-    ref = weakref.ref(out)
 
     def vjp(g):
         da = div(g, b) if a.requires_grad else None
         db = neg(mul(g, div(ref(), b))) if b.requires_grad else None
         return (da, db)
 
-    out._vjp = vjp if out.requires_grad else None
+    out = _node("div", a.data / b.data, (a, b), vjp)
+    # the vjp reads out through a weakref bound after the fact, so there is no
+    # out->vjp->out cycle; out is alive whenever its vjp runs
+    ref = weakref.ref(out)
     return out
 
 
@@ -238,25 +237,22 @@ def sigmoid(a: Tensor) -> Tensor:
     y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     y[~pos] = ex / (1.0 + ex)
-    out = _node("sigmoid", y, (a,), None)
-    ref = weakref.ref(out)
 
     def vjp(g):
         y_out = ref()
         return (mul(g, mul(y_out, add_constant(neg(y_out), 1.0))),)
 
-    out._vjp = vjp if out.requires_grad else None
+    out = _node("sigmoid", y, (a,), vjp)
+    ref = weakref.ref(out)
     return out
 
 
 def sqrt(a: Tensor) -> Tensor:
-    out = _node("sqrt", np.sqrt(a.data), (a,), None)
-    ref = weakref.ref(out)
-
     def vjp(g):
         return (scalar_mul(0.5, div(g, ref())),)
 
-    out._vjp = vjp if out.requires_grad else None
+    out = _node("sqrt", np.sqrt(a.data), (a,), vjp)
+    ref = weakref.ref(out)
     return out
 
 
@@ -274,10 +270,6 @@ def log10(a: Tensor) -> Tensor:
 def sum_all(a: Tensor) -> Tensor:
     shp = a.data.shape
     return _node("sum_all", a.data.sum(), (a,), lambda g: (expand_scalar(g, shp),))
-
-
-def mean_all(a: Tensor) -> Tensor:
-    return scalar_mul(1.0 / a.data.size, sum_all(a))
 
 
 def expand_scalar(s: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -556,24 +548,21 @@ def _gln_input_grad(x: Tensor, stats: tuple, xhat: Tensor, h: Tensor, h_sum: Ten
 
 def _gln_normalize(x: Tensor, stats: tuple) -> Tensor:
     mu, inv = stats
-    out = _node("gln_normalize", (x.data - mu) * inv, (x,), None)
+    out = _node("gln_normalize", (x.data - mu) * inv, (x,),
+                lambda h: (_gln_input_grad(x, stats, ref(), h, sum_all(h)),))
     ref = weakref.ref(out)
-    out._vjp = ((lambda h: (_gln_input_grad(x, stats, ref(), h, sum_all(h)),))
-                if out.requires_grad else None)
     return out
 
 
 def _gln_inv(x: Tensor, stats: tuple) -> Tensor:
     # d inv / dx = -inv^2 * x_hat / n
-    out = _node("gln_inv", np.asarray(stats[1]), (x,), None)
-    ref = weakref.ref(out)
-
     def vjp(s):
         inv = ref()
         return (scale(_gln_normalize(x, stats),
                       scalar_mul(-1.0 / x.data.size, mul(s, mul(inv, inv)))),)
 
-    out._vjp = vjp if out.requires_grad else None
+    out = _node("gln_inv", np.asarray(stats[1]), (x,), vjp)
+    ref = weakref.ref(out)
     return out
 
 
@@ -695,9 +684,6 @@ class ParamVector:
         off, shp = self.layout[name]
         size = int(np.prod(shp, dtype=np.int64)) if shp else 1
         return self.values[off: off + size].reshape(shp)
-
-    def names(self) -> Iterable[str]:
-        return self.layout.keys()
 
     def copy(self) -> "ParamVector":
         return ParamVector(self.values.copy(), self.layout)

@@ -141,13 +141,6 @@ def draw_noise_snr(rng: np.random.Generator) -> float:
     return float(rng.uniform(lo, hi))
 
 
-def measured_snr_db(reference, other) -> float:
-    """10*log10 energy ratio of two signals, used to audit stored mixtures."""
-    a = _as_samples(reference)
-    b = _as_samples(other)
-    return 10.0 * math.log10(float(np.dot(a, a)) / float(np.dot(b, b)))
-
-
 def si_snr_graph(s, s_hat: Tensor) -> Tensor:
     """Scale-invariant SNR (dB) as a differentiable expression in s_hat."""
     ref = _as_samples(s)

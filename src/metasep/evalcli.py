@@ -220,18 +220,6 @@ def report_to_csv_text(report: EvalReport) -> str:
     return buf.getvalue()
 
 
-def parse_report_csv(text: str) -> list[dict]:
-    reader = csv.DictReader(io.StringIO(text))
-    rows = []
-    for r in reader:
-        rows.append({
-            "accent": r["accent"], "condition": r["condition"], "phase": r["phase"],
-            "mean_si_snri_db": float(r["mean_si_snri_db"]),
-            "n_tasks": int(r["n_tasks"]),
-        })
-    return rows
-
-
 def emit_report(report: EvalReport, out_dir, stem: str = "report") -> dict:
     """Write the CSV and its JSON mirror; returns the written paths."""
     out_dir = Path(out_dir)

@@ -53,9 +53,6 @@ class SeparatorConfig:
     blocks_per_stack: int = 4    # dilations 2^0 .. 2^(X-1)
     stacks: int = 2
     num_sources: int = 2
-    norm: str = "gln"            # "gln" or "none" (global layer norm couples
-                                 # every frame, so probes of the pure conv
-                                 # receptive field need "none")
 
     def __post_init__(self):
         for field in ("enc_channels", "enc_kernel", "enc_stride", "bottleneck_channels",
@@ -64,8 +61,6 @@ class SeparatorConfig:
                 raise ValueError(f"{field} must be positive, got {getattr(self, field)}")
         if self.num_sources != 2:
             raise ValueError(f"this artifact separates exactly 2 sources, got {self.num_sources}")
-        if self.norm not in ("gln", "none"):
-            raise ValueError(f"norm must be 'gln' or 'none', got {self.norm!r}")
 
     def frames(self, n_samples: int) -> int:
         """Latent frame count for an n-sample input; requires clean alignment."""
@@ -78,12 +73,6 @@ class SeparatorConfig:
                 f"{self.enc_kernel} / stride {self.enc_stride}; the decoder could "
                 f"not reproduce the full length")
         return (n_samples - self.enc_kernel) // self.enc_stride + 1
-
-    def dilations(self) -> list[int]:
-        return [2 ** x for _ in range(self.stacks) for x in range(self.blocks_per_stack)]
-
-    def receptive_field_frames(self) -> int:
-        return 1 + (self.kernel - 1) * sum(self.dilations())
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -109,15 +98,13 @@ def param_shapes(config: SeparatorConfig) -> "OrderedDict[str, tuple[int, ...]]"
             shapes[p + "expand.weight"] = (hc, b, 1)
             shapes[p + "expand.bias"] = (hc,)
             shapes[p + "expand.prelu"] = ()
-            if config.norm == "gln":
-                shapes[p + "expand.norm.gamma"] = (hc,)
-                shapes[p + "expand.norm.beta"] = (hc,)
+            shapes[p + "expand.norm.gamma"] = (hc,)
+            shapes[p + "expand.norm.beta"] = (hc,)
             shapes[p + "depthwise.weight"] = (hc, 1, config.kernel)
             shapes[p + "depthwise.bias"] = (hc,)
             shapes[p + "depthwise.prelu"] = ()
-            if config.norm == "gln":
-                shapes[p + "depthwise.norm.gamma"] = (hc,)
-                shapes[p + "depthwise.norm.beta"] = (hc,)
+            shapes[p + "depthwise.norm.gamma"] = (hc,)
+            shapes[p + "depthwise.norm.beta"] = (hc,)
             shapes[p + "residual.weight"] = (b, hc, 1)
             shapes[p + "residual.bias"] = (b,)
             shapes[p + "skip.weight"] = (b, hc, 1)
@@ -177,16 +164,13 @@ def separate_mask_tensors(x_enc: Tensor, p: Mapping[str, Tensor],
             dilation = 2 ** x
             h = _conv_block(feat, p[pre + "expand.weight"], p[pre + "expand.bias"])
             h = ad.prelu(h, p[pre + "expand.prelu"])
-            if config.norm == "gln":
-                h = ad.gln(h, p[pre + "expand.norm.gamma"], p[pre + "expand.norm.beta"],
-                           GLN_EPS)
+            h = ad.gln(h, p[pre + "expand.norm.gamma"], p[pre + "expand.norm.beta"], GLN_EPS)
             h = _conv_block(h, p[pre + "depthwise.weight"], p[pre + "depthwise.bias"],
                             dilation=dilation, groups=config.conv_channels,
                             pad=dilation * (config.kernel - 1) // 2)
             h = ad.prelu(h, p[pre + "depthwise.prelu"])
-            if config.norm == "gln":
-                h = ad.gln(h, p[pre + "depthwise.norm.gamma"], p[pre + "depthwise.norm.beta"],
-                           GLN_EPS)
+            h = ad.gln(h, p[pre + "depthwise.norm.gamma"], p[pre + "depthwise.norm.beta"],
+                       GLN_EPS)
             res = _conv_block(h, p[pre + "residual.weight"], p[pre + "residual.bias"])
             skip = _conv_block(h, p[pre + "skip.weight"], p[pre + "skip.bias"])
             feat = ad.add(feat, res)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -137,7 +136,6 @@ class MetaTask:
     seg_indices_b: tuple[int, ...]
     snr_grid: np.ndarray            # (3, 3); entry [i, j] mixes a-seg i with b-seg j
     support_index: int              # flat grid index, row-major
-    query_indices: tuple[int, ...]  # the 4 segment-disjoint mixtures
     noise_seed: int
 
     def __post_init__(self):
@@ -148,15 +146,11 @@ class MetaTask:
             raise TaskGenError("a meta task needs exactly 3 segments per speaker")
         if not 0 <= self.support_index < GRID:
             raise TaskGenError(f"support index {self.support_index} outside the 9-mixture grid")
-        expected = self._disjoint_queries(self.support_index)
-        if tuple(self.query_indices) != expected:
-            raise TaskGenError(
-                f"query indices {self.query_indices} must be the segment-disjoint "
-                f"mixtures {expected} for support {self.support_index}")
 
-    @staticmethod
-    def _disjoint_queries(support: int) -> tuple[int, ...]:
-        si, sj = divmod(support, SEGMENTS_PER_SPEAKER)
+    @property
+    def query_indices(self) -> tuple[int, ...]:
+        """The 4 mixtures that share no segment with the support mixture."""
+        si, sj = divmod(self.support_index, SEGMENTS_PER_SPEAKER)
         return tuple(i * SEGMENTS_PER_SPEAKER + j
                      for i in range(SEGMENTS_PER_SPEAKER)
                      for j in range(SEGMENTS_PER_SPEAKER)
@@ -171,10 +165,6 @@ class MetaTask:
             pair = dsp.add_noise(pair, dsp.draw_noise_snr(rng),
                                  seed=int(rng.integers(2 ** 62)))
         return pair
-
-    @property
-    def mixtures(self) -> list[MixturePair]:
-        return [self.mixture(k) for k in range(GRID)]
 
     def support_pair(self, noisy: bool = False) -> MixturePair:
         return self.mixture(self.support_index, noisy=noisy)
@@ -275,7 +265,6 @@ def build_accent_task_sets(corpus: Corpus, split: SplitSpec | None, seed: int) -
                 seg_indices_b=idx_b,
                 snr_grid=snr,
                 support_index=support,
-                query_indices=MetaTask._disjoint_queries(support),
                 noise_seed=int(rng.integers(2 ** 62)),
             ))
         task_sets.append(AccentTaskSet(accent=accent, tasks=tasks))
@@ -285,11 +274,6 @@ def build_accent_task_sets(corpus: Corpus, split: SplitSpec | None, seed: int) -
 def filter_task_sets(task_sets, accents) -> list[AccentTaskSet]:
     wanted = set(accents)
     return [ts for ts in task_sets if ts.accent in wanted]
-
-
-def expected_task_count(n_speakers: int) -> int:
-    n = min(n_speakers, MAX_SPEAKERS_PER_ACCENT)
-    return math.comb(n, 2)
 
 
 def sample_task_batch(task_sets, b: int, seed: int) -> list[MetaTask]:
@@ -449,7 +433,7 @@ def load_task_archive(archive_dir) -> tuple[list[AccentTaskSet], SplitSpec, dict
     for acc in index["accents"]:
         tasks = []
         for t in acc["tasks"]:
-            tasks.append(MetaTask(
+            task = MetaTask(
                 accent=acc["accent"],
                 speakers=tuple(t["speakers"]),
                 segments_a=tuple(load_seg(n).copy() for n in t["seg_files_a"]),
@@ -458,9 +442,15 @@ def load_task_archive(archive_dir) -> tuple[list[AccentTaskSet], SplitSpec, dict
                 seg_indices_b=tuple(t["seg_indices_b"]),
                 snr_grid=np.array(t["snr_db"]),
                 support_index=t["support"],
-                query_indices=tuple(t["query"]),
                 noise_seed=t["noise_seed"],
-            ))
+            )
+            # the query set follows from the support index; an archive that
+            # says otherwise was edited or written by something else
+            if tuple(t["query"]) != task.query_indices:
+                raise TaskGenError(
+                    f"{archive_dir}: query indices {t['query']} must be the segment-disjoint "
+                    f"mixtures {list(task.query_indices)} for support {task.support_index}")
+            tasks.append(task)
         task_sets.append(AccentTaskSet(accent=acc["accent"], tasks=tasks))
     split = SplitSpec(**index["split"])
     return task_sets, split, {"seed": index["seed"]}

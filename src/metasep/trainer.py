@@ -137,11 +137,10 @@ class SeparationTask:
         return model_mod.mixture_loss_tensors(self._support, params, self.config)
 
     def query_loss(self, params: Mapping[str, Tensor]) -> Tensor:
-        return _mean_loss(_loss_terms(self, "query"), params)
-
-    def pooled_loss(self, params: Mapping[str, Tensor]) -> Tensor:
-        """Mean uPIT loss over support and query mixtures together."""
-        return _mean_loss(_loss_terms(self, "pooled"), params)
+        """Mean uPIT loss over the query mixtures, as one graph."""
+        terms = _loss_terms(self, "query")
+        total = functools.reduce(ad.add, (f(params) for f in terms))
+        return ad.scalar_mul(1.0 / len(terms), total)
 
     def query_si_snri(self, params: ParamVector) -> float:
         return _mean_si_snri(self._queries, params, self.config)
@@ -150,10 +149,6 @@ class SeparationTask:
 def _mean_si_snri(pairs: Sequence[MixturePair], params: ParamVector,
                   config: SeparatorConfig) -> float:
     return float(np.mean([model_mod.evaluate_si_snri(q, params, config) for q in pairs]))
-
-
-def _mean_loss(losses: Sequence[LossFn], params: Mapping[str, Tensor]) -> Tensor:
-    return ad.scalar_mul(1.0 / len(losses), functools.reduce(ad.add, (f(params) for f in losses)))
 
 
 def _check_finite(loss: Tensor, task, phase: str) -> None:

@@ -5,15 +5,20 @@ calls into the package's compute paths, so a test comparing against these
 functions is a genuine two-route check. The exceptions run on the package's
 autodiff engine: ``reverse_over_reverse_maml`` along the direct route the
 trainer's Hessian-vector-product form avoids, ``query_pool_gradient`` on each
-task's whole query loss instead of the trainer's per-mixture gradients, and
+task's whole query loss instead of the trainer's per-mixture gradients,
+``pooled_loss`` as one graph over a task's support and query mixtures
+instead of the trainer's per-mixture joint gradients, and
 ``finetune_via_inner_adapt`` along the route one-shot adaptation took before
 its rate-independent part was split off.
 """
 
+import functools
+import math
+
 import numpy as np
 
 from metasep import autodiff as ad
-from metasep import trainer
+from metasep import model, trainer
 
 
 def naive_conv1d(x, w, stride=1, dilation=1, groups=1, pad=0):
@@ -96,6 +101,13 @@ def direct_si_snr(s, s_hat, eps=1e-8):
     return 10.0 * np.log10(np.dot(proj, proj) / max(np.dot(err, err), eps))
 
 
+def measured_snr_db(reference, other):
+    """10*log10 energy ratio of two signals, used to audit stored mixtures."""
+    a = np.asarray(getattr(reference, "samples", reference), dtype=np.float64)
+    b = np.asarray(getattr(other, "samples", other), dtype=np.float64)
+    return 10.0 * math.log10(float(np.dot(a, a)) / float(np.dot(b, b)))
+
+
 def brute_force_upit(estimates, sources, eps=1e-8):
     """Enumerate both 2-source assignments; return (min loss, argmin perm)."""
     perms = [(0, 1), (1, 0)]
@@ -144,6 +156,15 @@ def query_pool_gradient(theta, tasks):
     return total
 
 
+def pooled_loss(task, config, params, noisy=False):
+    """Mean uPIT loss over one meta task's support and query mixtures
+    together, as one graph: the joint (pooled) training loss."""
+    pairs = [task.support_pair(noisy=noisy)] + task.query_pairs(noisy=noisy)
+    total = functools.reduce(ad.add, (model.mixture_loss_tensors(p, params, config)
+                                      for p in pairs))
+    return ad.scalar_mul(1.0 / len(pairs), total)
+
+
 def finetune_via_inner_adapt(theta, task, beta, config, noisy=False):
     """One-shot adaptation as a differentiable inner step with no kept graph:
     (adapted vector, support loss pre/post, query Si-SNRi pre/post)."""
@@ -153,5 +174,5 @@ def finetune_via_inner_adapt(theta, task, beta, config, noisy=False):
     adapted = inner.to_vector(theta)
     with ad.no_grad():
         support_post = sep.support_loss(
-            {n: ad.tensor(adapted.view(n)) for n in adapted.names()}).item()
+            {n: ad.tensor(adapted.view(n)) for n in adapted.layout}).item()
     return adapted, inner.support_loss, support_post, pre_snri, sep.query_si_snri(adapted)

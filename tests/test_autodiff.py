@@ -1,15 +1,17 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from metasep import autodiff as ad
+from metasep import model, trainer
 from oracles import assert_fd_close, fd_gradient, naive_conv1d, naive_conv_transpose1d
+from primitive_cases import (CASES, case_inputs, check_first_order, check_second_order,
+                             scalar_loss)
+from test_trainer import MICRO, make_task
 
 RNG = np.random.default_rng
-
-
-def scalar_loss(t):
-    """Simple smooth scalar readout used to gradcheck any-shaped outputs."""
-    return ad.sum_all(ad.mul(t, ad.sigmoid(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +73,95 @@ def test_transposed_conv_matches_naive():
 
 # ---------------------------------------------------------------------------
 # gradient checks: every primitive against central finite differences
+#
+# The case table in primitive_cases.py drives both checks. The tests group
+# its entries into one-input ops, two-input ops (each input in turn) and the
+# fused layers (one test per input); the grouping covers every entry.
+
+ONE_INPUT = [op for op, c in CASES.items() if len(c.inputs) == 1]
+TWO_INPUTS = [op for op, c in CASES.items() if len(c.inputs) == 2 and not c.layer]
+LAYER_INPUTS = [(op, arg) for op, c in CASES.items() if c.layer for arg in c.inputs]
+LAYER_IDS = [f"{op}.{arg}" for op, arg in LAYER_INPUTS]
+
+
+def test_case_groups_cover_the_table():
+    grouped = ONE_INPUT + TWO_INPUTS + sorted({op for op, _ in LAYER_INPUTS})
+    assert sorted(grouped) == sorted(CASES)
+
+
+def test_every_recorded_op_has_a_case(monkeypatch):
+    """Every op string the engine records over the meta-gradients of all
+    three modes, a noisy one-shot adaptation and an evaluation has an entry
+    in the case table, so both of its finite-difference checks run."""
+    seen = set()
+    node = ad._node
+
+    def recording_node(op, data, parents, vjp):
+        seen.add(op)
+        return node(op, data, parents, vjp)
+
+    monkeypatch.setattr(ad, "_node", recording_node)
+    theta = model.init_params(MICRO, seed=0)
+    tasks = [trainer.SeparationTask(make_task(90 + k), MICRO) for k in range(2)]
+    for mode in trainer.MODES:
+        trainer.meta_gradient(theta, tasks, 0.01, mode)
+    task = make_task(95)
+    trainer.prepare_adapt(theta, task, MICRO, noisy=True)
+    model.evaluate_si_snri(task.support_pair(), theta, MICRO)
+
+    assert not seen - set(CASES), f"ops without a case: {sorted(seen - set(CASES))}"
+    # relu and sqrt stay in the engine only because the benchmark's tracer wraps them
+    assert set(CASES) - seen == {"relu", "sqrt"}
+
+
+@pytest.mark.parametrize("op", ONE_INPUT)
+@pytest.mark.parametrize("seed", range(4))
+def test_unary_primitive_gradients(op, seed):
+    (arg,) = CASES[op].inputs
+    check_first_order(op, arg, seed)
+
+
+@pytest.mark.parametrize("op", TWO_INPUTS)
+@pytest.mark.parametrize("seed", range(4))
+def test_binary_primitive_gradients(op, seed):
+    for arg in CASES[op].inputs:
+        check_first_order(op, arg, seed)
+
+
+@pytest.mark.parametrize("op,arg", LAYER_INPUTS, ids=LAYER_IDS)
+@pytest.mark.parametrize("seed", range(4))
+def test_fused_primitive_gradients(op, arg, seed):
+    check_first_order(op, arg, seed)
+
+
+@pytest.mark.parametrize("op", ONE_INPUT + TWO_INPUTS)
+@pytest.mark.parametrize("seed", range(2))
+def test_primitive_second_order(op, seed):
+    for arg in CASES[op].inputs:
+        check_second_order(op, arg, seed)
+
+
+@pytest.mark.parametrize("op,arg", LAYER_INPUTS, ids=LAYER_IDS)
+@pytest.mark.parametrize("seed", range(2))
+def test_fused_primitive_second_order(op, arg, seed):
+    check_second_order(op, arg, seed)
+
+
+@pytest.mark.parametrize("op", ["div", "sigmoid", "sqrt", "gln_normalize", "gln_inv"])
+def test_outputs_whose_vjp_reads_them_hold_no_cycle(op):
+    """These VJPs read the op's own output through a weakref, so with the
+    cycle collector off the output still dies with its last reference."""
+    ins = [ad.tensor(v, requires_grad=True) for v in case_inputs(op, 0).values()]
+    gc.collect()
+    gc.disable()
+    try:
+        out = CASES[op].build(*ins)
+        assert out.requires_grad and out._vjp is not None
+        ref = weakref.ref(out)
+        del out
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def _gradcheck(make_out, x0, *, rtol=1e-5, step=1e-5, label=""):
@@ -78,70 +169,6 @@ def _gradcheck(make_out, x0, *, rtol=1e-5, step=1e-5, label=""):
     (g,) = ad.grad(scalar_loss(make_out(leaf)), [leaf])
     num = fd_gradient(lambda xv: scalar_loss(make_out(ad.tensor(xv))).item(), x0, step=step)
     assert_fd_close(g.data, num, rtol=rtol, label=label)
-
-
-UNARY_CASES = [
-    ("neg", lambda t: ad.neg(t), (4, 6), None),
-    ("scalar_mul", lambda t: ad.scalar_mul(-1.7, t), (3, 5), None),
-    ("add_constant", lambda t: ad.add_constant(t, 0.3), (7,), None),
-    ("relu", lambda t: ad.relu(t), (5, 5), None),
-    ("sigmoid", lambda t: ad.sigmoid(t), (4, 4), None),
-    ("sqrt", lambda t: ad.sqrt(t), (6,), "positive"),
-    ("log10", lambda t: ad.log10(t), (6,), "positive"),
-    ("clamp_min", lambda t: ad.clamp_min(t, 0.1), (5, 3), "away_from_clamp"),
-    ("sum_all", lambda t: ad.expand_scalar(ad.sum_all(t), (3, 3)), (4, 5), None),
-    ("mean_all", lambda t: ad.expand_scalar(ad.mean_all(t), (2, 2)), (4, 5), None),
-    ("sum_time", lambda t: ad.sum_time(t), (3, 7), None),
-    ("expand_time", lambda t: ad.expand_time(t, 6), (5,), None),
-    ("reshape", lambda t: ad.reshape(t, (2, 6)), (3, 4), None),
-    ("slice_channels", lambda t: ad.slice_channels(t, 1, 4), (6, 5), None),
-    ("pad_channels", lambda t: ad.pad_channels(t, 2, 9), (3, 4), None),
-]
-
-
-@pytest.mark.parametrize("name,fn,shape,domain", UNARY_CASES,
-                         ids=[c[0] for c in UNARY_CASES])
-@pytest.mark.parametrize("seed", range(4))
-def test_unary_primitive_gradients(name, fn, shape, domain, seed):
-    rng = RNG(100 + seed)
-    x = rng.normal(size=shape)
-    if domain == "positive":
-        x = np.abs(x) + 0.5
-    elif domain == "away_from_clamp":
-        x = np.where(np.abs(x - 0.1) < 0.05, x + 0.2, x)
-    _gradcheck(fn, x, label=f"{name}[seed={seed}]")
-
-
-BINARY_CASES = [
-    ("add", ad.add), ("sub", ad.sub), ("mul", ad.mul), ("div", ad.div),
-    ("dot", ad.dot),
-]
-
-
-@pytest.mark.parametrize("name,fn", BINARY_CASES, ids=[c[0] for c in BINARY_CASES])
-@pytest.mark.parametrize("seed", range(4))
-def test_binary_primitive_gradients(name, fn, seed):
-    rng = RNG(200 + seed)
-    a0 = rng.normal(size=(4, 5))
-    b0 = rng.normal(size=(4, 5))
-    if name == "div":
-        b0 = np.sign(b0) * (np.abs(b0) + 0.5)
-
-    for side in (0, 1):
-        def make(t, side=side):
-            other = ad.tensor(b0 if side == 0 else a0)
-            return fn(t, other) if side == 0 else fn(other, t)
-
-        _gradcheck(make, a0 if side == 0 else b0, label=f"{name}[side={side},seed={seed}]")
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_scale_gradients_both_sides(seed):
-    rng = RNG(300 + seed)
-    a0 = rng.normal(size=(3, 6))
-    s0 = rng.normal(size=())
-    _gradcheck(lambda t: ad.scale(t, ad.tensor(s0)), a0, label=f"scale.a[{seed}]")
-    _gradcheck(lambda t: ad.scale(ad.tensor(a0), t), s0, label=f"scale.s[{seed}]")
 
 
 CONV_GRAD_CASES = [
@@ -228,78 +255,6 @@ def test_conv1d_weight_grad_gradients(seed, stride, dilation, groups, pad):
                label=f"wgrad.g[{seed}]")
 
 
-# fused layer primitives: op -> (function, names of its tensor inputs)
-FUSED_OPS = {
-    "add_channel_bias": (ad.add_channel_bias, ("x", "b")),
-    "prelu": (ad.prelu, ("x", "a")),
-    "gln": (lambda x, gamma, beta: ad.gln(x, gamma, beta, 1e-8), ("x", "gamma", "beta")),
-}
-FUSED_CASES = [(op, arg) for op, (_, args) in FUSED_OPS.items() for arg in args]
-FUSED_IDS = [f"{op}.{arg}" for op, arg in FUSED_CASES]
-
-
-def _fused_inputs(rng):
-    x = rng.normal(size=(4, 6))
-    x = np.where(np.abs(x) < 0.05, x + 0.2, x)  # away from the PReLU kink
-    return {"x": x, "b": rng.normal(size=4), "a": rng.normal(size=()),
-            "gamma": rng.normal(size=4), "beta": rng.normal(size=4)}
-
-
-@pytest.mark.parametrize("op,arg", FUSED_CASES, ids=FUSED_IDS)
-@pytest.mark.parametrize("seed", range(4))
-def test_fused_primitive_gradients(op, arg, seed):
-    fn, names = FUSED_OPS[op]
-    vals = _fused_inputs(RNG(900 + seed))
-
-    def make(t):
-        return fn(*(t if n == arg else ad.tensor(vals[n]) for n in names))
-
-    _gradcheck(make, vals[arg], label=f"{op}.{arg}[seed={seed}]")
-
-
-@pytest.mark.parametrize("op,arg", FUSED_CASES, ids=FUSED_IDS)
-@pytest.mark.parametrize("seed", range(2))
-def test_fused_primitive_second_order(op, arg, seed):
-    """Gradient with respect to one input of the squared norm of the op's own
-    create-graph gradient with respect to every input, against central
-    differences."""
-    fn, names = FUSED_OPS[op]
-    vals = _fused_inputs(RNG(950 + seed))
-
-    def grad_norm(v):
-        ins = [ad.tensor(v if n == arg else vals[n], requires_grad=True) for n in names]
-        grads = ad.grad(scalar_loss(fn(*ins)), ins, create_graph=True)
-        total = ad.sq_norm(grads[0])
-        for g in grads[1:]:
-            total = ad.add(total, ad.sq_norm(g))
-        return total, ins[names.index(arg)]
-
-    out, leaf = grad_norm(vals[arg])
-    (got,) = ad.grad(out, [leaf])
-    num = fd_gradient(lambda v: grad_norm(v)[0].item(), vals[arg], step=1e-5)
-    assert_fd_close(got.data, num, rtol=1e-5, label=f"{op}.{arg} second order[{seed}]")
-
-
-@pytest.mark.parametrize("side", [0, 1])
-@pytest.mark.parametrize("seed", range(2))
-def test_dot_second_order(side, seed):
-    """Gradient with respect to one input of the squared norm of dot's own
-    create-graph gradient with respect to both inputs, against central
-    differences."""
-    rng = RNG(970 + seed)
-    vals = [rng.normal(size=(3, 5)), rng.normal(size=(3, 5))]
-
-    def grad_norm(v):
-        ins = [ad.tensor(v if i == side else vals[i], requires_grad=True) for i in range(2)]
-        ga, gb = ad.grad(scalar_loss(ad.dot(*ins)), ins, create_graph=True)
-        return ad.add(ad.sq_norm(ga), ad.sq_norm(gb)), ins[side]
-
-    out, leaf = grad_norm(vals[side])
-    (got,) = ad.grad(out, [leaf])
-    num = fd_gradient(lambda v: grad_norm(v)[0].item(), vals[side], step=1e-5)
-    assert_fd_close(got.data, num, rtol=1e-5, label=f"dot.{side} second order[{seed}]")
-
-
 def _bits(arr):
     return np.asarray(arr, dtype=np.float64).view(np.uint64)
 
@@ -344,20 +299,21 @@ def test_sum_all_gradient_is_a_view_that_flatten_named_copies():
 
 
 def test_fused_primitive_forwards_match_composed_layers():
-    vals = _fused_inputs(RNG(990))
-    x, b, a, gamma, beta = (vals[n] for n in ("x", "b", "a", "gamma", "beta"))
-    eps = 1e-8
-    got = {name: fn(*(ad.tensor(vals[n]) for n in names)).data
-           for name, (fn, names) in FUSED_OPS.items()}
-    centered = x - x.mean()
+    def gln(x, gamma, beta):
+        centered = x - x.mean()
+        return (centered / np.sqrt(np.mean(centered ** 2) + 1e-8) * gamma[:, None]
+                + beta[:, None])
+
     want = {
-        "add_channel_bias": x + b[:, None],
-        "prelu": np.maximum(x, 0.0) - a * np.maximum(-x, 0.0),
-        "gln": centered / np.sqrt(np.mean(centered ** 2) + eps) * gamma[:, None]
-        + beta[:, None],
+        "add_channel_bias": lambda x, b: x + b[:, None],
+        "prelu": lambda x, a: np.maximum(x, 0.0) - a * np.maximum(-x, 0.0),
+        "gln": gln,
     }
-    for name in FUSED_OPS:
-        np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12, err_msg=name)
+    for op, composed in want.items():
+        vals = case_inputs(op, 990)
+        got = CASES[op].build(*map(ad.tensor, vals.values())).data
+        np.testing.assert_allclose(got, composed(*vals.values()), rtol=0, atol=1e-12,
+                                   err_msg=op)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +367,7 @@ def test_determinism_bit_identical():
         x = ad.tensor(rng.normal(size=(3, 16)), requires_grad=True)
         w = ad.tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
         y = ad.sigmoid(ad.conv1d(x, w, pad=1))
-        loss = ad.mean_all(ad.mul(y, y))
+        loss = ad.sum_all(ad.mul(y, y))
         gx, gw = ad.grad(loss, [x, w])
         return loss.data.copy(), gx.data.copy(), gw.data.copy()
 
@@ -506,7 +462,7 @@ def test_param_vector_layout_roundtrip():
     assert pv.dim == 11
     for name, arr in arrays.items():
         np.testing.assert_array_equal(pv.view(name), arr)
-    packed = pv.flatten_named({n: pv.view(n) for n in pv.names()})
+    packed = pv.flatten_named({n: pv.view(n) for n in pv.layout})
     assert np.array_equal(packed.values, pv.values)
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -194,14 +195,14 @@ def test_empty_report_csv_is_header_only():
 def test_report_csv_roundtrip_exact(params, test_sets, tmp_path):
     report = evalcli.meta_test(params, MICRO, CKPT_EXTRA, test_sets, beta_ft=0.01)
     paths = evalcli.emit_report(report, tmp_path)
-    parsed = evalcli.parse_report_csv(paths["csv"].read_text())
-    by_key = {(r["accent"], r["condition"], r["phase"]): r for r in parsed}
+    with open(paths["csv"], newline="") as f:
+        by_key = {(r["accent"], r["condition"], r["phase"]): r for r in csv.DictReader(f)}
     for row in report.rows:
         got = by_key[(row["accent"], row["condition"], row["phase"])]
-        assert got["mean_si_snri_db"] == row["mean_si_snri_db"]  # repr() roundtrip
-        assert got["n_tasks"] == row["n_tasks"]
+        assert float(got["mean_si_snri_db"]) == row["mean_si_snri_db"]  # repr() roundtrip
+        assert int(got["n_tasks"]) == row["n_tasks"]
     overall = by_key[("OVERALL", "clean", "after")]
-    assert overall["mean_si_snri_db"] == report.overall_mean("clean", "after")
+    assert float(overall["mean_si_snri_db"]) == report.overall_mean("clean", "after")
 
     mirror = json.loads(paths["json"].read_text())
     assert mirror["summary"]["clean/after"]["mean_si_snri_db"] == \

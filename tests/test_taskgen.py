@@ -7,6 +7,7 @@ from scipy import stats
 
 from metasep import dsp, taskgen
 from metasep.taskgen import SynthSpec
+from oracles import measured_snr_db
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +117,7 @@ def test_task_structure_and_counts(small_corpus):
     for ts in task_sets:
         assert ts.tq == math.comb(3, 2) == 3
         for task in ts.tasks:
-            assert len(task.mixtures) == 9
+            assert task.snr_grid.shape == (3, 3)  # 9 mixtures
             assert 0 <= task.support_index < 9
             assert len(task.query_indices) == 4
             si, sj = divmod(task.support_index, 3)
@@ -126,10 +127,11 @@ def test_task_structure_and_counts(small_corpus):
 
 
 def test_expected_task_count_examples():
-    assert taskgen.expected_task_count(12) == 66
-    assert taskgen.expected_task_count(2) == 1
-    assert taskgen.expected_task_count(5) == 10
-    assert taskgen.expected_task_count(30) == 66  # capped at 12 speakers
+    seg = dsp.Waveform(np.ones(8))
+    for n_speakers, tq in ((12, 66), (2, 1), (5, 10), (30, 66)):  # capped at 12 speakers
+        corpus = taskgen.Corpus({"acc": {f"spk{k:02d}": [seg] * 3 for k in range(n_speakers)}})
+        (ts,) = taskgen.build_accent_task_sets(corpus, None, seed=0)
+        assert ts.tq == tq
 
 
 def test_speaker_cap_at_twelve(tmp_path):
@@ -147,7 +149,7 @@ def test_mixture_snr_recomputed_from_stored_audio(small_corpus):
     for k in range(9):
         pair = task.mixture(k)
         i, j = divmod(k, 3)
-        got = dsp.measured_snr_db(pair.sources[0], pair.sources[1])
+        got = measured_snr_db(pair.sources[0], pair.sources[1])
         assert abs(got - task.snr_grid[i, j]) <= 1e-9
         assert 0.0 <= task.snr_grid[i, j] <= 5.0
 
@@ -279,14 +281,11 @@ def _fake_sets(tq_by_accent):
         tasks = []
         for _ in range(tq):
             seg = [rng.normal(size=64) for _ in range(3)]
-            support = 4
             tasks.append(taskgen.MetaTask(
                 accent=accent, speakers=("x", "y"),
                 segments_a=tuple(seg), segments_b=tuple(s + 1.0 for s in seg),
                 seg_indices_a=(0, 1, 2), seg_indices_b=(0, 1, 2),
-                snr_grid=np.full((3, 3), 2.0), support_index=support,
-                query_indices=taskgen.MetaTask._disjoint_queries(support),
-                noise_seed=7))
+                snr_grid=np.full((3, 3), 2.0), support_index=4, noise_seed=7))
         sets.append(taskgen.AccentTaskSet(accent=accent, tasks=tasks))
     return sets
 
@@ -317,6 +316,30 @@ def test_task_archive_roundtrip_bit_exact(small_corpus, tmp_path):
             pn1 = t1.mixture(t1.support_index, noisy=True)
             pn2 = t2.mixture(t2.support_index, noisy=True)
             assert np.array_equal(pn1.mixture.samples, pn2.mixture.samples)
+
+
+def test_task_archive_rejects_edited_query_indices(small_corpus, tmp_path):
+    split = taskgen.split_accents(small_corpus.accents(), seed=1, counts=(2, 1, 1))
+    task_sets = taskgen.build_accent_task_sets(small_corpus, split, seed=9)
+    index_path = taskgen.write_task_archive(tmp_path, task_sets, split, seed=9)
+    taskgen.load_task_archive(tmp_path)  # as written, it loads
+    index = json.loads(index_path.read_text())
+    task = index["accents"][0]["tasks"][0]
+    assert task["query"] == list(task_sets[0].tasks[0].query_indices)
+    task["query"] = sorted(set(range(9)) - set(task["query"]) - {task["support"]})[:4]
+    index_path.write_text(json.dumps(index))
+    with pytest.raises(taskgen.TaskGenError, match="query indices .* segment-disjoint"):
+        taskgen.load_task_archive(tmp_path)
+
+
+def test_query_indices_follow_the_support_index():
+    (ts,) = _fake_sets({"acc": 1})
+    task = ts.tasks[0]
+    assert task.query_indices == (0, 2, 6, 8)  # support 4 is the grid's center
+    task.support_index = 0
+    assert task.query_indices == (4, 5, 7, 8)
+    with pytest.raises(AttributeError):
+        task.query_indices = (0, 1, 2, 3)
 
 
 def test_task_archive_rejects_foreign_dir(tmp_path):
