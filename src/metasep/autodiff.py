@@ -15,6 +15,7 @@ Design constraints honored throughout:
 * ``expand_scalar`` and ``expand_time`` return read-only ``np.broadcast_to``
   views that own no memory (an in-place write into one raises); ``dot`` (and
   ``sq_norm`` on it) is one primitive, not a ``sum_all`` of a ``mul``,
+* the fused layers' backwards keep one node per cotangent (see below),
 * convolution, its input-gradient (transposed convolution) and its
   weight-gradient form a closed triple: each one's VJP is expressed with the
   other two, so arbitrarily high derivative orders stay exact.
@@ -473,10 +474,14 @@ def conv1d_weight_grad(x: Tensor, g: Tensor, *, kernel: int, stride: int = 1,
 # fused layer primitives
 #
 # A channel bias, a PReLU and a global layer norm each record one node. Their
-# VJPs are written in tracked primitives, so second order stays exact. The gLN
-# backward needs x_hat = (x - mean) * inv and inv = 1 / sqrt(var + eps) as
-# functions of x; two private nodes provide them from the forward's (mean,
-# inv), and their own VJPs are built from each other again.
+# VJPs are written in tracked primitives, so second order stays exact. Their
+# backwards record one node per cotangent as well, because MAML keeps the
+# create-graph support gradient alive: PReLU's slope gradient is one masked
+# dot over the forward's gate, and the gLN backward is one input-gradient
+# node and one gamma-gradient node, each recomputing x_hat from the forward's
+# (mean, inv). The VJPs of those need x_hat = (x - mean) * inv and
+# inv = 1 / sqrt(var + eps) as functions of x; two more private nodes
+# provide them, and all these VJPs are built from each other again.
 
 
 def add_channel_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -500,12 +505,26 @@ def _gated(x: Tensor, a: Tensor, gate: np.ndarray) -> Tensor:
 
     def vjp(g):
         dx = _gated(g, a, gate) if x.requires_grad else None
-        # the negative part of x is the same map with the gate inverted and slope 0
-        da = dot(g, _gated(x, Tensor(0.0), ~gate)) if a.requires_grad else None
+        da = _masked_dot(g, x, gate) if a.requires_grad else None
         return (dx, da)
 
     # one multiply by where(gate, 1, a); the closure keeps only the boolean gate
     return _node("prelu", x.data * np.where(gate, 1.0, a.data), (x, a), vjp)
+
+
+def _masked_dot(a: Tensor, b: Tensor, gate: np.ndarray) -> Tensor:
+    """Sum of a * b where the boolean gate does not hold: PReLU's slope
+    gradient as one scalar node that shares the forward's gate."""
+
+    def vjp(s):
+        # b where the gate does not hold is b minus the gated map of b with slope 0
+        zero = Tensor(0.0)
+        da = scale(sub(b, _gated(b, zero, gate)), s) if a.requires_grad else None
+        db = scale(sub(a, _gated(a, zero, gate)), s) if b.requires_grad else None
+        return (da, db)
+
+    return _node("masked_dot", np.dot(a.data.ravel(), np.where(gate, 0.0, b.data).ravel()),
+                 (a, b), vjp)
 
 
 def gln(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
@@ -522,36 +541,73 @@ def gln(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     stats = (mu, inv)
 
     def vjp(g):
-        xhat = _gln_normalize(x, stats)
-        g_sum = sum_time(g)
-        dx = None
-        if x.requires_grad:
-            # the sum of h = g * gamma over (C, T) is <sum_t g, gamma>
-            h = mul(g, expand_time(gamma, g.data.shape[1]))
-            dx = _gln_input_grad(x, stats, xhat, h, dot(g_sum, gamma))
-        dgamma = sum_time(mul(g, xhat)) if gamma.requires_grad else None
-        dbeta = g_sum if beta.requires_grad else None
+        dx = _gln_input_grad(x, g, gamma, stats) if x.requires_grad else None
+        dgamma = _gln_gamma_grad(x, g, stats) if gamma.requires_grad else None
+        dbeta = sum_time(g) if beta.requires_grad else None
         return (dx, dgamma, dbeta)
 
     y = centered * inv * gamma.data[:, None] + beta.data[:, None]
     return _node("gln", y, (x, gamma, beta), vjp)
 
 
-def _gln_input_grad(x: Tensor, stats: tuple, xhat: Tensor, h: Tensor, h_sum: Tensor) -> Tensor:
-    """Cotangent of x for a cotangent h of x_hat whose sum is h_sum:
-    inv * (h - mean(h) - x_hat * mean(h * x_hat))."""
-    n = h.data.size
-    centered = sub(h, expand_scalar(scalar_mul(1.0 / n, h_sum), h.data.shape))
-    proj = scalar_mul(1.0 / n, dot(h, xhat))
-    return scale(sub(centered, scale(xhat, proj)), _gln_inv(x, stats))
+def _xhat(x: np.ndarray, stats: tuple) -> np.ndarray:
+    mu, inv = stats
+    xhat = x - mu
+    xhat *= inv
+    return xhat
+
+
+def _gln_input_grad(x: Tensor, g: Tensor, gamma: Tensor, stats: tuple) -> Tensor:
+    """J(x) (g * gamma), the cotangent of x for a cotangent g * gamma of
+    x_hat, as one node. J h = inv * (h - mean(h) - x_hat * mean(h * x_hat))
+    is the Jacobian of x_hat, and it is symmetric."""
+    n = x.data.size
+    t = x.data.shape[1]
+    xhat = _xhat(x.data, stats)
+    h = g.data * gamma.data[:, None]
+    xhat *= np.dot(h.ravel(), xhat.ravel()) / n
+    h -= h.sum() / n
+    h -= xhat
+    h *= stats[1]
+
+    def vjp(c):
+        jc = _gln_input_grad(x, c, Tensor(np.ones(gamma.data.shape)), stats)
+        dx = dg = dgamma = None
+        if x.requires_grad:
+            # d<c, J(x) h>/dx = -(inv/n) (<c, Jh> x_hat + <h, x_hat> Jc + <c, x_hat> Jh)
+            out = ref()
+            xh = _gln_normalize(x, stats)
+            h_xhat = dot(gamma, _gln_gamma_grad(x, g, stats))
+            dx = scale(add(add(scale(xh, dot(c, out)), scale(jc, h_xhat)),
+                           scale(out, dot(c, xh))),
+                       scalar_mul(-1.0 / n, _gln_inv(x, stats)))
+        if g.requires_grad:
+            dg = mul(jc, expand_time(gamma, t))
+        if gamma.requires_grad:
+            dgamma = sum_time(mul(g, jc))
+        return (dx, dg, dgamma)
+
+    out = _node("gln_input_grad", h, (x, g, gamma), vjp)
+    ref = weakref.ref(out)
+    return out
+
+
+def _gln_gamma_grad(x: Tensor, g: Tensor, stats: tuple) -> Tensor:
+    """sum_t g * x_hat, gamma's cotangent, as one (C,) node."""
+    t = x.data.shape[1]
+
+    def vjp(s):
+        dx = _gln_input_grad(x, g, s, stats) if x.requires_grad else None
+        dg = mul(expand_time(s, t), _gln_normalize(x, stats)) if g.requires_grad else None
+        return (dx, dg)
+
+    return _node("gln_gamma_grad", np.einsum("ct,ct->c", g.data, _xhat(x.data, stats)),
+                 (x, g), vjp)
 
 
 def _gln_normalize(x: Tensor, stats: tuple) -> Tensor:
-    mu, inv = stats
-    out = _node("gln_normalize", (x.data - mu) * inv, (x,),
-                lambda h: (_gln_input_grad(x, stats, ref(), h, sum_all(h)),))
-    ref = weakref.ref(out)
-    return out
+    return _node("gln_normalize", _xhat(x.data, stats), (x,),
+                 lambda h: (_gln_input_grad(x, h, Tensor(np.ones(x.data.shape[:1])), stats),))
 
 
 def _gln_inv(x: Tensor, stats: tuple) -> Tensor:

@@ -61,6 +61,7 @@ def _two(shape, domain_b=None):
     return {"a": (shape, None), "b": (shape, domain_b)}
 
 
+_GATE = np.arange(20).reshape(4, 5) % 3 != 0  # a fixed PReLU gate, open at 2 of 3 cells
 _CONV = dict(stride=2, groups=2, pad=1)  # 6 -> 4 channels, 21 -> 11 frames, K = 3
 
 CASES = {
@@ -86,6 +87,9 @@ CASES = {
     "mul": Case(ad.mul, _two((4, 5))),
     "div": Case(ad.div, _two((4, 5), nonzero)),
     "dot": Case(ad.dot, _two((4, 5))),
+    "masked_dot": Case(lambda a, b: ad._masked_dot(a, b, _GATE), _two((4, 5))),
+    "gln_gamma_grad": Case(lambda x, g: ad._gln_gamma_grad(x, g, gln_stats(x.data)),
+                           _two((4, 6))),
     "scale": Case(ad.scale, {"a": ((3, 6), None), "s": ((), None)}),
     "conv1d": Case(lambda x, w: ad.conv1d(x, w, **_CONV),
                    {"x": ((6, 21), None), "w": ((4, 3, 3), None)}),
@@ -96,6 +100,10 @@ CASES = {
     "add_channel_bias": Case(ad.add_channel_bias, {"x": ((4, 6), None), "b": ((4,), None)},
                              layer=True),
     "prelu": Case(ad.prelu, {"x": ((4, 6), away_from(0.0)), "a": ((), None)}, layer=True),
+    "gln_input_grad": Case(lambda x, g, gamma: ad._gln_input_grad(x, g, gamma,
+                                                                   gln_stats(x.data)),
+                           {"x": ((4, 6), None), "g": ((4, 6), None), "gamma": ((4,), None)},
+                           layer=True),
     "gln": Case(lambda x, gamma, beta: ad.gln(x, gamma, beta, GLN_EPS),
                 {"x": ((4, 6), None), "gamma": ((4,), None), "beta": ((4,), None)},
                 layer=True),

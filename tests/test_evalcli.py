@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -405,3 +406,36 @@ def test_import_pins_blas_threads_unless_set(preset):
          "os.environ['OMP_NUM_THREADS'], os.environ['MKL_NUM_THREADS'])"],
         env=env, capture_output=True, text=True, timeout=60, check=True).stdout.split()
     assert out == [preset or "1", "1", "1"]
+
+
+_REFAULT_PROBE = """
+import resource, metasep, numpy as np
+faults = []
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    bufs = [np.ones(1 << 18) * k for k in range(8)]  # eight 2 MB arrays, then freed
+    del bufs
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+@pytest.mark.parametrize("preset", [None, "MALLOC_TRIM_THRESHOLD_=0 MALLOC_MMAP_THRESHOLD_=65536",
+                                    "GLIBC_TUNABLES=glibc.malloc.trim_threshold=0:"
+                                    "glibc.malloc.mmap_threshold=65536"],
+                         ids=["default", "malloc-env", "glibc-tunables"])
+def test_import_keeps_freed_pages_unless_set(preset):
+    """After importing metasep, freeing and reallocating arrays of a few MB
+    faults no page in again; an explicit allocator setting wins."""
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = str(Path(metasep.__file__).resolve().parents[1])
+    env.update(kv.split("=", 1) for kv in (preset or "").split())
+    out = subprocess.run([sys.executable, "-c", _REFAULT_PROBE], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout.split()
+    refaults = max(map(int, out[1:]))  # the first round faults its pages in once
+    if preset is None:
+        assert refaults < 100, out
+    else:
+        assert refaults > 1000, out

@@ -1,3 +1,4 @@
+import functools
 import json
 import re
 import struct
@@ -367,27 +368,78 @@ def test_mixture_graph_uses_fused_layers():
     assert not ops & {"expand_time", "relu", "neg"}
 
 
+def _recording_vjp(node, log):
+    """Wraps node's VJP so each call logs the id counter on entry, the
+    outputs and what the VJP's closure holds."""
+    vjp = node._vjp
+    held = [c.cell_contents for c in vjp.__closure__ or ()]
+
+    def recorded(g):
+        start = next(ad._ids)
+        out = vjp(g)
+        log.append((start, out, held))
+        return out
+
+    node._vjp = recorded
+
+
+def _kept_arrays(outputs, start, shape, shared):
+    """Arrays of the given shape that the graph of `outputs`, built after
+    `start`, keeps: node data owning its memory, and arrays in VJP closures
+    other than those in `shared`."""
+    kept, stack, seen = {}, [t for t in outputs if t is not None], set()
+    while stack:
+        node = stack.pop()
+        if node._id < start or node._id in seen:
+            continue
+        seen.add(node._id)
+        stack.extend(node._parents)
+        if node.data.shape == shape and node.data.flags.owndata:
+            kept[id(node.data)] = node.data
+        for cell in (node._vjp.__closure__ or ()) if node._vjp else ():
+            v = cell.cell_contents
+            if isinstance(v, np.ndarray) and v.shape == shape and not any(v is s for s in shared):
+                kept[id(v)] = v
+    return list(kept.values())
+
+
 def test_second_order_graph_keeps_no_materialized_broadcasts():
     """The create-graph support gradient, which MAML keeps alive for its
-    Hessian-vector product, holds broadcasts as read-only views, no
-    sum_all-of-mul chains, and no float multiplier in a PReLU closure."""
+    Hessian-vector product, keeps one (C, T) array per gLN backward, none
+    for a PReLU slope gradient, no sum_all-of-mul chain and no float
+    multiplier in a PReLU closure; the broadcasts that a backward through it
+    builds are read-only views."""
     leaves = model.init_params(TINY, seed=33).to_leaves()
     loss = model.mixture_loss_tensors(make_pair(n=240, seed=34), leaves, TINY)
+    calls = {}
+    for node in _graph_nodes([loss]):
+        if node.op in ("gln", "prelu"):
+            _recording_vjp(node, calls.setdefault(node, []))
     grads = ad.grad(loss, list(leaves.values()), create_graph=True)
+    assert {node.op for node in calls} == {"gln", "prelu"}
+    for node, log in calls.items():
+        ((start, (dx, *rest), held),) = log
+        shape = node._parents[0].data.shape
+        if node.op == "gln":
+            assert len(_kept_arrays([dx, *rest], start, shape, held)) == 1, node
+        else:
+            assert not _kept_arrays(rest, start, shape, held), node
     nodes = _graph_nodes([loss, *grads])
-    by_op = {}
     for node in nodes:
-        by_op.setdefault(node.op, []).append(node)
-    assert by_op.get("expand_scalar") and by_op.get("expand_time") and by_op.get("dot")
-    for node in by_op["expand_scalar"] + by_op["expand_time"]:
+        if node.op == "sum_all":
+            assert all(p.op != "mul" for p in node._parents), node
+        if node.op == "prelu":
+            x = node._parents[0]
+            cells = [c.cell_contents for c in node._vjp.__closure__ or ()]
+            assert not any(isinstance(v, np.ndarray) and v.dtype.kind == "f"
+                           and v.shape == x.data.shape for v in cells), node
+    # a backward through the kept graph, as MAML's Hessian-vector product runs
+    hvp = ad.grad(functools.reduce(ad.add, map(ad.sq_norm, grads)), list(leaves.values()),
+                  create_graph=True)
+    broadcasts = [n for n in _graph_nodes(hvp) if n.op in ("expand_scalar", "expand_time")]
+    assert any(n.op == "expand_time" for n in broadcasts)
+    for node in broadcasts:
         assert not node.data.flags.writeable and not node.data.flags.owndata, node
-    for node in by_op.get("sum_all", []):
-        assert all(p.op != "mul" for p in node._parents), node
-    for node in by_op["prelu"]:
-        x = node._parents[0]
-        cells = [c.cell_contents for c in node._vjp.__closure__ or ()]
-        assert not any(isinstance(v, np.ndarray) and v.dtype.kind == "f"
-                       and v.shape == x.data.shape for v in cells), node
 
 
 # ---------------------------------------------------------------------------
