@@ -741,12 +741,6 @@ class ParamVector:
         size = int(np.prod(shp, dtype=np.int64)) if shp else 1
         return self.values[off: off + size].reshape(shp)
 
-    def copy(self) -> "ParamVector":
-        return ParamVector(self.values.copy(), self.layout)
-
-    def zeros_like(self) -> "ParamVector":
-        return ParamVector(np.zeros_like(self.values), self.layout)
-
     def replace(self, values: np.ndarray) -> "ParamVector":
         if values.shape != self.values.shape:
             raise ValueError(f"expected {self.values.shape} values, got {values.shape}")

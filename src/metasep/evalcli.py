@@ -142,7 +142,7 @@ def meta_test(params: ParamVector, config: SeparatorConfig, checkpoint_extra: di
         prepared = (trainer.prepare_adapt(params, task, config, noisy=noisy)
                     for _, task in tasks)
     elif len(prepared) != len(tasks) or any(
-            prep.task is not task or prep.theta is not params or prep.noisy != noisy
+            prep.sep.task is not task or prep.theta is not params or prep.sep.noisy != noisy
             for prep, (_, task) in zip(prepared, tasks)):
         raise EvalError("prepared adaptation does not match these parameters, "
                         "test tasks and condition")
@@ -152,7 +152,7 @@ def meta_test(params: ParamVector, config: SeparatorConfig, checkpoint_extra: di
     after: dict[str, list[float]] = {}
     for (accent, _), prep in zip(tasks, prepared):
         before.setdefault(accent, []).append(prep.query_si_snri_pre)
-        after.setdefault(accent, []).append(prep.query_si_snri(prep.adapted(beta_ft)))
+        after.setdefault(accent, []).append(prep.sep.query_si_snri(prep.adapted(beta_ft)))
 
     if report is None:
         report = EvalReport()
@@ -220,38 +220,36 @@ def report_to_csv_text(report: EvalReport) -> str:
     return buf.getvalue()
 
 
+def _write_artifact(out_dir, name: str, text: str) -> Path:
+    """Atomically write one text artifact into out_dir, creating it."""
+    path = Path(out_dir) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with dsp.atomic_open(path) as f:
+        f.write(text)
+    return path
+
+
 def emit_report(report: EvalReport, out_dir, stem: str = "report") -> dict:
     """Write the CSV and its JSON mirror; returns the written paths."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{stem}.csv"
-    with dsp.atomic_open(csv_path) as f:
-        f.write(report_to_csv_text(report))
-    json_path = out_dir / f"{stem}.json"
     payload = {"rows": report.rows, "summary": report.summary(), "meta": report.meta}
-    with dsp.atomic_open(json_path) as f:
-        f.write(json.dumps(payload, indent=1, sort_keys=True))
-    return {"csv": csv_path, "json": json_path}
+    return {"csv": _write_artifact(out_dir, f"{stem}.csv", report_to_csv_text(report)),
+            "json": _write_artifact(out_dir, f"{stem}.json",
+                                    json.dumps(payload, indent=1, sort_keys=True))}
 
 
 def emit_sweep(result: SweepResult, out_dir, stem: str = "sweep") -> dict:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{stem}.csv"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["condition", "beta_ft", "mean_si_snri_db"])
     for row in result.rows:
         writer.writerow([row["condition"], repr(row["beta_ft"]),
                          repr(row["mean_si_snri_db"])])
-    with dsp.atomic_open(csv_path) as f:
-        f.write(buf.getvalue())
-    json_path = out_dir / f"{stem}.json"
     best = {cond: result.best(cond)
             for cond in {r["condition"] for r in result.rows}}
-    with dsp.atomic_open(json_path) as f:
-        f.write(json.dumps({"rows": result.rows, "best": best}, indent=1, sort_keys=True))
-    return {"csv": csv_path, "json": json_path}
+    return {"csv": _write_artifact(out_dir, f"{stem}.csv", buf.getvalue()),
+            "json": _write_artifact(out_dir, f"{stem}.json",
+                                    json.dumps({"rows": result.rows, "best": best},
+                                               indent=1, sort_keys=True))}
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +257,8 @@ def emit_sweep(result: SweepResult, out_dir, stem: str = "sweep") -> dict:
 
 
 def _write_resolved_config(out_dir, command: str, resolved: dict) -> None:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with dsp.atomic_open(out_dir / f"{command}_config.json") as f:
-        f.write(json.dumps(resolved, indent=1, sort_keys=True))
+    _write_artifact(out_dir, f"{command}_config.json",
+                    json.dumps(resolved, indent=1, sort_keys=True))
 
 
 def _load_json_config(path) -> dict:
@@ -304,11 +300,11 @@ def cmd_synth_corpus(args) -> dict:
 def cmd_build_tasks(args) -> dict:
     cfg = _load_json_config(args.config)
     corpus = taskgen.ingest(args.manifest)
+    flags = (args.train_accents, args.dev_accents, args.test_accents)
     counts = None
-    if args.train_accents or cfg.get("split_counts"):
-        counts = (args.train_accents or cfg["split_counts"][0],
-                  args.dev_accents or cfg.get("split_counts", [0, 0, 0])[1],
-                  args.test_accents or cfg.get("split_counts", [0, 0, 0])[2])
+    if any(n is not None for n in flags) or cfg.get("split_counts"):
+        counts = tuple(n if n is not None else c
+                       for n, c in zip(flags, cfg.get("split_counts") or (0, 0, 0)))
     accents = corpus.accents()
     split = taskgen.split_accents(accents, seed=args.seed, counts=counts)
     if not split.train or not split.test:

@@ -10,10 +10,10 @@ entirely, pooling support and query mixtures as ordinary supervised data.
 All three go through :func:`meta_gradient`, which differentiates each
 mixture's loss before building the next one's graph.
 
-Anything with ``support_loss`` / ``query_loss`` methods over parameter
-tensors can be trained; separation tasks are one such adapter, and the test
-suite uses scalar quadratic tasks to pin the meta-gradient algebra against
-closed forms.
+Anything with a ``support_loss`` method and a ``query_terms`` list of query
+losses over parameter tensors can be trained; separation tasks are one such
+adapter, and the test suite uses scalar quadratic tasks to pin the
+meta-gradient algebra against closed forms.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from . import dsp
 from . import model as model_mod
 from . import taskgen
 from .autodiff import ParamVector, Tensor
-from .dsp import MixturePair
 from .model import SeparatorConfig
 
 MODES = ("joint", "maml", "fomaml")
@@ -44,13 +43,13 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
+LossFn = Callable[[Mapping[str, Tensor]], Tensor]
+
+
 class TaskLoss(Protocol):
     def support_loss(self, params: Mapping[str, Tensor]) -> Tensor: ...
 
-    def query_loss(self, params: Mapping[str, Tensor]) -> Tensor: ...
-
-
-LossFn = Callable[[Mapping[str, Tensor]], Tensor]
+    def query_terms(self) -> list[LossFn]: ...
 
 
 @dataclass
@@ -60,9 +59,6 @@ class TrainConfig:
     outer_lr: float = 0.001
     epochs: int = 100
     meta_batch: int = 4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     weight_decay: float = 1e-5
     noise: bool = False
     seed: int = 0
@@ -123,32 +119,42 @@ def sgd_update(theta: ParamVector, grad_vec: ParamVector, lr: float,
 
 
 class SeparationTask:
-    """Loss adapter over one meta task: uPIT losses of the separator."""
+    """Loss adapter over one meta task: uPIT losses and Si-SNRi scores of the
+    separator. It keeps no mixture; each loss or score builds its own."""
 
     def __init__(self, task: taskgen.MetaTask, config: SeparatorConfig,
                  noisy: bool = False):
         self.task = task
         self.config = config
+        self.noisy = noisy
         self.name = f"{task.accent}/{'+'.join(task.speakers)}"
-        self._support = task.support_pair(noisy=noisy)
-        self._queries = task.query_pairs(noisy=noisy)
+
+    def _mixture_loss(self, index: int, params: Mapping[str, Tensor]) -> Tensor:
+        return model_mod.mixture_loss_tensors(self.task.mixture(index, noisy=self.noisy),
+                                              params, self.config)
 
     def support_loss(self, params: Mapping[str, Tensor]) -> Tensor:
-        return model_mod.mixture_loss_tensors(self._support, params, self.config)
+        return self._mixture_loss(self.task.support_index, params)
+
+    def query_terms(self) -> list[LossFn]:
+        """One uPIT loss per query mixture."""
+        return [functools.partial(self._mixture_loss, k) for k in self.task.query_indices]
 
     def query_loss(self, params: Mapping[str, Tensor]) -> Tensor:
         """Mean uPIT loss over the query mixtures, as one graph."""
-        terms = _loss_terms(self, "query")
+        terms = self.query_terms()
         total = functools.reduce(ad.add, (f(params) for f in terms))
         return ad.scalar_mul(1.0 / len(terms), total)
 
+    def support_loss_value(self, params: ParamVector) -> float:
+        with ad.no_grad():
+            return self.support_loss(params.to_constants()).item()
+
     def query_si_snri(self, params: ParamVector) -> float:
-        return _mean_si_snri(self._queries, params, self.config)
-
-
-def _mean_si_snri(pairs: Sequence[MixturePair], params: ParamVector,
-                  config: SeparatorConfig) -> float:
-    return float(np.mean([model_mod.evaluate_si_snri(q, params, config) for q in pairs]))
+        return float(np.mean([
+            model_mod.evaluate_si_snri(self.task.mixture(k, noisy=self.noisy),
+                                       params, self.config)
+            for k in self.task.query_indices]))
 
 
 def _check_finite(loss: Tensor, task, phase: str) -> None:
@@ -189,15 +195,10 @@ def inner_adapt(theta: ParamVector, task: TaskLoss, alpha: float,
 
 def _loss_terms(task: TaskLoss, phase: str) -> list[LossFn]:
     """The losses averaged into a task's "support", "query" or "pooled" (joint)
-    loss: one per mixture for a separation task (support first), else its
-    whole support and/or query loss."""
-    if isinstance(task, SeparationTask):
-        pairs = {"support": [task._support], "query": task._queries,
-                 "pooled": [task._support] + task._queries}[phase]
-        return [functools.partial(model_mod.mixture_loss_tensors, pair, config=task.config)
-                for pair in pairs]
-    return {"support": [task.support_loss], "query": [task.query_loss],
-            "pooled": [task.support_loss, task.query_loss]}[phase]
+    loss, support first."""
+    support = [task.support_loss]
+    return {"support": support, "query": task.query_terms(),
+            "pooled": support + task.query_terms()}[phase]
 
 
 def _flat_grad(theta: ParamVector, output: Tensor, leaves: Mapping[str, Tensor]) -> np.ndarray:
@@ -278,15 +279,8 @@ def train(task_sets: Sequence[taskgen.AccentTaskSet], train_config: TrainConfig,
     state = AdamState.zeros(theta.dim)
     total_tasks = sum(ts.tq for ts in task_sets)
     batches_per_epoch = math.ceil(total_tasks / cfg.meta_batch)
-    adapters: dict[int, SeparationTask] = {}
-
-    def adapter(task: taskgen.MetaTask) -> SeparationTask:
-        key = id(task)
-        if key not in adapters:
-            adapters[key] = SeparationTask(task, model_config, noisy=cfg.noise)
-        return adapters[key]
-
-    dev_tasks = [t for ts in dev_sets for t in ts.tasks][:cfg.dev_eval_tasks]
+    dev_tasks = [SeparationTask(t, model_config, noisy=cfg.noise)
+                 for ts in dev_sets for t in ts.tasks][:cfg.dev_eval_tasks]
 
     log: list[dict] = []
     result = TrainResult(params=theta, log=log)
@@ -298,13 +292,12 @@ def train(task_sets: Sequence[taskgen.AccentTaskSet], train_config: TrainConfig,
                              .integers(2 ** 62))
             batch = taskgen.sample_task_batch(
                 task_sets, min(cfg.meta_batch, total_tasks), seed=batch_seed)
-            tasks = [adapter(t) for t in batch]
+            tasks = [SeparationTask(t, model_config, noisy=cfg.noise) for t in batch]
             try:
                 grad_vec, batch_loss = meta_gradient(theta, tasks, cfg.inner_lr, cfg.mode)
                 if cfg.outer_optimizer == "adam":
                     theta, state = adam_update(theta, grad_vec, state, cfg.outer_lr,
-                                               cfg.weight_decay, cfg.adam_beta1,
-                                               cfg.adam_beta2, cfg.adam_eps)
+                                               cfg.weight_decay)
                 else:
                     theta = sgd_update(theta, grad_vec, cfg.outer_lr, cfg.weight_decay)
             except TrainingDiverged as err:
@@ -317,8 +310,7 @@ def train(task_sets: Sequence[taskgen.AccentTaskSet], train_config: TrainConfig,
 
         dev_score = None
         if dev_tasks:
-            dev_score = float(np.mean([adapter(t).query_si_snri(theta)
-                                       for t in dev_tasks]))
+            dev_score = float(np.mean([t.query_si_snri(theta) for t in dev_tasks]))
         log.append({
             "epoch": epoch,
             "mode": cfg.mode,
@@ -361,27 +353,16 @@ def _write_outputs(result: TrainResult, cfg: TrainConfig,
 @dataclass
 class PreparedAdapt:
     """The rate-independent part of one-shot adaptation on one task: the
-    support gradient and the scores at theta. It keeps the task, not its
-    mixtures, so scoring a rate rebuilds the query mixtures."""
+    support gradient and the scores at theta. ``sep`` scores any rate."""
 
     theta: ParamVector
-    task: taskgen.MetaTask
-    config: SeparatorConfig
-    noisy: bool
+    sep: SeparationTask
     support_grad: np.ndarray
     support_loss_pre: float
     query_si_snri_pre: float
 
     def adapted(self, beta_ft: float) -> ParamVector:
         return self.theta.replace(self.theta.values - beta_ft * self.support_grad)
-
-    def query_si_snri(self, params: ParamVector) -> float:
-        return _mean_si_snri(self.task.query_pairs(noisy=self.noisy), params, self.config)
-
-    def support_loss_value(self, params: ParamVector) -> float:
-        with ad.no_grad():
-            return model_mod.mixture_loss_tensors(self.task.support_pair(noisy=self.noisy),
-                                                  params.to_constants(), self.config).item()
 
 
 def prepare_adapt(theta: ParamVector, task: taskgen.MetaTask, config: SeparatorConfig,
@@ -390,8 +371,7 @@ def prepare_adapt(theta: ParamVector, task: taskgen.MetaTask, config: SeparatorC
     once per task however many rates are scored."""
     sep = SeparationTask(task, config, noisy=noisy)
     g, value = _mean_gradient(theta, sep, "support")
-    return PreparedAdapt(theta=theta, task=task, config=config, noisy=noisy,
-                         support_grad=g, support_loss_pre=value,
+    return PreparedAdapt(theta=theta, sep=sep, support_grad=g, support_loss_pre=value,
                          query_si_snri_pre=sep.query_si_snri(theta))
 
 
@@ -412,7 +392,7 @@ def finetune_adapt(theta: ParamVector, task: taskgen.MetaTask, beta_ft: float,
     return AdaptResult(
         adapted=adapted,
         support_loss_pre=prep.support_loss_pre,
-        support_loss_post=prep.support_loss_value(adapted),
+        support_loss_post=prep.sep.support_loss_value(adapted),
         query_si_snri_pre=prep.query_si_snri_pre,
-        query_si_snri_post=prep.query_si_snri(adapted),
+        query_si_snri_post=prep.sep.query_si_snri(adapted),
     )

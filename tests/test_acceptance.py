@@ -70,7 +70,7 @@ def test_criterion_1_gradient_suite():
         grads = ad.grad(loss, list(leaves.values()))
         analytic = theta.flatten_named({n: g.data for n, g in zip(leaves, grads)})
 
-        pair = sep._support
+        pair = sep.task.support_pair()
         est = model.forward_separate(pair.mixture, theta, MICRO)
         l_id = -0.5 * (dsp.si_snr(pair.sources[0], est[0])
                        + dsp.si_snr(pair.sources[1], est[1]))

@@ -297,6 +297,7 @@ def test_cli_error_is_machine_readable(tmp_path, capsys):
     (4, ["--train-accents", 3], "train=3, dev=0, test=0 of 4 accents"),
     (4, ["--train-accents", 2, "--test-accents", 1],
      "train=2, dev=0, test=1 leave out 1 of 4 accents: synth03"),
+    (4, ["--test-accents", 1], "train=0, dev=0, test=1 of 4 accents"),
 ])
 def test_build_tasks_rejects_degenerate_split(tmp_path, capsys, n_accents, counts, resolved):
     assert evalcli.main(["--seed", "3", "--out", str(tmp_path / "corpus"), "synth-corpus",

@@ -33,6 +33,9 @@ class QuadraticTask:
         d = ad.add_constant(p["theta"], -self.v)
         return ad.scalar_mul(self.b, ad.mul(d, d))
 
+    def query_terms(self):
+        return [self.query_loss]
+
     def adapted(self, theta, alpha):
         return theta - alpha * 2 * self.a * (theta - self.u)
 
@@ -187,7 +190,7 @@ def test_meta_gradient_matches_finite_differences_on_micro_model():
 
     # all five mixtures must sit away from permutation ties, or the central
     # differences would straddle a branch flip
-    for pair in [sep._support] + sep._queries:
+    for pair in [sep.task.support_pair()] + sep.task.query_pairs():
         est = model.forward_separate(pair.mixture, theta, MICRO)
         l_id = -0.5 * (dsp.si_snr(pair.sources[0], est[0]) + dsp.si_snr(pair.sources[1], est[1]))
         l_sw = -0.5 * (dsp.si_snr(pair.sources[0], est[1]) + dsp.si_snr(pair.sources[1], est[0]))
@@ -279,13 +282,14 @@ def test_meta_gradient_frees_each_task_graph_before_the_next(mode):
 @pytest.mark.parametrize("mode", trainer.MODES)
 def test_meta_gradient_keeps_one_query_mixture_graph_alive(mode, monkeypatch):
     sep = trainer.SeparationTask(make_task(42), MICRO)
+    support = sep.task.support_pair().mixture.samples
     built, alive_at_build = [], []
     real = model.mixture_loss_tensors
 
     def tracked(pair, params, config):
         alive_at_build.append(sum(ref() is not None for ref in built))
         loss = real(pair, params, config)
-        if pair is not sep._support or mode == "joint":
+        if not np.array_equal(pair.mixture.samples, support) or mode == "joint":
             built.append(weakref.ref(loss))
         return loss
 
@@ -302,7 +306,7 @@ def test_meta_gradient_keeps_one_query_mixture_graph_alive(mode, monkeypatch):
 def test_adam_zero_gradient_is_identity():
     theta = theta_vec(1.5)
     state = trainer.AdamState.zeros(1)
-    new, state = trainer.adam_update(theta, theta.zeros_like(), state,
+    new, state = trainer.adam_update(theta, theta.replace(np.zeros(theta.dim)), state,
                                      lr=1e-3, weight_decay=0.0)
     assert new.values[0] == 1.5
     assert state.step == 1
@@ -362,7 +366,7 @@ def test_one_epoch_full_batch_is_exactly_one_sgd_update():
     cfg = TrainConfig(mode="joint", epochs=1, meta_batch=total, seed=9,
                       outer_optimizer="sgd", outer_lr=1e-3, weight_decay=0.0)
     theta0 = model.init_params(MICRO, seed=9)
-    result = trainer.train(sets, cfg, MICRO, init=theta0.copy())
+    result = trainer.train(sets, cfg, MICRO, init=theta0.replace(theta0.values.copy()))
     assert len(result.log) == 1
 
     tasks = [trainer.SeparationTask(t, MICRO) for ts in sets for t in ts.tasks]
@@ -390,7 +394,7 @@ def test_single_joint_step_descends_at_small_lr():
         before = pooled_loss(task, MICRO, theta0.to_constants()).item()
     cfg = TrainConfig(mode="joint", epochs=1, meta_batch=1, seed=2,
                       outer_lr=1e-4, weight_decay=0.0)
-    result = trainer.train(sets, cfg, MICRO, init=theta0.copy())
+    result = trainer.train(sets, cfg, MICRO, init=theta0.replace(theta0.values.copy()))
     with ad.no_grad():
         after = pooled_loss(task, MICRO, result.params.to_constants()).item()
     assert after < before
@@ -408,6 +412,29 @@ def test_meta_training_runs_and_logs(mode):
         assert np.isfinite(row["train_loss"])
         assert row["dev_si_snri"] is not None
         assert row["wall_seconds"] > 0
+
+
+@pytest.mark.parametrize("mode", trainer.MODES)
+def test_training_keeps_no_mixture_past_its_loss(mode, monkeypatch):
+    """Each mixture is built when a loss or score needs it and dropped after,
+    so the mixtures alive do not grow with the tasks sampled."""
+    built, alive_at_build = [], []
+    real = taskgen.MetaTask.mixture
+
+    def tracked(task, index, noisy=False):
+        alive_at_build.append(sum(ref() is not None for ref in built))
+        pair = real(task, index, noisy=noisy)
+        built.append(weakref.ref(pair))
+        return pair
+
+    monkeypatch.setattr(taskgen.MetaTask, "mixture", tracked)
+    cfg = TrainConfig(mode=mode, epochs=2, meta_batch=2, seed=7, inner_lr=0.01)
+    result = trainer.train(make_task_sets(3, 2), cfg, MICRO,
+                           dev_sets=make_task_sets(1, 2, seed0=50))
+    assert not result.aborted
+    assert max(alive_at_build) <= 2
+    # 3 batches of 2 tasks with 5 mixtures each, and 2 dev tasks' 4 queries, per epoch
+    assert len(built) == 2 * (3 * 2 * 5 + 2 * 4)
 
 
 def test_train_aborts_with_last_good_params(monkeypatch, tmp_path):
@@ -511,7 +538,7 @@ def test_prepared_adapt_scores_any_rate_like_finetune():
     for beta in (0.0, 1e-3, 0.05):
         res = trainer.finetune_adapt(theta, task, beta_ft=beta, model_config=MICRO)
         assert prep.adapted(beta) == res.adapted
-        assert prep.query_si_snri(prep.adapted(beta)) == res.query_si_snri_post
+        assert prep.sep.query_si_snri(prep.adapted(beta)) == res.query_si_snri_post
         assert prep.query_si_snri_pre == res.query_si_snri_pre
 
 
