@@ -13,8 +13,8 @@ Design constraints honored throughout:
 * explicit shapes only -- the broadcasts allowed are scalar-times-tensor and
   the per-channel bias, scale and shift of the fused layer primitives,
 * ``expand_scalar`` and ``expand_time`` return read-only ``np.broadcast_to``
-  views that own no memory (an in-place write into one raises); ``dot`` (and
-  ``sq_norm`` on it) is one primitive, not a ``sum_all`` of a ``mul``,
+  views that own no memory (an in-place write into one raises); ``dot`` is
+  one primitive, not a ``sum_all`` of a ``mul``,
 * the fused layers' backwards keep one node per cotangent (see below),
 * convolution, its input-gradient (transposed convolution) and its
   weight-gradient form a closed triple: each one's VJP is expressed with the
@@ -58,7 +58,6 @@ __all__ = [
     "sum_time",
     "expand_time",
     "dot",
-    "sq_norm",
     "reshape",
     "slice_channels",
     "pad_channels",
@@ -300,10 +299,6 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
     return _node("dot", np.dot(a.data.ravel(), b.data.ravel()), (a, b),
                  lambda g: (scale(b, g) if a.requires_grad else None,
                             scale(a, g) if b.requires_grad else None))
-
-
-def sq_norm(a: Tensor) -> Tensor:
-    return dot(a, a)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:

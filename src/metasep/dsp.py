@@ -35,8 +35,6 @@ SI_SNR_EPS = 1e-8
 # explicit level is given.
 NOISE_SNR_RANGE_DB = (10.0, 20.0)
 
-NOISE_DISABLED = math.inf
-
 
 class ZeroSignalError(ValueError):
     """A source or reference with no energy cannot be mixed or scored."""
@@ -44,17 +42,14 @@ class ZeroSignalError(ValueError):
 
 @dataclass
 class Waveform:
-    """Fixed-rate sample sequence."""
+    """Sample sequence at the pipeline rate, SAMPLE_RATE."""
 
     samples: np.ndarray
-    rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ValueError(f"waveform must be 1-d, got shape {self.samples.shape}")
-        if self.rate != SAMPLE_RATE:
-            raise ValueError(f"pipeline waveforms are {SAMPLE_RATE} Hz, got {self.rate}")
 
     def __len__(self) -> int:
         return self.samples.size
@@ -76,15 +71,15 @@ def _as_samples(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def segment(utterance: Waveform, seconds: float = SEGMENT_SECONDS) -> list[Waveform]:
+def segment(utterance: Waveform) -> list[Waveform]:
     """Split into consecutive non-overlapping segments, dropping the remainder."""
-    n = int(round(seconds * utterance.rate))
+    n = SEGMENT_SAMPLES
     total = len(utterance)
     if total < n:
         raise ValueError(
             f"utterance of {total} samples is shorter than one {n}-sample segment")
     count = total // n
-    return [Waveform(utterance.samples[i * n:(i + 1) * n].copy(), utterance.rate)
+    return [Waveform(utterance.samples[i * n:(i + 1) * n].copy())
             for i in range(count)]
 
 
@@ -105,10 +100,9 @@ def mix_at_snr(s1: Waveform, s2: Waveform, snr_db: float) -> MixturePair:
         raise ZeroSignalError("cannot mix a zero-energy source")
     g = math.sqrt(e1 / (e2 * 10.0 ** (snr_db / 10.0)))
     scaled = g * b
-    rate = s1.rate if isinstance(s1, Waveform) else SAMPLE_RATE
     return MixturePair(
-        mixture=Waveform(a + scaled, rate),
-        sources=(Waveform(a.copy(), rate), Waveform(scaled, rate)),
+        mixture=Waveform(a + scaled),
+        sources=(Waveform(a.copy()), Waveform(scaled)),
         snr_db=float(snr_db),
     )
 
@@ -116,11 +110,9 @@ def mix_at_snr(s1: Waveform, s2: Waveform, snr_db: float) -> MixturePair:
 def add_noise(pair: MixturePair, noise_snr_db: float, seed: int) -> MixturePair:
     """Add seeded white Gaussian noise at a fixed mixture-to-noise SNR.
 
-    Passing NOISE_DISABLED (+inf) returns the pair unchanged. The scaled
-    noise satisfies 10*log10(||mixture||^2 / ||noise||^2) == noise_snr_db.
+    The scaled noise satisfies 10*log10(||mixture||^2 / ||noise||^2) ==
+    noise_snr_db.
     """
-    if noise_snr_db == NOISE_DISABLED:
-        return pair
     if not math.isfinite(noise_snr_db):
         raise ValueError(f"noise SNR must be finite, got {noise_snr_db}")
     mix = pair.mixture.samples
@@ -129,16 +121,11 @@ def add_noise(pair: MixturePair, noise_snr_db: float, seed: int) -> MixturePair:
     target = float(np.dot(mix, mix)) / (10.0 ** (noise_snr_db / 10.0))
     noise *= math.sqrt(target / float(np.dot(noise, noise)))
     return MixturePair(
-        mixture=Waveform(mix + noise, pair.mixture.rate),
+        mixture=Waveform(mix + noise),
         sources=pair.sources,
         snr_db=pair.snr_db,
         noise_snr_db=float(noise_snr_db),
     )
-
-
-def draw_noise_snr(rng: np.random.Generator) -> float:
-    lo, hi = NOISE_SNR_RANGE_DB
-    return float(rng.uniform(lo, hi))
 
 
 def si_snr_graph(s, s_hat: Tensor) -> Tensor:
@@ -152,8 +139,8 @@ def si_snr_graph(s, s_hat: Tensor) -> Tensor:
     ratio = ad.div(ad.dot(s_t, s_hat), ad.tensor(float(np.dot(ref, ref))))
     proj = ad.scale(s_t, ratio)
     err = ad.sub(s_hat, proj)
-    num = ad.sq_norm(proj)
-    den = ad.clamp_min(ad.sq_norm(err), SI_SNR_EPS)
+    num = ad.dot(proj, proj)
+    den = ad.clamp_min(ad.dot(err, err), SI_SNR_EPS)
     return ad.scalar_mul(10.0, ad.log10(ad.div(num, den)))
 
 
@@ -214,7 +201,7 @@ def write_wav(path, wav: Waveform) -> None:
     with wave.open(str(path), "wb") as f:
         f.setnchannels(1)
         f.setsampwidth(2)
-        f.setframerate(wav.rate)
+        f.setframerate(SAMPLE_RATE)
         f.writeframes(pcm.tobytes())
 
 
@@ -229,7 +216,7 @@ def read_wav(path) -> Waveform:
         if rate != SAMPLE_RATE:
             raise ValueError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate}")
         pcm = np.frombuffer(f.readframes(f.getnframes()), dtype="<i2")
-    return Waveform(pcm.astype(np.float64) / 32768.0, rate)
+    return Waveform(pcm.astype(np.float64) / 32768.0)
 
 
 def write_raw(path, wav: Waveform) -> None:

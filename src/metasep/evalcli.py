@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -229,15 +230,15 @@ def _write_artifact(out_dir, name: str, text: str) -> Path:
     return path
 
 
-def emit_report(report: EvalReport, out_dir, stem: str = "report") -> dict:
-    """Write the CSV and its JSON mirror; returns the written paths."""
+def emit_report(report: EvalReport, out_dir) -> dict:
+    """Write report.csv and its JSON mirror; returns the written paths."""
     payload = {"rows": report.rows, "summary": report.summary(), "meta": report.meta}
-    return {"csv": _write_artifact(out_dir, f"{stem}.csv", report_to_csv_text(report)),
-            "json": _write_artifact(out_dir, f"{stem}.json",
+    return {"csv": _write_artifact(out_dir, "report.csv", report_to_csv_text(report)),
+            "json": _write_artifact(out_dir, "report.json",
                                     json.dumps(payload, indent=1, sort_keys=True))}
 
 
-def emit_sweep(result: SweepResult, out_dir, stem: str = "sweep") -> dict:
+def emit_sweep(result: SweepResult, out_dir) -> dict:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["condition", "beta_ft", "mean_si_snri_db"])
@@ -246,8 +247,8 @@ def emit_sweep(result: SweepResult, out_dir, stem: str = "sweep") -> dict:
                          repr(row["mean_si_snri_db"])])
     best = {cond: result.best(cond)
             for cond in {r["condition"] for r in result.rows}}
-    return {"csv": _write_artifact(out_dir, f"{stem}.csv", buf.getvalue()),
-            "json": _write_artifact(out_dir, f"{stem}.json",
+    return {"csv": _write_artifact(out_dir, "sweep.csv", buf.getvalue()),
+            "json": _write_artifact(out_dir, "sweep.json",
                                     json.dumps({"rows": result.rows, "best": best},
                                                indent=1, sort_keys=True))}
 
@@ -267,19 +268,22 @@ def _load_json_config(path) -> dict:
     return json.loads(Path(path).read_text())
 
 
-def _model_config(cfg: dict) -> SeparatorConfig:
-    return SeparatorConfig.from_dict(cfg.get("model", {})) if cfg.get("model") \
-        else SeparatorConfig()
+def _config_section(cfg: dict, section: str, cls) -> dict:
+    """The config file's `section` object, refusing keys that are not fields
+    of the dataclass `cls`."""
+    values = dict(cfg.get(section) or {})
+    unknown = sorted(set(values) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise EvalError(f"unknown {section!r} config keys: {', '.join(unknown)}")
+    return values
 
 
 def _split_sets(archive_dir):
-    task_sets, split, meta = taskgen.load_task_archive(archive_dir)
+    task_sets, split, _ = taskgen.load_task_archive(archive_dir)
     return {
         "train": taskgen.filter_task_sets(task_sets, split.train),
         "dev": taskgen.filter_task_sets(task_sets, split.dev),
         "test": taskgen.filter_task_sets(task_sets, split.test),
-        "split": split,
-        "meta": meta,
     }
 
 
@@ -330,8 +334,8 @@ def cmd_build_tasks(args) -> dict:
 
 def cmd_train(args) -> dict:
     cfg = _load_json_config(args.config)
-    model_config = _model_config(cfg)
-    train_kwargs = dict(cfg.get("train", {}))
+    model_config = SeparatorConfig(**_config_section(cfg, "model", SeparatorConfig))
+    train_kwargs = _config_section(cfg, "train", TrainConfig)
     train_kwargs["mode"] = args.mode
     train_kwargs["seed"] = args.seed
     for key in ("epochs", "meta_batch", "inner_lr", "outer_lr"):
@@ -377,9 +381,8 @@ def cmd_finetune(args) -> dict:
         "query_si_snri_pre": res.query_si_snri_pre,
         "query_si_snri_post": res.query_si_snri_post,
     }
-    if args.out:
-        _write_resolved_config(args.out, "finetune",
-                               {"command": "finetune", "seed": args.seed, **out})
+    _write_resolved_config(args.out, "finetune",
+                           {"command": "finetune", "seed": args.seed, **out})
     return out
 
 

@@ -52,15 +52,12 @@ class SeparatorConfig:
     kernel: int = 3              # depthwise kernel length
     blocks_per_stack: int = 4    # dilations 2^0 .. 2^(X-1)
     stacks: int = 2
-    num_sources: int = 2
 
     def __post_init__(self):
         for field in ("enc_channels", "enc_kernel", "enc_stride", "bottleneck_channels",
                       "conv_channels", "kernel", "blocks_per_stack", "stacks"):
             if getattr(self, field) <= 0:
                 raise ValueError(f"{field} must be positive, got {getattr(self, field)}")
-        if self.num_sources != 2:
-            raise ValueError(f"this artifact separates exactly 2 sources, got {self.num_sources}")
 
     def frames(self, n_samples: int) -> int:
         """Latent frame count for an n-sample input; requires clean alignment."""
@@ -76,10 +73,6 @@ class SeparatorConfig:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "SeparatorConfig":
-        return cls(**dict(d))
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +103,8 @@ def param_shapes(config: SeparatorConfig) -> "OrderedDict[str, tuple[int, ...]]"
             shapes[p + "skip.weight"] = (b, hc, 1)
             shapes[p + "skip.bias"] = (b,)
     shapes["mask.prelu"] = ()
-    shapes["mask.weight"] = (config.num_sources * h, b, 1)
-    shapes["mask.bias"] = (config.num_sources * h,)
+    shapes["mask.weight"] = (2 * h, b, 1)
+    shapes["mask.bias"] = (2 * h,)
     shapes["decoder.weight"] = (h, 1, config.enc_kernel)
     return shapes
 
@@ -180,7 +173,7 @@ def separate_mask_tensors(x_enc: Tensor, p: Mapping[str, Tensor],
     stacked = ad.sigmoid(logits)
     h = config.enc_channels
     return [ad.slice_channels(stacked, c * h, (c + 1) * h)
-            for c in range(config.num_sources)]
+            for c in range(2)]
 
 
 def apply_mask_tensors(x_enc: Tensor, masks: Sequence[Tensor]) -> list[Tensor]:
@@ -312,7 +305,7 @@ def load_checkpoint(path) -> tuple[ParamVector, SeparatorConfig, dict]:
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     try:
-        config = SeparatorConfig.from_dict(header["config"])
+        config = SeparatorConfig(**header["config"])
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError(f"{path}: bad separator config in the header ({err})") from err
     layout, dim = _layout_entries(config)

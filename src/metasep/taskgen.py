@@ -28,6 +28,7 @@ MAX_SPEAKERS_PER_ACCENT = 12
 SEGMENTS_PER_SPEAKER = 3
 MIX_SNR_RANGE_DB = (0.0, 5.0)
 GRID = SEGMENTS_PER_SPEAKER * SEGMENTS_PER_SPEAKER
+SYNTH_PEAK = 0.45               # peak amplitude of each synthetic utterance
 
 
 class TaskGenError(ValueError):
@@ -114,6 +115,8 @@ def ingest(manifest_path) -> Corpus:
             issues.append(f"{tag}: only {len(segments)} segments, a meta task "
                           f"needs {SEGMENTS_PER_SPEAKER}; dropped")
             continue
+        for seg in segments:  # the tasks of every pair with this speaker share them
+            seg.samples.flags.writeable = False
         speakers.setdefault(e["accent"], {})[e["speaker_id"]] = segments
     if not speakers:
         raise TaskGenError("ingest produced an empty corpus: " + "; ".join(issues))
@@ -162,7 +165,7 @@ class MetaTask:
                               float(self.snr_grid[i, j]))
         if noisy:
             rng = _child_rng(self.noise_seed, "noise", index)
-            pair = dsp.add_noise(pair, dsp.draw_noise_snr(rng),
+            pair = dsp.add_noise(pair, float(rng.uniform(*dsp.NOISE_SNR_RANGE_DB)),
                                  seed=int(rng.integers(2 ** 62)))
         return pair
 
@@ -259,8 +262,8 @@ def build_accent_task_sets(corpus: Corpus, split: SplitSpec | None, seed: int) -
             tasks.append(MetaTask(
                 accent=accent,
                 speakers=(a, b),
-                segments_a=tuple(segs_a[i].samples.copy() for i in idx_a),
-                segments_b=tuple(segs_b[i].samples.copy() for i in idx_b),
+                segments_a=tuple(segs_a[i].samples for i in idx_a),
+                segments_b=tuple(segs_b[i].samples for i in idx_b),
                 seg_indices_a=idx_a,
                 seg_indices_b=idx_b,
                 snr_grid=snr,
@@ -298,7 +301,6 @@ class SynthSpec:
     n_accents: int
     speakers_per_accent: int
     utterance_seconds: float = 12.5
-    peak: float = 0.45
 
     def __post_init__(self):
         if self.speakers_per_accent < 2:
@@ -317,8 +319,7 @@ def _accent_family(k: int) -> dict:
     }
 
 
-def _synth_utterance(rng: np.random.Generator, family: dict, n_samples: int,
-                     peak: float) -> np.ndarray:
+def _synth_utterance(rng: np.random.Generator, family: dict, n_samples: int) -> np.ndarray:
     rate = dsp.SAMPLE_RATE
     t = np.arange(n_samples) / rate
     f0 = rng.uniform(family["f0_lo"], family["f0_hi"])
@@ -341,7 +342,7 @@ def _synth_utterance(rng: np.random.Generator, family: dict, n_samples: int,
     slow = rng.uniform(0.5, 1.0, size=int(np.ceil(n_samples / rate)) + 2)
     slow = np.interp(np.arange(n_samples), np.arange(slow.size) * rate, slow)
     x *= am * slow
-    return x * (peak / np.max(np.abs(x)))
+    return x * (SYNTH_PEAK / np.max(np.abs(x)))
 
 
 def synth_corpus(spec: SynthSpec, seed: int, out_dir) -> Path:
@@ -357,7 +358,7 @@ def synth_corpus(spec: SynthSpec, seed: int, out_dir) -> Path:
         for s in range(spec.speakers_per_accent):
             speaker = f"{accent}_spk{s:02d}"
             rng = _child_rng(seed, "speaker", accent, speaker)
-            samples = _synth_utterance(rng, family, n_samples, spec.peak)
+            samples = _synth_utterance(rng, family, n_samples)
             rel = f"audio/{speaker}.wav"
             dsp.write_wav(out_dir / rel, Waveform(samples))
             entries.append({"accent": accent, "speaker_id": speaker,
@@ -425,8 +426,9 @@ def load_task_archive(archive_dir) -> tuple[list[AccentTaskSet], SplitSpec, dict
     cache: dict[str, np.ndarray] = {}
 
     def load_seg(name: str) -> np.ndarray:
-        if name not in cache:
+        if name not in cache:  # shared by every task that uses the segment
             cache[name] = dsp.read_raw(archive_dir / "segments" / name).samples
+            cache[name].flags.writeable = False
         return cache[name]
 
     task_sets = []
@@ -436,8 +438,8 @@ def load_task_archive(archive_dir) -> tuple[list[AccentTaskSet], SplitSpec, dict
             task = MetaTask(
                 accent=acc["accent"],
                 speakers=tuple(t["speakers"]),
-                segments_a=tuple(load_seg(n).copy() for n in t["seg_files_a"]),
-                segments_b=tuple(load_seg(n).copy() for n in t["seg_files_b"]),
+                segments_a=tuple(load_seg(n) for n in t["seg_files_a"]),
+                segments_b=tuple(load_seg(n) for n in t["seg_files_b"]),
                 seg_indices_a=tuple(t["seg_indices_a"]),
                 seg_indices_b=tuple(t["seg_indices_b"]),
                 snr_grid=np.array(t["snr_db"]),

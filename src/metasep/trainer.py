@@ -37,6 +37,9 @@ from .autodiff import ParamVector, Tensor
 from .model import SeparatorConfig
 
 MODES = ("joint", "maml", "fomaml")
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -90,18 +93,17 @@ class AdamState:
 
 
 def adam_update(theta: ParamVector, grad_vec: ParamVector, state: AdamState,
-                lr: float, weight_decay: float = 0.0, beta1: float = 0.9,
-                beta2: float = 0.999, eps: float = 1e-8) -> tuple[ParamVector, AdamState]:
+                lr: float, weight_decay: float = 0.0) -> tuple[ParamVector, AdamState]:
     """Bias-corrected Adam with weight decay decoupled from the moments."""
     g = grad_vec.values
     if not np.all(np.isfinite(g)):
         raise TrainingDiverged("non-finite gradient passed to the optimizer")
     step = state.step + 1
-    m = beta1 * state.m + (1.0 - beta1) * g
-    v = beta2 * state.v + (1.0 - beta2) * g * g
-    m_hat = m / (1.0 - beta1 ** step)
-    v_hat = v / (1.0 - beta2 ** step)
-    new_values = theta.values - lr * m_hat / (np.sqrt(v_hat) + eps) \
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1 ** step)
+    v_hat = v / (1.0 - ADAM_BETA2 ** step)
+    new_values = theta.values - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS) \
         - lr * weight_decay * theta.values
     return theta.replace(new_values), AdamState(m=m, v=v, step=step)
 
@@ -193,23 +195,16 @@ def inner_adapt(theta: ParamVector, task: TaskLoss, alpha: float,
     return AdaptedParams(prime=prime, leaves=leaves, support_loss=loss.item())
 
 
-def _loss_terms(task: TaskLoss, phase: str) -> list[LossFn]:
-    """The losses averaged into a task's "support", "query" or "pooled" (joint)
-    loss, support first."""
-    support = [task.support_loss]
-    return {"support": support, "query": task.query_terms(),
-            "pooled": support + task.query_terms()}[phase]
-
-
 def _flat_grad(theta: ParamVector, output: Tensor, leaves: Mapping[str, Tensor]) -> np.ndarray:
     grads = ad.grad(output, list(leaves.values()))
     return theta.flatten_named({n: g.data for n, g in zip(leaves, grads)}).values
 
 
-def _mean_gradient(theta: ParamVector, task: TaskLoss, phase: str) -> tuple[np.ndarray, float]:
-    """Gradient and value at theta of the mean of the task's loss terms; each
-    term's graph is differentiated and dropped before the next is built."""
-    terms = _loss_terms(task, phase)
+def _mean_gradient(theta: ParamVector, task: TaskLoss, terms: Sequence[LossFn],
+                   phase: str) -> tuple[np.ndarray, float]:
+    """Gradient and value at theta of the mean of the task's loss terms, named
+    `phase` in errors; each term's graph is differentiated and dropped before
+    the next is built."""
     total, value = np.zeros_like(theta.values), 0.0
     for loss_fn in terms:
         leaves = theta.to_leaves()
@@ -228,9 +223,9 @@ def _meta_task_gradient(theta: ParamVector, task: TaskLoss, alpha: float,
     (I - alpha H_s) g_q (Finn et al. 2017), the gradient of <theta'(theta), g_q>
     through the kept support graph: one Hessian-vector product (Pearlmutter 1994)."""
     if mode == "joint":
-        return _mean_gradient(theta, task, "pooled")
+        return _mean_gradient(theta, task, [task.support_loss] + task.query_terms(), "pooled")
     adapted = inner_adapt(theta, task, alpha, create_graph=mode == "maml")
-    g_q, q_loss = _mean_gradient(adapted.to_vector(theta), task, "query")
+    g_q, q_loss = _mean_gradient(adapted.to_vector(theta), task, task.query_terms(), "query")
     if mode == "maml":
         v = theta.replace(g_q)
         g_q = _flat_grad(theta, functools.reduce(ad.add, (
@@ -370,7 +365,7 @@ def prepare_adapt(theta: ParamVector, task: taskgen.MetaTask, config: SeparatorC
     """Support gradient, support loss and query Si-SNRi at theta, computed
     once per task however many rates are scored."""
     sep = SeparationTask(task, config, noisy=noisy)
-    g, value = _mean_gradient(theta, sep, "support")
+    g, value = _mean_gradient(theta, sep, [sep.support_loss], "support")
     return PreparedAdapt(theta=theta, sep=sep, support_grad=g, support_loss_pre=value,
                          query_si_snri_pre=sep.query_si_snri(theta))
 

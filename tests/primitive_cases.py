@@ -152,7 +152,7 @@ def check_second_order(op, arg, seed, rtol=1e-5):
     def grad_norm(v):
         ins = {n: ad.tensor(v if n == arg else x, requires_grad=True) for n, x in vals.items()}
         grads = ad.grad(_readout(op, ins), list(ins.values()), create_graph=True)
-        return functools.reduce(ad.add, map(ad.sq_norm, grads)), ins[arg]
+        return functools.reduce(ad.add, (ad.dot(g, g) for g in grads)), ins[arg]
 
     out, leaf = grad_norm(vals[arg])
     (got,) = ad.grad(out, [leaf])

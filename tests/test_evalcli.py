@@ -292,6 +292,22 @@ def test_cli_error_is_machine_readable(tmp_path, capsys):
     assert "error" in err and err["error"]["type"]
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("train", "adam_beta1", 0.8),
+    ("model", "norm", "gln"),
+    ("model", "num_sources", 2),
+])
+def test_train_config_rejects_unknown_keys(tmp_path, capsys, section, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({section: {key: value}}))
+    code = evalcli.main(["--config", str(config), "--out", str(tmp_path / "run"), "train",
+                         "--tasks", str(tmp_path / "tasks"), "--mode", "joint"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "EvalError" and "traceback" not in err
+    assert key in err["message"] and repr(section) in err["message"]
+
+
 @pytest.mark.parametrize("n_accents,counts,resolved", [
     (2, [], "train=0, dev=1, test=1 of 2 accents"),
     (4, ["--train-accents", 3], "train=3, dev=0, test=0 of 4 accents"),

@@ -318,6 +318,20 @@ def test_task_archive_roundtrip_bit_exact(small_corpus, tmp_path):
             assert np.array_equal(pn1.mixture.samples, pn2.mixture.samples)
 
 
+def test_tasks_share_read_only_segments(small_corpus, tmp_path):
+    split = taskgen.split_accents(small_corpus.accents(), seed=1, counts=(2, 1, 1))
+    built = taskgen.build_accent_task_sets(small_corpus, split, seed=9)
+    taskgen.write_task_archive(tmp_path, built, split, seed=9)
+    loaded, _, _ = taskgen.load_task_archive(tmp_path)
+    for task_sets in (built, loaded):
+        first, second = task_sets[0].tasks[:2]  # both pair the accent's first speaker
+        assert first.speakers[0] == second.speakers[0]
+        k = second.seg_indices_a.index(first.seg_indices_a[0])
+        assert np.shares_memory(first.segments_a[0], second.segments_a[k])
+        with pytest.raises(ValueError, match="read-only"):
+            first.segments_a[0][0] = 0.0
+
+
 def test_task_archive_rejects_edited_query_indices(small_corpus, tmp_path):
     split = taskgen.split_accents(small_corpus.accents(), seed=1, counts=(2, 1, 1))
     task_sets = taskgen.build_accent_task_sets(small_corpus, split, seed=9)

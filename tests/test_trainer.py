@@ -333,8 +333,7 @@ def test_adam_matches_reference_implementation_over_sequence():
     for _ in range(25):
         g = rng.normal(size=dim)
         theta, state = trainer.adam_update(theta, theta.replace(g), state, lr=0.01,
-                                           weight_decay=1e-5, beta1=0.9, beta2=0.999,
-                                           eps=1e-8)
+                                           weight_decay=1e-5)
         ref_theta, ref_m, ref_v, ref_t = reference_adam_step(
             ref_theta, g, ref_m, ref_v, ref_t, lr=0.01, beta1=0.9, beta2=0.999,
             eps=1e-8, weight_decay=1e-5)
