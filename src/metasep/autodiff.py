@@ -10,15 +10,16 @@ machinery.
 Design constraints honored throughout:
 
 * all arithmetic in float64; forward and backward are bit-deterministic,
-* explicit shapes only -- the broadcasts allowed are scalar-times-tensor and
-  the per-channel bias, scale and shift of the fused layer primitives,
+* explicit shapes only -- the broadcasts allowed are scalar-times-tensor,
+  conv1d's channel bias and the per-channel scale and shift of gln,
 * ``expand_scalar`` and ``expand_time`` return read-only ``np.broadcast_to``
   views that own no memory (an in-place write into one raises); ``dot`` is
   one primitive, not a ``sum_all`` of a ``mul``,
 * the fused layers' backwards keep one node per cotangent (see below),
 * convolution, its input-gradient (transposed convolution) and its
   weight-gradient form a closed triple: each one's VJP is expressed with the
-  other two, so arbitrarily high derivative orders stay exact.
+  other two, so arbitrarily high derivative orders stay exact. conv1d adds
+  a channel bias into its fresh output, so no graph keeps a pre-bias array.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ __all__ = [
     "conv1d",
     "conv1d_input_grad",
     "conv1d_weight_grad",
-    "add_channel_bias",
     "prelu",
     "gln",
 ]
@@ -314,8 +314,9 @@ def slice_channels(a: Tensor, lo: int, hi: int) -> Tensor:
     _check(a.data.ndim == 2, "slice_channels", f"expected (C, T), got {a.data.shape}")
     c = a.data.shape[0]
     _check(0 <= lo < hi <= c, "slice_channels", f"bad channel range [{lo}, {hi}) for C={c}")
-    return _node("slice_channels", a.data[lo:hi].copy(), (a,),
-                 lambda g: (pad_channels(g, lo, c),))
+    view = a.data[lo:hi]  # read-only, so a write cannot reach a's data
+    view.flags.writeable = False
+    return _node("slice_channels", view, (a,), lambda g: (pad_channels(g, lo, c),))
 
 
 def pad_channels(a: Tensor, lo: int, total: int) -> Tensor:
@@ -362,9 +363,10 @@ def _conv_geometry(op, t, kernel, stride, dilation, pad):
     return (padded - span) // stride + 1
 
 
-def conv1d(x: Tensor, w: Tensor, *, stride: int = 1, dilation: int = 1,
-           groups: int = 1, pad: int = 0) -> Tensor:
-    """Grouped 1-dim convolution of x:(Cin, T) with w:(Cout, Cin/groups, K)."""
+def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
+           dilation: int = 1, groups: int = 1, pad: int = 0) -> Tensor:
+    """Grouped 1-dim convolution of x:(Cin, T) with w:(Cout, Cin/groups, K),
+    plus the channel bias b:(Cout,) at every time step when one is given."""
     _check(x.data.ndim == 2, "conv1d", f"input must be (Cin, T), got {x.data.shape}")
     _check(w.data.ndim == 3, "conv1d", f"weight must be (Cout, Cin/groups, K), got {w.data.shape}")
     cin, t = x.data.shape
@@ -372,6 +374,8 @@ def conv1d(x: Tensor, w: Tensor, *, stride: int = 1, dilation: int = 1,
     _check(cin == cg * groups, "conv1d",
            f"weight expects {cg * groups} input channels, input has {cin}")
     _check(cout % groups == 0, "conv1d", f"Cout={cout} not divisible by groups={groups}")
+    _check(b is None or b.data.shape == (cout,), "conv1d",
+           f"bias must be ({cout},), got {None if b is None else b.data.shape}")
     t_out = _conv_geometry("conv1d", t, k, stride, dilation, pad)
 
     xp = np.pad(x.data, ((0, 0), (pad, pad))) if pad else x.data
@@ -381,15 +385,17 @@ def conv1d(x: Tensor, w: Tensor, *, stride: int = 1, dilation: int = 1,
         y = wg[0].reshape(cout, cg * k) @ win[0].transpose(0, 2, 1).reshape(cg * k, t_out)
     else:
         y = np.einsum("gitk,goik->got", win, wg).reshape(cout, t_out)
+    if b is not None:
+        y += b.data[:, None]  # y is fresh, so no pre-bias array outlives the call
 
     def vjp(g):
         dx = conv1d_input_grad(g, w, stride=stride, dilation=dilation, groups=groups,
                                pad=pad, out_len=t) if x.requires_grad else None
         dw = conv1d_weight_grad(x, g, kernel=k, stride=stride, dilation=dilation,
                                 groups=groups, pad=pad) if w.requires_grad else None
-        return (dx, dw)
+        return (dx, dw) if b is None else (dx, dw, sum_time(g) if b.requires_grad else None)
 
-    return _node("conv1d", y, (x, w), vjp)
+    return _node("conv1d", y, (x, w) if b is None else (x, w, b), vjp)
 
 
 def conv1d_input_grad(g: Tensor, w: Tensor, *, stride: int = 1, dilation: int = 1,
@@ -468,24 +474,15 @@ def conv1d_weight_grad(x: Tensor, g: Tensor, *, kernel: int, stride: int = 1,
 # ---------------------------------------------------------------------------
 # fused layer primitives
 #
-# A channel bias, a PReLU and a global layer norm each record one node. Their
-# VJPs are written in tracked primitives, so second order stays exact. Their
-# backwards record one node per cotangent as well, because MAML keeps the
-# create-graph support gradient alive: PReLU's slope gradient is one masked
-# dot over the forward's gate, and the gLN backward is one input-gradient
-# node and one gamma-gradient node, each recomputing x_hat from the forward's
-# (mean, inv). The VJPs of those need x_hat = (x - mean) * inv and
+# A PReLU and a global layer norm each record one node (a channel bias rides
+# in conv1d). Their VJPs are written in tracked primitives, so second order
+# stays exact. Their backwards record one node per cotangent as well, as MAML
+# keeps the create-graph support gradient alive: PReLU's slope gradient is
+# one masked dot over the forward's gate, and the gLN backward is one input-
+# gradient node and one gamma-gradient node, each recomputing x_hat from the
+# forward's (mean, inv). The VJPs of those need x_hat = (x - mean) * inv and
 # inv = 1 / sqrt(var + eps) as functions of x; two more private nodes
 # provide them, and all these VJPs are built from each other again.
-
-
-def add_channel_bias(x: Tensor, b: Tensor) -> Tensor:
-    """x:(C, T) plus b:(C,) at every time step."""
-    _check(x.data.ndim == 2 and b.data.shape == x.data.shape[:1], "add_channel_bias",
-           f"expected (C, T) and (C,), got {x.data.shape} and {b.data.shape}")
-    return _node("add_channel_bias", x.data + b.data[:, None], (x, b),
-                 lambda g: (g if x.requires_grad else None,
-                            sum_time(g) if b.requires_grad else None))
 
 
 def prelu(x: Tensor, a: Tensor) -> Tensor:

@@ -263,19 +263,22 @@ def _write_resolved_config(out_dir, command: str, resolved: dict) -> None:
 
 
 def _load_json_config(path) -> dict:
-    if path is None:
-        return {}
-    return json.loads(Path(path).read_text())
+    cfg = {} if path is None else json.loads(Path(path).read_text())
+    if not isinstance(cfg, dict):
+        raise EvalError(f"config file {path} is {json.dumps(cfg)}, not an object")
+    return cfg
 
 
 def _config_section(cfg: dict, section: str, cls) -> dict:
-    """The config file's `section` object, refusing keys that are not fields
-    of the dataclass `cls`."""
-    values = dict(cfg.get(section) or {})
+    """The config file's `section` object ({} when absent), refusing a value
+    that is not an object and keys that are not fields of the dataclass `cls`."""
+    values = cfg.get(section, {})
+    if not isinstance(values, dict):
+        raise EvalError(f"config section {section!r} is {json.dumps(values)}, not an object")
     unknown = sorted(set(values) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise EvalError(f"unknown {section!r} config keys: {', '.join(unknown)}")
-    return values
+    return dict(values)
 
 
 def _split_sets(archive_dir):

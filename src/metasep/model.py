@@ -136,10 +136,6 @@ def init_params(config: SeparatorConfig, seed: int) -> ParamVector:
 # building blocks over tensors
 
 
-def _conv_block(x: Tensor, w: Tensor, b: Tensor, **kw) -> Tensor:
-    return ad.add_channel_bias(ad.conv1d(x, w, **kw), b)
-
-
 def encode_tensors(x: Tensor, p: Mapping[str, Tensor], config: SeparatorConfig) -> Tensor:
     t = x.data.shape[-1]
     config.frames(t)
@@ -149,27 +145,30 @@ def encode_tensors(x: Tensor, p: Mapping[str, Tensor], config: SeparatorConfig) 
 
 def separate_mask_tensors(x_enc: Tensor, p: Mapping[str, Tensor],
                           config: SeparatorConfig) -> list[Tensor]:
-    feat = _conv_block(x_enc, p["bottleneck.weight"], p["bottleneck.bias"])
+    feat = ad.conv1d(x_enc, p["bottleneck.weight"], p["bottleneck.bias"])
     skip_sum: Tensor | None = None
     for r in range(config.stacks):
         for x in range(config.blocks_per_stack):
             pre = f"tcn.{r}.{x}."
             dilation = 2 ** x
-            h = _conv_block(feat, p[pre + "expand.weight"], p[pre + "expand.bias"])
+            h = ad.conv1d(feat, p[pre + "expand.weight"], p[pre + "expand.bias"])
             h = ad.prelu(h, p[pre + "expand.prelu"])
             h = ad.gln(h, p[pre + "expand.norm.gamma"], p[pre + "expand.norm.beta"], GLN_EPS)
-            h = _conv_block(h, p[pre + "depthwise.weight"], p[pre + "depthwise.bias"],
-                            dilation=dilation, groups=config.conv_channels,
-                            pad=dilation * (config.kernel - 1) // 2)
+            h = ad.conv1d(h, p[pre + "depthwise.weight"], p[pre + "depthwise.bias"],
+                          dilation=dilation, groups=config.conv_channels,
+                          pad=dilation * (config.kernel - 1) // 2)
             h = ad.prelu(h, p[pre + "depthwise.prelu"])
             h = ad.gln(h, p[pre + "depthwise.norm.gamma"], p[pre + "depthwise.norm.beta"],
                        GLN_EPS)
-            res = _conv_block(h, p[pre + "residual.weight"], p[pre + "residual.bias"])
-            skip = _conv_block(h, p[pre + "skip.weight"], p[pre + "skip.bias"])
-            feat = ad.add(feat, res)
+            skip = ad.conv1d(h, p[pre + "skip.weight"], p[pre + "skip.bias"])
             skip_sum = skip if skip_sum is None else ad.add(skip_sum, skip)
+            if (r, x) != (config.stacks - 1, config.blocks_per_stack - 1):
+                # the last block's residual output reaches nothing; its
+                # parameters get the zero gradient of an unreached leaf
+                feat = ad.add(feat, ad.conv1d(h, p[pre + "residual.weight"],
+                                              p[pre + "residual.bias"]))
     head = ad.prelu(skip_sum, p["mask.prelu"])
-    logits = _conv_block(head, p["mask.weight"], p["mask.bias"])
+    logits = ad.conv1d(head, p["mask.weight"], p["mask.bias"])
     stacked = ad.sigmoid(logits)
     h = config.enc_channels
     return [ad.slice_channels(stacked, c * h, (c + 1) * h)

@@ -62,7 +62,7 @@ def _two(shape, domain_b=None):
 
 
 _GATE = np.arange(20).reshape(4, 5) % 3 != 0  # a fixed PReLU gate, open at 2 of 3 cells
-_CONV = dict(stride=2, groups=2, pad=1)  # 6 -> 4 channels, 21 -> 11 frames, K = 3
+CONV = dict(stride=2, groups=2, pad=1)  # 6 -> 4 channels, 21 -> 11 frames, K = 3
 
 CASES = {
     "neg": Case(ad.neg, _one((4, 6))),
@@ -91,14 +91,15 @@ CASES = {
     "gln_gamma_grad": Case(lambda x, g: ad._gln_gamma_grad(x, g, gln_stats(x.data)),
                            _two((4, 6))),
     "scale": Case(ad.scale, {"a": ((3, 6), None), "s": ((), None)}),
-    "conv1d": Case(lambda x, w: ad.conv1d(x, w, **_CONV),
-                   {"x": ((6, 21), None), "w": ((4, 3, 3), None)}),
-    "conv1d_input_grad": Case(lambda g, w: ad.conv1d_input_grad(g, w, out_len=21, **_CONV),
+    "conv1d": Case(lambda x, w, b: ad.conv1d(x, w, b, **CONV),
+                   {"x": ((6, 21), None), "w": ((4, 3, 3), None), "b": ((4,), None)}),
+    "conv1d_input_grad": Case(lambda g, w: ad.conv1d_input_grad(g, w, out_len=21, **CONV),
                               {"g": ((4, 11), None), "w": ((4, 3, 3), None)}),
-    "conv1d_weight_grad": Case(lambda x, g: ad.conv1d_weight_grad(x, g, kernel=3, **_CONV),
+    "conv1d_weight_grad": Case(lambda x, g: ad.conv1d_weight_grad(x, g, kernel=3, **CONV),
                                {"x": ((6, 21), None), "g": ((4, 11), None)}),
-    "add_channel_bias": Case(ad.add_channel_bias, {"x": ((4, 6), None), "b": ((4,), None)},
-                             layer=True),
+    # the channel bias add on its own: conv1d through a 1x1 identity kernel
+    "add_channel_bias": Case(lambda x, b: ad.conv1d(x, ad.tensor(np.eye(4)[:, :, None]), b),
+                             {"x": ((4, 6), None), "b": ((4,), None)}, layer=True),
     "prelu": Case(ad.prelu, {"x": ((4, 6), away_from(0.0)), "a": ((), None)}, layer=True),
     "gln_input_grad": Case(lambda x, g, gamma: ad._gln_input_grad(x, g, gamma,
                                                                    gln_stats(x.data)),

@@ -7,8 +7,8 @@ import pytest
 from metasep import autodiff as ad
 from metasep import model, trainer
 from oracles import assert_fd_close, fd_gradient, naive_conv1d, naive_conv_transpose1d
-from primitive_cases import (CASES, case_inputs, check_first_order, check_second_order,
-                             scalar_loss)
+from primitive_cases import (CASES, CONV, case_inputs, check_first_order,
+                             check_second_order, scalar_loss)
 from test_trainer import MICRO, make_task
 
 RNG = np.random.default_rng
@@ -75,11 +75,12 @@ def test_transposed_conv_matches_naive():
 # gradient checks: every primitive against central finite differences
 #
 # The case table in primitive_cases.py drives both checks. The tests group
-# its entries into one-input ops, two-input ops (each input in turn) and the
-# fused layers (one test per input); the grouping covers every entry.
+# its entries into one-input ops, ops of two or more inputs (each input in
+# turn) and the fused layers (one test per input); the grouping covers every
+# entry.
 
 ONE_INPUT = [op for op, c in CASES.items() if len(c.inputs) == 1]
-TWO_INPUTS = [op for op, c in CASES.items() if len(c.inputs) == 2 and not c.layer]
+TWO_INPUTS = [op for op, c in CASES.items() if len(c.inputs) > 1 and not c.layer]
 LAYER_INPUTS = [(op, arg) for op, c in CASES.items() if c.layer for arg in c.inputs]
 LAYER_IDS = [f"{op}.{arg}" for op, arg in LAYER_INPUTS]
 
@@ -110,8 +111,10 @@ def test_every_recorded_op_has_a_case(monkeypatch):
     model.evaluate_si_snri(task.support_pair(), theta, MICRO)
 
     assert not seen - set(CASES), f"ops without a case: {sorted(seen - set(CASES))}"
-    # these stay in the engine only because the benchmark's tracer wraps them
-    assert set(CASES) - seen == {"relu", "sqrt", "sum_all", "expand_scalar"}
+    # these stay in the engine only because the benchmark's tracer wraps them;
+    # add_channel_bias is conv1d's bias add, checked on its own
+    assert set(CASES) - seen == {"relu", "sqrt", "sum_all", "expand_scalar",
+                                 "add_channel_bias"}
 
 
 @pytest.mark.parametrize("op", ONE_INPUT)
@@ -314,6 +317,7 @@ def test_fused_primitive_forwards_match_composed_layers():
 
     want = {
         "add_channel_bias": lambda x, b: x + b[:, None],
+        "conv1d": lambda x, w, b: naive_conv1d(x, w, **CONV) + b[:, None],
         "prelu": lambda x, a: np.maximum(x, 0.0) - a * np.maximum(-x, 0.0),
         "gln": gln,
     }

@@ -308,6 +308,22 @@ def test_train_config_rejects_unknown_keys(tmp_path, capsys, section, key, value
     assert key in err["message"] and repr(section) in err["message"]
 
 
+@pytest.mark.parametrize("value", [5, [1], 0, None], ids=["5", "list", "0", "null"])
+@pytest.mark.parametrize("section", ["model", "train", None])
+def test_train_config_section_must_be_an_object(tmp_path, capsys, section, value):
+    """A "model" or "train" value, or the whole file (section None), that is
+    not a JSON object is refused by name."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(value if section is None else {section: value}))
+    code = evalcli.main(["--config", str(config), "--out", str(tmp_path / "run"), "train",
+                         "--tasks", str(tmp_path / "tasks"), "--mode", "joint"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "EvalError" and "traceback" not in err
+    where = str(config) if section is None else repr(section)
+    assert where in err["message"] and "not an object" in err["message"]
+
+
 @pytest.mark.parametrize("n_accents,counts,resolved", [
     (2, [], "train=0, dev=1, test=1 of 2 accents"),
     (4, ["--train-accents", 3], "train=3, dev=0, test=0 of 4 accents"),

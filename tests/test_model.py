@@ -2,12 +2,13 @@ import functools
 import json
 import re
 import struct
+import types
 
 import numpy as np
 import pytest
 
 from metasep import autodiff as ad
-from metasep import dsp, model
+from metasep import dsp, model, trainer
 from metasep.model import SeparatorConfig
 from oracles import (assert_fd_close, brute_force_upit, direct_si_snr,
                      fd_gradient, naive_conv1d)
@@ -353,14 +354,72 @@ def _graph_nodes(roots):
     return nodes
 
 
-def test_mixture_graph_uses_fused_layers():
-    """Bias adds, PReLUs and gLNs are one node each: the loss graph has no
-    decomposed-layer node left."""
+def test_mixture_graph_uses_fused_layers(monkeypatch):
+    """Biased convs, PReLUs and gLNs are one node each: the loss graph has no
+    decomposed-layer node left, each bias is the third parent of its conv1d
+    node and nothing else reads it, and every conv the forward runs reaches
+    the loss (the last block's residual conv is not run)."""
+    convs, real = [], ad.conv1d
+
+    def recording_conv1d(*args, **kw):
+        convs.append(real(*args, **kw))
+        return convs[-1]
+
+    monkeypatch.setattr(ad, "conv1d", recording_conv1d)
     leaves = model.init_params(TINY, seed=33).to_leaves()
     loss = model.mixture_loss_tensors(make_pair(n=240, seed=34), leaves, TINY)
-    ops = {node.op for node in _graph_nodes([loss])}
-    assert {"add_channel_bias", "prelu", "gln"} <= ops
-    assert not ops & {"expand_time", "relu", "neg"}
+    nodes = _graph_nodes([loss])
+    ops = {node.op for node in nodes}
+    assert {"conv1d", "prelu", "gln"} <= ops
+    assert not ops & {"add_channel_bias", "expand_time", "relu", "neg"}
+    biases = {id(t) for name, t in leaves.items() if name.endswith(".bias")}
+    readers = [(node, i) for node in nodes for i, p in enumerate(node._parents)
+               if id(p) in biases]
+    assert all(node.op == "conv1d" and i == 2 for node, i in readers)
+    unread = {id(leaves["tcn.0.1.residual.bias"])}
+    assert sorted(id(node._parents[2]) for node, _ in readers) == sorted(biases - unread)
+    # encoder, bottleneck, 2 x (expand, depthwise, skip), 1 residual, mask
+    assert len(convs) == 10 and {id(c) for c in convs} <= {id(n) for n in nodes}
+
+
+def test_mask_halves_are_read_only_views_of_the_sigmoid_output():
+    leaves = model.init_params(TINY, seed=35).to_leaves()
+    x_enc = model.encode_tensors(ad.tensor(RNG(36).normal(size=240)), leaves, TINY)
+    for mask in model.separate_mask_tensors(x_enc, leaves, TINY):
+        (stacked,) = mask._parents
+        assert (mask.op, stacked.op) == ("slice_channels", "sigmoid")
+        assert np.shares_memory(mask.data, stacked.data)
+        with pytest.raises(ValueError, match="read-only"):
+            mask.data[0, 0] = 0.5
+
+
+def _graph_mib(roots):
+    """MiB of the distinct arrays the nodes of the graph of `roots` hold, a
+    view counted as the array that owns its memory."""
+    owners = {}
+    for node in _graph_nodes(roots):
+        arr = node.data
+        while isinstance(arr.base, np.ndarray):
+            arr = arr.base
+        owners[id(arr)] = arr
+    return sum(a.nbytes for a in owners.values()) / 2 ** 20
+
+
+def test_default_separator_graphs_stay_under_their_byte_bounds():
+    """MAML's peak holds the create-graph support graph and one query
+    mixture graph. At the default separator and 4-second mixtures, each holds
+    at most its pinned bytes: a biased conv keeps only its biased output, and
+    the mask halves are views of the sigmoid output."""
+    cfg = SeparatorConfig()
+    pair = make_pair(n=dsp.SEGMENT_SAMPLES, seed=61)
+    theta = model.init_params(cfg, seed=61)
+    loss = model.mixture_loss_tensors(pair, theta.to_leaves(), cfg)
+    assert _graph_mib([loss]) <= 141.0  # 140.3 MiB
+    del loss
+    task = types.SimpleNamespace(
+        support_loss=functools.partial(model.mixture_loss_tensors, pair, config=cfg))
+    adapted = trainer.inner_adapt(theta, task, 0.01, create_graph=True)
+    assert _graph_mib(adapted.prime.values()) <= 330.0  # 329.3 MiB
 
 
 def _recording_vjp(node, log):
