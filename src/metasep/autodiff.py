@@ -36,6 +36,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "ParamVector",
+    "pack_layout",
     "ShapeMismatchError",
     "NonScalarOutputError",
     "tensor",
@@ -686,57 +687,47 @@ def grad(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> l
 # flat parameter storage
 
 
-class ParamVector:
-    """Flat float64 parameter storage with named (offset, shape) slices."""
+def pack_layout(shapes: Mapping[str, tuple[int, ...]]) -> tuple["OrderedDict", int]:
+    """The packing rule of flat parameter storage: name -> (offset, shape)
+    for slices laid back to back in the order of `shapes`, and their total size."""
+    layout: "OrderedDict[str, tuple[int, tuple[int, ...]]]" = OrderedDict()
+    off = 0
+    for name, shape in shapes.items():
+        shape = tuple(int(d) for d in shape)
+        layout[name] = (off, shape)
+        off += math.prod(shape)
+    return layout, off
 
-    def __init__(self, values: np.ndarray, layout: Mapping[str, tuple[int, tuple[int, ...]]]):
+
+class ParamVector:
+    """Flat float64 parameter storage: named slices of `shapes`, back to back in
+    their order and covering the vector (``layout``: name -> (offset, shape))."""
+
+    def __init__(self, values: np.ndarray, shapes: Mapping[str, tuple[int, ...]]):
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 1:
             raise ValueError(f"ParamVector values must be 1-d, got shape {values.shape}")
+        self.layout, size = pack_layout(shapes)
+        if size != values.size:
+            raise ValueError(f"layout covers {size} values, vector has {values.size}")
         self.values = values
-        self.layout: "OrderedDict[str, tuple[int, tuple[int, ...]]]" = OrderedDict(
-            (name, (int(off), tuple(int(d) for d in shp))) for name, (off, shp) in layout.items())
-        self._validate()
-
-    def _validate(self) -> None:
-        covered = 0
-        prev_end = 0
-        for name, (off, shp) in self.layout.items():
-            size = int(np.prod(shp, dtype=np.int64)) if shp else 1
-            if off != prev_end:
-                raise ValueError(f"layout slice {name!r} at offset {off} is not contiguous "
-                                 f"with previous end {prev_end}")
-            prev_end = off + size
-            covered += size
-        if covered != self.dim:
-            raise ValueError(f"layout covers {covered} values, vector has {self.dim}")
 
     @classmethod
     def from_arrays(cls, named: Mapping[str, np.ndarray]) -> "ParamVector":
-        layout: "OrderedDict[str, tuple[int, tuple[int, ...]]]" = OrderedDict()
-        chunks = []
-        off = 0
-        for name, arr in named.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            layout[name] = (off, arr.shape)
-            chunks.append(arr.reshape(-1))
-            off += arr.size
-        values = np.concatenate(chunks) if chunks else np.zeros(0)
-        return cls(values, layout)
+        arrays = [np.asarray(arr, dtype=np.float64) for arr in named.values()]
+        values = np.concatenate([a.reshape(-1) for a in arrays] or [np.zeros(0)])
+        return cls(values, dict(zip(named, (a.shape for a in arrays))))
 
     @property
     def dim(self) -> int:
         return self.values.size
 
     def view(self, name: str) -> np.ndarray:
-        off, shp = self.layout[name]
-        size = int(np.prod(shp, dtype=np.int64)) if shp else 1
-        return self.values[off: off + size].reshape(shp)
+        off, shape = self.layout[name]
+        return self.values[off: off + math.prod(shape)].reshape(shape)
 
     def replace(self, values: np.ndarray) -> "ParamVector":
-        if values.shape != self.values.shape:
-            raise ValueError(f"expected {self.values.shape} values, got {values.shape}")
-        return ParamVector(np.asarray(values, dtype=np.float64), self.layout)
+        return ParamVector(values, {name: shape for name, (_, shape) in self.layout.items()})
 
     def to_leaves(self) -> "OrderedDict[str, Tensor]":
         """Fresh requires-grad leaf tensors, one per named slice."""
@@ -748,12 +739,8 @@ class ParamVector:
         return OrderedDict((name, Tensor(self.view(name))) for name in self.layout)
 
     def flatten_named(self, named: Mapping[str, np.ndarray]) -> "ParamVector":
-        """Pack per-slice arrays (e.g. gradients) into a vector with this layout."""
-        out = np.zeros_like(self.values)
-        pv = ParamVector(out, self.layout)
-        for name, arr in named.items():
-            np.copyto(pv.view(name), np.asarray(arr, dtype=np.float64))
-        return pv
+        """Pack one array per slice (e.g. gradients; every name needed) into this layout."""
+        return self.replace(np.concatenate([np.ravel(named[name]) for name in self.layout]))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ParamVector)

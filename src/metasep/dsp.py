@@ -228,9 +228,13 @@ def write_raw(path, wav: Waveform) -> None:
 
 
 def read_raw(path) -> Waveform:
+    """Read a write_raw file, refusing one whose length is not the header's
+    8 bytes plus 8 per sample it promises."""
     raw = Path(path).read_bytes()
+    if len(raw) < _RAW_HEADER.size:
+        raise ValueError(f"{path}: {len(raw)} bytes, too short for the sample count")
     (n,) = _RAW_HEADER.unpack_from(raw)
-    samples = np.frombuffer(raw, dtype="<f8", count=n, offset=_RAW_HEADER.size)
-    if samples.size != n:
-        raise ValueError(f"{path}: header promises {n} samples, file holds {samples.size}")
-    return Waveform(samples.copy())
+    if len(raw) != _RAW_HEADER.size + 8 * n:
+        raise ValueError(f"{path}: header promises {n} samples "
+                         f"({_RAW_HEADER.size + 8 * n} bytes), file has {len(raw)} bytes")
+    return Waveform(np.frombuffer(raw, dtype="<f8", offset=_RAW_HEADER.size).copy())

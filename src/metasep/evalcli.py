@@ -137,6 +137,7 @@ def meta_test(params: ParamVector, config: SeparatorConfig, checkpoint_extra: di
     function's order, for the same parameters and condition; without it each
     task is prepared as it is scored.
     """
+    trainer.require_finite("beta_ft", beta_ft)
     _check_test_sets(checkpoint_extra, test_sets)
     tasks = _test_tasks(test_sets)
     if prepared is None:
@@ -183,6 +184,8 @@ def beta_sweep(params: ParamVector, config: SeparatorConfig, checkpoint_extra: d
     values degrade them badly), so sweeping one requires force=True.
     """
     grid = tuple(float(b) for b in grid)
+    for beta in grid:
+        trainer.require_finite("beta_ft", beta)
     if not grid:
         raise EvalError("sweep grid is empty")
     mode = checkpoint_extra.get("mode")

@@ -112,23 +112,19 @@ def param_shapes(config: SeparatorConfig) -> "OrderedDict[str, tuple[int, ...]]"
 def init_params(config: SeparatorConfig, seed: int) -> ParamVector:
     """Seeded uniform(+-sqrt(1/fan_in)) conv weights; unit norms, 0.25 prelus."""
     rng = np.random.default_rng(seed)
+    shapes = param_shapes(config)
     arrays: "OrderedDict[str, np.ndarray]" = OrderedDict()
-    for name, shape in param_shapes(config).items():
+    for name, shape in shapes.items():
         if name.endswith(".prelu"):
             arrays[name] = np.array(0.25)
         elif name.endswith("norm.gamma"):
             arrays[name] = np.ones(shape)
         elif name.endswith("norm.beta"):
             arrays[name] = np.zeros(shape)
-        elif name.endswith(".weight") and len(shape) == 3:
-            bound = np.sqrt(1.0 / (shape[1] * shape[2]))
-            arrays[name] = rng.uniform(-bound, bound, size=shape)
-        elif name.endswith(".bias"):
-            w_shape = param_shapes(config)[name.replace(".bias", ".weight")]
+        else:  # a conv's weight or bias, bounded by the weight's fan-in
+            w_shape = shapes[name.replace(".bias", ".weight")]
             bound = np.sqrt(1.0 / (w_shape[1] * w_shape[2]))
             arrays[name] = rng.uniform(-bound, bound, size=shape)
-        else:  # pragma: no cover - no other shapes exist
-            raise AssertionError(name)
     return ParamVector.from_arrays(arrays)
 
 
@@ -282,19 +278,10 @@ def save_checkpoint(path, params: ParamVector, config: SeparatorConfig,
         f.write(np.ascontiguousarray(params.values, dtype="<f8").tobytes())
 
 
-def _layout_entries(config: SeparatorConfig) -> tuple[list, int]:
-    """The header layout of a checkpoint of `config` (contiguous slices in
-    param_shapes order) and its parameter count."""
-    entries, off = [], 0
-    for name, shape in param_shapes(config).items():
-        entries.append([name, off, list(shape)])
-        off += int(np.prod(shape, dtype=np.int64))
-    return entries, off
-
-
 def load_checkpoint(path) -> tuple[ParamVector, SeparatorConfig, dict]:
-    """Read a checkpoint, rejecting one whose layout is not its config's or
-    whose length is not the header plus 8 bytes per parameter."""
+    """Read a checkpoint, rejecting one whose layout is not its config's, whose
+    length is not the header plus 8 bytes per parameter, or that holds a
+    non-finite value."""
     raw = Path(path).read_bytes()
     try:
         (hlen,) = _HEADER.unpack_from(raw)
@@ -307,8 +294,10 @@ def load_checkpoint(path) -> tuple[ParamVector, SeparatorConfig, dict]:
         config = SeparatorConfig(**header["config"])
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError(f"{path}: bad separator config in the header ({err})") from err
-    layout, dim = _layout_entries(config)
-    if header.get("layout") != layout or header.get("dim") != dim:
+    shapes = param_shapes(config)
+    layout, dim = ad.pack_layout(shapes)
+    entries = [[name, off, list(shape)] for name, (off, shape) in layout.items()]
+    if header.get("layout") != entries or header.get("dim") != dim:
         raise ValueError(f"{path}: parameter layout does not match the checkpoint's "
                          f"config ({dim} parameters)")
     offset = _HEADER.size + hlen
@@ -316,6 +305,6 @@ def load_checkpoint(path) -> tuple[ParamVector, SeparatorConfig, dict]:
         raise ValueError(f"{path}: {len(raw)} bytes, expected {offset + 8 * dim} "
                          f"for {dim} parameters")
     values = np.frombuffer(raw, dtype="<f8", count=dim, offset=offset).copy()
-    params = ParamVector(values, OrderedDict((name, (off, tuple(shape)))
-                                             for name, off, shape in layout))
-    return params, config, header.get("extra", {})
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path}: non-finite parameter values")
+    return ParamVector(values, shapes), config, header.get("extra", {})

@@ -55,6 +55,12 @@ class TaskLoss(Protocol):
     def query_terms(self) -> list[LossFn]: ...
 
 
+def require_finite(name: str, value: float) -> None:
+    """Refuse a non-finite rate or coefficient before any work uses it."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass
 class TrainConfig:
     mode: str = "fomaml"
@@ -70,6 +76,8 @@ class TrainConfig:
     dev_eval_tasks: int = 8         # cap on dev tasks scored per epoch
 
     def __post_init__(self):
+        for name in ("inner_lr", "outer_lr", "weight_decay"):
+            require_finite(name, getattr(self, name))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode != "joint" and self.inner_lr <= 0:
@@ -92,12 +100,17 @@ class AdamState:
         return cls(m=np.zeros(dim), v=np.zeros(dim), step=0)
 
 
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """`values`, or TrainingDiverged when any of them is not finite."""
+    if not np.all(np.isfinite(values)):
+        raise TrainingDiverged(f"non-finite {what}")
+    return values
+
+
 def adam_update(theta: ParamVector, grad_vec: ParamVector, state: AdamState,
                 lr: float, weight_decay: float = 0.0) -> tuple[ParamVector, AdamState]:
     """Bias-corrected Adam with weight decay decoupled from the moments."""
-    g = grad_vec.values
-    if not np.all(np.isfinite(g)):
-        raise TrainingDiverged("non-finite gradient passed to the optimizer")
+    g = _finite(grad_vec.values, "gradient passed to the optimizer")
     step = state.step + 1
     m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
     v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
@@ -105,15 +118,15 @@ def adam_update(theta: ParamVector, grad_vec: ParamVector, state: AdamState,
     v_hat = v / (1.0 - ADAM_BETA2 ** step)
     new_values = theta.values - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS) \
         - lr * weight_decay * theta.values
-    return theta.replace(new_values), AdamState(m=m, v=v, step=step)
+    return (theta.replace(_finite(new_values, "parameters after the optimizer step")),
+            AdamState(m=m, v=v, step=step))
 
 
 def sgd_update(theta: ParamVector, grad_vec: ParamVector, lr: float,
                weight_decay: float = 0.0) -> ParamVector:
-    if not np.all(np.isfinite(grad_vec.values)):
-        raise TrainingDiverged("non-finite gradient passed to the optimizer")
-    return theta.replace(theta.values - lr * grad_vec.values
-                         - lr * weight_decay * theta.values)
+    g = _finite(grad_vec.values, "gradient passed to the optimizer")
+    new_values = theta.values - lr * g - lr * weight_decay * theta.values
+    return theta.replace(_finite(new_values, "parameters after the optimizer step"))
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +395,7 @@ class AdaptResult:
 def finetune_adapt(theta: ParamVector, task: taskgen.MetaTask, beta_ft: float,
                    model_config: SeparatorConfig, noisy: bool = False) -> AdaptResult:
     """One plain gradient step on the support mixture, scored on the queries."""
+    require_finite("beta_ft", beta_ft)
     prep = prepare_adapt(theta, task, model_config, noisy=noisy)
     adapted = prep.adapted(beta_ft)
     return AdaptResult(

@@ -472,6 +472,7 @@ def test_param_vector_layout_roundtrip():
               "c": rng.normal(size=())}
     pv = ad.ParamVector.from_arrays(arrays)
     assert pv.dim == 11
+    assert list(pv.layout.items()) == [("a", (0, (2, 3))), ("b", (6, (4,))), ("c", (10, ()))]
     for name, arr in arrays.items():
         np.testing.assert_array_equal(pv.view(name), arr)
     packed = pv.flatten_named({n: pv.view(n) for n in pv.layout})
@@ -479,10 +480,14 @@ def test_param_vector_layout_roundtrip():
 
 
 def test_param_vector_rejects_bad_layout():
-    with pytest.raises(ValueError):
-        ad.ParamVector(np.zeros(5), {"a": (0, (2,)), "b": (3, (2,))})  # gap at 2
-    with pytest.raises(ValueError):
-        ad.ParamVector(np.zeros(3), {"a": (0, (2,))})  # does not cover
+    with pytest.raises(ValueError, match="covers 2 values, vector has 3"):
+        ad.ParamVector(np.zeros(3), {"a": (2,)})  # does not cover
+
+
+def test_flatten_named_needs_every_slice():
+    pv = ad.ParamVector.from_arrays({"a": np.zeros(2), "b": np.zeros(3)})
+    with pytest.raises(KeyError, match="b"):
+        pv.flatten_named({"a": np.ones(2)})
 
 
 def test_leaves_are_independent_of_vector():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -271,5 +272,20 @@ def test_raw_rejects_truncation(tmp_path):
     dsp.write_raw(path, wav)
     data = path.read_bytes()
     path.write_bytes(data[:-8])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: header promises 100 "
+                                         "samples \\(808 bytes\\), file has 800 bytes"):
+        dsp.read_raw(path)
+
+
+@pytest.mark.parametrize("cut,message", [
+    (lambda data: b"", "0 bytes, too short for the sample count"),
+    (lambda data: data[:5], "5 bytes, too short for the sample count"),
+    (lambda data: data + b"\0" * 8, "header promises 100 samples \\(808 bytes\\), "
+                                    "file has 816 bytes"),
+], ids=["empty", "header-cut", "trailing-bytes"])
+def test_raw_rejects_a_length_its_header_does_not_promise(tmp_path, cut, message):
+    path = tmp_path / "a.f64"
+    dsp.write_raw(path, make_wave(100, seed=20))
+    path.write_bytes(cut(path.read_bytes()))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {message}"):
         dsp.read_raw(path)

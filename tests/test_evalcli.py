@@ -360,6 +360,29 @@ def test_finetune_rejects_task_index_out_of_range(params, test_sets, tmp_path, c
     assert not (tmp_path / "ft").exists()
 
 
+@pytest.mark.parametrize("command,argv,refusal", [
+    ("evaluate", ["--beta", "nan"], "beta_ft must be finite, got nan"),
+    ("finetune", ["--beta", "inf"], "beta_ft must be finite, got inf"),
+    ("sweep-beta", ["--grid", "nan,0.01"], "beta_ft must be finite, got nan"),
+    ("train", ["--mode", "fomaml", "--inner-lr", "nan"], "inner_lr must be finite, got nan"),
+])
+def test_cli_refuses_non_finite_rates(params, test_sets, tmp_path, capsys, work_counts,
+                                      command, argv, refusal):
+    accents = [ts.accent for ts in test_sets]
+    split = taskgen.SplitSpec(train=accents[:1], dev=[], test=accents[1:])
+    taskgen.write_task_archive(tmp_path / "tasks", test_sets, split, seed=0)
+    model.save_checkpoint(tmp_path / "ck.msep", params, MICRO,
+                          {"mode": "joint", "train_accents": accents[:1]})
+    checkpoint = [] if command == "train" else ["--checkpoint", str(tmp_path / "ck.msep")]
+    code = evalcli.main(["--out", str(tmp_path / "out"), command, *checkpoint,
+                         "--tasks", str(tmp_path / "tasks"), *argv])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["message"] == refusal and "traceback" not in err
+    assert work_counts["grad"] == 0 and not work_counts["mixtures"]
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # artifact writes and package import
 

@@ -554,6 +554,16 @@ def test_checkpoint_rejects_truncated_file(tmp_path, cut):
         model.load_checkpoint(path)
 
 
+def test_checkpoint_rejects_non_finite_values(tmp_path):
+    path, params = _saved_checkpoint(tmp_path)
+    raw = bytearray(path.read_bytes())
+    at = len(raw) - 8 * (params.dim // 2)  # one value in the middle of the vector
+    raw[at:at + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: non-finite parameter values"):
+        model.load_checkpoint(path)
+
+
 def _widen_conv_channels(header):
     header["config"]["conv_channels"] += 1
 

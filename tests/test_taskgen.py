@@ -89,6 +89,19 @@ def test_ingest_reports_missing_file(tmp_path):
     assert any("ghost" in i and "missing" in i for i in corpus.issues)
 
 
+def test_ingest_reports_empty_raw_file(tmp_path):
+    manifest = taskgen.synth_corpus(SynthSpec(1, 2), seed=8, out_dir=tmp_path)
+    (tmp_path / "audio" / "empty.f64").write_bytes(b"")
+    entries = taskgen.read_manifest(manifest)
+    entries.append({"accent": "synth00", "speaker_id": "hollow",
+                    "path": "audio/empty.f64", "samples": 0})
+    taskgen.write_manifest(manifest, entries)
+    corpus = taskgen.ingest(manifest)
+    assert "hollow" not in corpus.speakers["synth00"]
+    assert any(i.startswith("synth00/hollow: ") and "empty.f64: 0 bytes" in i
+               for i in corpus.issues)
+
+
 def test_ingest_rejects_duplicate_speaker_rows(tmp_path):
     manifest = taskgen.synth_corpus(SynthSpec(1, 2), seed=9, out_dir=tmp_path)
     entries = taskgen.read_manifest(manifest)

@@ -1,3 +1,4 @@
+import math
 import weakref
 
 import numpy as np
@@ -348,6 +349,18 @@ def test_adam_deterministic():
     assert np.array_equal(a.values, b.values)
 
 
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_optimizer_refuses_a_step_to_non_finite_params(optimizer):
+    theta = ad.ParamVector.from_arrays({"w": np.array([1.0, -1.0])})
+    g = theta.replace(np.array([3.0, -3.0]))  # lr * g overflows
+    with np.errstate(over="ignore"), \
+            pytest.raises(trainer.TrainingDiverged, match="non-finite parameters"):
+        if optimizer == "adam":
+            trainer.adam_update(theta, g, trainer.AdamState.zeros(2), lr=1e308)
+        else:
+            trainer.sgd_update(theta, g, lr=1e308)
+
+
 def test_adam_rejects_non_finite_gradient():
     theta = theta_vec(0.0)
     bad = theta.replace(np.array([np.nan]))
@@ -493,6 +506,26 @@ def test_config_rejects_bad_mode_and_lr():
         TrainConfig(mode="magic")
     with pytest.raises(ValueError):
         TrainConfig(mode="maml", inner_lr=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["inner_lr", "outer_lr", "weight_decay"])
+def test_config_rejects_non_finite_rates(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+        TrainConfig(mode="fomaml", **{name: value})
+
+
+def test_overflowing_update_aborts_with_the_previous_params(tmp_path):
+    """An outer step whose parameters overflow is not taken: the run aborts
+    and its checkpoint holds the last finite parameters, here the initial ones."""
+    cfg = TrainConfig(mode="joint", epochs=2, meta_batch=1, seed=4, outer_lr=1e308)
+    with np.errstate(over="ignore"):
+        result = trainer.train(make_task_sets(2, 1), cfg, MICRO, out_dir=tmp_path)
+    assert result.aborted
+    assert result.reason == "epoch 0 batch 0: non-finite parameters after the optimizer step"
+    params, _, extra = model.load_checkpoint(tmp_path / "checkpoint.msep")
+    assert extra["aborted"] is True
+    assert np.array_equal(params.values, model.init_params(MICRO, seed=4).values)
 
 
 # ---------------------------------------------------------------------------
