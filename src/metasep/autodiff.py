@@ -19,7 +19,13 @@ Design constraints honored throughout:
 * convolution, its input-gradient (transposed convolution) and its
   weight-gradient form a closed triple: each one's VJP is expressed with the
   other two, so arbitrarily high derivative orders stay exact. conv1d adds
-  a channel bias into its fresh output, so no graph keeps a pre-bias array.
+  a channel bias into its fresh output, so no graph keeps a pre-bias array,
+* a first-order :func:`grad` (``create_graph=False``) consumes the graph it
+  walks: each node drops its parents and its VJP as soon as the VJP has run,
+  so an activation is freed once the backward has passed it, and a later
+  walk through a consumed node raises ``RuntimeError``. ``create_graph=True``
+  leaves the graph as it was, so a graph needed by two backwards takes a
+  create-graph backward for all but the last.
 """
 
 from __future__ import annotations
@@ -480,10 +486,11 @@ def conv1d_weight_grad(x: Tensor, g: Tensor, *, kernel: int, stride: int = 1,
 # stays exact. Their backwards record one node per cotangent as well, as MAML
 # keeps the create-graph support gradient alive: PReLU's slope gradient is
 # one masked dot over the forward's gate, and the gLN backward is one input-
-# gradient node and one gamma-gradient node, each recomputing x_hat from the
-# forward's (mean, inv). The VJPs of those need x_hat = (x - mean) * inv and
-# inv = 1 / sqrt(var + eps) as functions of x; two more private nodes
-# provide them, and all these VJPs are built from each other again.
+# gradient node and one gamma-gradient node. Both take x_hat from the
+# forward's (mean, inv); gln's VJP computes it once for the two. The VJPs of
+# those need x_hat = (x - mean) * inv and inv = 1 / sqrt(var + eps) as
+# functions of x; two more private nodes provide them, and all these VJPs are
+# built from each other again.
 
 
 def prelu(x: Tensor, a: Tensor) -> Tensor:
@@ -534,8 +541,10 @@ def gln(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     stats = (mu, inv)
 
     def vjp(g):
-        dx = _gln_input_grad(x, g, gamma, stats) if x.requires_grad else None
-        dgamma = _gln_gamma_grad(x, g, stats) if gamma.requires_grad else None
+        xhat = _xhat(x.data, stats)
+        # gamma's gradient reads xhat before the input gradient scales it in place
+        dgamma = _gln_gamma_grad(x, g, stats, xhat) if gamma.requires_grad else None
+        dx = _gln_input_grad(x, g, gamma, stats, xhat) if x.requires_grad else None
         dbeta = sum_time(g) if beta.requires_grad else None
         return (dx, dgamma, dbeta)
 
@@ -550,13 +559,16 @@ def _xhat(x: np.ndarray, stats: tuple) -> np.ndarray:
     return xhat
 
 
-def _gln_input_grad(x: Tensor, g: Tensor, gamma: Tensor, stats: tuple) -> Tensor:
+def _gln_input_grad(x: Tensor, g: Tensor, gamma: Tensor, stats: tuple,
+                    xhat: np.ndarray | None = None) -> Tensor:
     """J(x) (g * gamma), the cotangent of x for a cotangent g * gamma of
     x_hat, as one node. J h = inv * (h - mean(h) - x_hat * mean(h * x_hat))
-    is the Jacobian of x_hat, and it is symmetric."""
+    is the Jacobian of x_hat, and it is symmetric. A given `xhat` is x_hat
+    for `stats`, and this call overwrites it."""
     n = x.data.size
     t = x.data.shape[1]
-    xhat = _xhat(x.data, stats)
+    if xhat is None:
+        xhat = _xhat(x.data, stats)
     h = g.data * gamma.data[:, None]
     xhat *= np.dot(h.ravel(), xhat.ravel()) / n
     h -= h.sum() / n
@@ -585,17 +597,20 @@ def _gln_input_grad(x: Tensor, g: Tensor, gamma: Tensor, stats: tuple) -> Tensor
     return out
 
 
-def _gln_gamma_grad(x: Tensor, g: Tensor, stats: tuple) -> Tensor:
-    """sum_t g * x_hat, gamma's cotangent, as one (C,) node."""
+def _gln_gamma_grad(x: Tensor, g: Tensor, stats: tuple,
+                    xhat: np.ndarray | None = None) -> Tensor:
+    """sum_t g * x_hat, gamma's cotangent, as one (C,) node; `xhat`, when
+    given, is x_hat for `stats`."""
     t = x.data.shape[1]
+    if xhat is None:
+        xhat = _xhat(x.data, stats)
 
     def vjp(s):
         dx = _gln_input_grad(x, g, s, stats) if x.requires_grad else None
         dg = mul(expand_time(s, t), _gln_normalize(x, stats)) if g.requires_grad else None
         return (dx, dg)
 
-    return _node("gln_gamma_grad", np.einsum("ct,ct->c", g.data, _xhat(x.data, stats)),
-                 (x, g), vjp)
+    return _node("gln_gamma_grad", np.einsum("ct,ct->c", g.data, xhat), (x, g), vjp)
 
 
 def _gln_normalize(x: Tensor, stats: tuple) -> Tensor:
@@ -640,12 +655,21 @@ def _topo_from(output: Tensor) -> list[Tensor]:
     return order
 
 
+def _consumed(g):
+    raise RuntimeError("backward through a graph that a first-order grad has consumed; "
+                       "build it again, or take the earlier backward with create_graph=True")
+
+
 def grad(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> list[Tensor]:
     """Cotangents of a scalar `output` with respect to each tensor in `wrt`.
 
     With ``create_graph=True`` the returned tensors carry their own graphs and
-    can be differentiated again. Tensors in `wrt` that the output does not
-    depend on receive zeros.
+    can be differentiated again, and the graph of `output` is left intact.
+    Without it the walk consumes that graph: every node it passes loses its
+    parents and its VJP right after the VJP runs, so its inputs are freed as
+    the walk goes, and another backward through any of those nodes raises
+    ``RuntimeError`` instead of returning zeros. Tensors in `wrt` that the
+    output does not depend on receive zeros.
     """
     if output.data.shape != ():
         raise NonScalarOutputError(
@@ -661,12 +685,16 @@ def grad(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> l
     prev = _GradMode.enabled
     _GradMode.enabled = bool(create_graph)
     try:
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()  # nothing here keeps a node the walk has passed
             g = cot.get(node._id)
             if g is None:
                 continue
-            if node._vjp is not None:
-                for p, pg in zip(node._parents, node._vjp(g)):
+            vjp, parents = node._vjp, node._parents
+            if vjp is not None:
+                if not create_graph:
+                    node._vjp, node._parents = _consumed, ()
+                for p, pg in zip(parents, vjp(g)):
                     if pg is None or not p.requires_grad:
                         continue
                     have = cot.get(p._id)

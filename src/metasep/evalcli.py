@@ -22,6 +22,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 import traceback
 from dataclasses import dataclass, field
@@ -132,6 +133,7 @@ def meta_test(params: ParamVector, config: SeparatorConfig, checkpoint_extra: di
               report: EvalReport | None = None, *,
               prepared: list[trainer.PreparedAdapt] | None = None) -> EvalReport:
     """Adapt-and-score every test task; aggregates into an EvalReport.
+    A task whose "after" score is not finite aborts it with an EvalError.
 
     ``prepared`` holds ``trainer.prepare_adapt`` of every test task, in this
     function's order, for the same parameters and condition; without it each
@@ -154,7 +156,13 @@ def meta_test(params: ParamVector, config: SeparatorConfig, checkpoint_extra: di
     after: dict[str, list[float]] = {}
     for (accent, _), prep in zip(tasks, prepared):
         before.setdefault(accent, []).append(prep.query_si_snri_pre)
-        after.setdefault(accent, []).append(prep.sep.query_si_snri(prep.adapted(beta_ft)))
+        # an overflowing step is reported by the check below, not by numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            score = prep.sep.query_si_snri(prep.adapted(beta_ft))
+        if not math.isfinite(score):
+            raise EvalError(f"task {prep.sep.name} scores {score} dB Si-SNRi after one "
+                            f"step at rate {beta_ft!r}")
+        after.setdefault(accent, []).append(score)
 
     if report is None:
         report = EvalReport()

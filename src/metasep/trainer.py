@@ -184,14 +184,27 @@ def _check_finite(loss: Tensor, task, phase: str) -> None:
 
 @dataclass
 class AdaptedParams:
-    """One-step-adapted parameters plus the leaves they were derived from."""
+    """One-step-adapted parameters, the leaves they were derived from, and
+    the support loss over those leaves with its graph."""
 
     prime: "OrderedDict[str, Tensor]"
     leaves: "OrderedDict[str, Tensor]"
-    support_loss: float
+    loss: Tensor
+
+    @property
+    def support_loss(self) -> float:
+        return self.loss.item()
 
     def to_vector(self, like: ParamVector) -> ParamVector:
         return like.flatten_named({n: t.data for n, t in self.prime.items()})
+
+
+def _inner_step(leaves: Mapping[str, Tensor], loss: Tensor, alpha: float,
+                create_graph: bool) -> "OrderedDict[str, Tensor]":
+    """theta' = theta - alpha * grad(loss), per named leaf."""
+    grads = ad.grad(loss, list(leaves.values()), create_graph=create_graph)
+    return OrderedDict((n, ad.sub(leaf, ad.scalar_mul(alpha, g)))
+                       for (n, leaf), g in zip(leaves.items(), grads))
 
 
 def inner_adapt(theta: ParamVector, task: TaskLoss, alpha: float,
@@ -202,10 +215,8 @@ def inner_adapt(theta: ParamVector, task: TaskLoss, alpha: float,
     leaves = theta.to_leaves()
     loss = task.support_loss(leaves)
     _check_finite(loss, task, "support")
-    grads = ad.grad(loss, list(leaves.values()), create_graph=create_graph)
-    prime = OrderedDict((n, ad.sub(leaf, ad.scalar_mul(alpha, g)))
-                        for (n, leaf), g in zip(leaves.items(), grads))
-    return AdaptedParams(prime=prime, leaves=leaves, support_loss=loss.item())
+    return AdaptedParams(prime=_inner_step(leaves, loss, alpha, create_graph),
+                         leaves=leaves, loss=loss)
 
 
 def _flat_grad(theta: ParamVector, output: Tensor, leaves: Mapping[str, Tensor]) -> np.ndarray:
@@ -234,15 +245,29 @@ def _meta_task_gradient(theta: ParamVector, task: TaskLoss, alpha: float,
     """One task's meta-gradient and loss. fomaml is the query gradient g_q at
     theta' = theta - alpha g_s, built at fresh leaves; maml is the exact
     (I - alpha H_s) g_q (Finn et al. 2017), the gradient of <theta'(theta), g_q>
-    through the kept support graph: one Hessian-vector product (Pearlmutter 1994)."""
+    through the differentiated support graph: one Hessian-vector product
+    (Pearlmutter 1994).
+
+    maml runs its passes in this order, so that next to the support forward
+    graph one large graph is alive at a time: the support forward, kept to the
+    end; a create-graph support backward (in inner_adapt), of which only
+    theta' is kept; the query passes at theta', each consuming its graph; the
+    create-graph support backward again on the kept forward graph; and the
+    Hessian-vector product, a first-order backward that consumes both support
+    graphs as it walks them. The two support backwards run the same VJPs, so
+    the bits are those of one backward kept throughout."""
     if mode == "joint":
         return _mean_gradient(theta, task, [task.support_loss] + task.query_terms(), "pooled")
     adapted = inner_adapt(theta, task, alpha, create_graph=mode == "maml")
-    g_q, q_loss = _mean_gradient(adapted.to_vector(theta), task, task.query_terms(), "query")
+    theta_prime, leaves, support = adapted.to_vector(theta), adapted.leaves, adapted.loss
+    del adapted  # drops maml's support backward graph; `support` keeps its forward graph
+    g_q, q_loss = _mean_gradient(theta_prime, task, task.query_terms(), "query")
     if mode == "maml":
+        prime = _inner_step(leaves, support, alpha, create_graph=True)
+        del support  # so the walk below frees each support node it passes
         v = theta.replace(g_q)
         g_q = _flat_grad(theta, functools.reduce(ad.add, (
-            ad.dot(p, ad.tensor(v.view(n))) for n, p in adapted.prime.items())), adapted.leaves)
+            ad.dot(p, ad.tensor(v.view(n))) for n, p in prime.items())), leaves)
     return g_q, q_loss
 
 

@@ -462,6 +462,63 @@ def test_gradient_and_second_order_through_inner_grad():
         ad.grad(ad.expand_scalar(theta, (2,)), [theta])
 
 
+def _micro_loss(seed):
+    leaves = model.init_params(MICRO, seed=seed).to_leaves()
+    task = trainer.SeparationTask(make_task(seed), MICRO)
+    return leaves, task.support_loss(leaves)
+
+
+def _interior_nodes(output):
+    """Every node of output's graph that is neither output nor a leaf."""
+    seen, stack = {}, list(output._parents)
+    while stack:
+        node = stack.pop()
+        if node._id not in seen and node._parents:
+            seen[node._id] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def test_first_order_grad_consumes_its_graph():
+    """A second backward through a graph that a first-order grad walked
+    raises; it never returns zeros."""
+    leaves, loss = _micro_loss(40)
+    shared = _interior_nodes(loss)[0]
+    ad.grad(loss, list(leaves.values()))
+    with pytest.raises(RuntimeError, match="consumed"):
+        ad.grad(loss, list(leaves.values()))
+    with pytest.raises(RuntimeError, match="consumed"):
+        ad.grad(loss, list(leaves.values()), create_graph=True)
+    with pytest.raises(RuntimeError, match="consumed"):
+        ad.grad(ad.dot(shared, shared), list(leaves.values()))
+
+
+def test_create_graph_backward_leaves_the_graph_whole():
+    """Two create-graph backwards of one loss, then a first-order one, give
+    the same bits."""
+    leaves, loss = _micro_loss(41)
+    runs = [ad.grad(loss, list(leaves.values()), create_graph=create_graph)
+            for create_graph in (True, True, False)]
+    for grads in runs[1:]:
+        for a, b in zip(runs[0], grads):
+            assert np.array_equal(a.data, b.data)
+
+
+def test_first_order_grad_frees_the_nodes_it_walks():
+    """Once a first-order grad returns, no interior node of the walked graph
+    is alive, though the caller still holds the output."""
+    leaves, loss = _micro_loss(42)
+    refs = [weakref.ref(node) for node in _interior_nodes(loss)]
+    assert len(refs) > 30
+    gc.collect()
+    gc.disable()
+    try:
+        ad.grad(loss, list(leaves.values()))
+        assert [r() for r in refs if r() is not None] == []
+    finally:
+        gc.enable()
+
+
 # ---------------------------------------------------------------------------
 # ParamVector
 

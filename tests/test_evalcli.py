@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -360,6 +361,19 @@ def test_finetune_rejects_task_index_out_of_range(params, test_sets, tmp_path, c
     assert not (tmp_path / "ft").exists()
 
 
+def _run_on_joint_checkpoint(params, test_sets, tmp_path, command, argv) -> int:
+    """Runs `command` on an archive of test_sets (the first accent for
+    training) and a joint checkpoint of params, with output into tmp_path/out."""
+    accents = [ts.accent for ts in test_sets]
+    split = taskgen.SplitSpec(train=accents[:1], dev=[], test=accents[1:])
+    taskgen.write_task_archive(tmp_path / "tasks", test_sets, split, seed=0)
+    model.save_checkpoint(tmp_path / "ck.msep", params, MICRO,
+                          {"mode": "joint", "train_accents": accents[:1]})
+    checkpoint = [] if command == "train" else ["--checkpoint", str(tmp_path / "ck.msep")]
+    return evalcli.main(["--out", str(tmp_path / "out"), command, *checkpoint,
+                         "--tasks", str(tmp_path / "tasks"), *argv])
+
+
 @pytest.mark.parametrize("command,argv,refusal", [
     ("evaluate", ["--beta", "nan"], "beta_ft must be finite, got nan"),
     ("finetune", ["--beta", "inf"], "beta_ft must be finite, got inf"),
@@ -368,18 +382,35 @@ def test_finetune_rejects_task_index_out_of_range(params, test_sets, tmp_path, c
 ])
 def test_cli_refuses_non_finite_rates(params, test_sets, tmp_path, capsys, work_counts,
                                       command, argv, refusal):
-    accents = [ts.accent for ts in test_sets]
-    split = taskgen.SplitSpec(train=accents[:1], dev=[], test=accents[1:])
-    taskgen.write_task_archive(tmp_path / "tasks", test_sets, split, seed=0)
-    model.save_checkpoint(tmp_path / "ck.msep", params, MICRO,
-                          {"mode": "joint", "train_accents": accents[:1]})
-    checkpoint = [] if command == "train" else ["--checkpoint", str(tmp_path / "ck.msep")]
-    code = evalcli.main(["--out", str(tmp_path / "out"), command, *checkpoint,
-                         "--tasks", str(tmp_path / "tasks"), *argv])
-    assert code == 1
+    assert _run_on_joint_checkpoint(params, test_sets, tmp_path, command, argv) == 1
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["message"] == refusal and "traceback" not in err
     assert work_counts["grad"] == 0 and not work_counts["mixtures"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_rate_aborts_meta_test_and_sweep(params, test_sets):
+    """A finite rate whose step overflows scores NaN; that aborts the
+    evaluation, naming the task and the rate, instead of entering a report
+    or the sweep's choice of rate."""
+    extra = dict(CKPT_EXTRA, mode="joint")
+    first = "task acc00/s200a+s200b scores nan dB Si-SNRi after one step at rate 1e+300"
+    with pytest.raises(evalcli.EvalError, match=re.escape(first)):
+        evalcli.meta_test(params, MICRO, extra, test_sets, 1e300)
+    with pytest.raises(evalcli.EvalError, match=re.escape(first)):
+        evalcli.beta_sweep(params, MICRO, extra, test_sets, grid=(1e300, 0.01))
+
+
+@pytest.mark.parametrize("command,argv", [
+    ("evaluate", ["--beta", "1e300"]),
+    ("sweep-beta", ["--grid", "1e300,0.01"]),
+])
+def test_cli_refuses_an_overflowing_rate(params, test_sets, tmp_path, capsys, command, argv):
+    assert _run_on_joint_checkpoint(params, test_sets, tmp_path, command, argv) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "EvalError" and "traceback" not in err
+    assert err["message"].startswith("task acc01/s202a+s202b scores nan dB")
+    assert err["message"].endswith("at rate 1e+300")
     assert not (tmp_path / "out").exists()
 
 

@@ -2,6 +2,7 @@ import functools
 import json
 import re
 import struct
+import tracemalloc
 import types
 
 import numpy as np
@@ -12,6 +13,7 @@ from metasep import dsp, model, trainer
 from metasep.model import SeparatorConfig
 from oracles import (assert_fd_close, brute_force_upit, direct_si_snr,
                      fd_gradient, naive_conv1d)
+from test_trainer import make_task
 
 RNG = np.random.default_rng
 
@@ -406,10 +408,10 @@ def _graph_mib(roots):
 
 
 def test_default_separator_graphs_stay_under_their_byte_bounds():
-    """MAML's peak holds the create-graph support graph and one query
-    mixture graph. At the default separator and 4-second mixtures, each holds
-    at most its pinned bytes: a biased conv keeps only its biased output, and
-    the mask halves are views of the sigmoid output."""
+    """One mixture's loss graph and the create-graph support graph, at the
+    default separator and 4-second mixtures, each hold at most their pinned
+    bytes: a biased conv keeps only its biased output, and the mask halves are
+    views of the sigmoid output."""
     cfg = SeparatorConfig()
     pair = make_pair(n=dsp.SEGMENT_SAMPLES, seed=61)
     theta = model.init_params(cfg, seed=61)
@@ -420,6 +422,23 @@ def test_default_separator_graphs_stay_under_their_byte_bounds():
         support_loss=functools.partial(model.mixture_loss_tensors, pair, config=cfg))
     adapted = trainer.inner_adapt(theta, task, 0.01, create_graph=True)
     assert _graph_mib(adapted.prime.values()) <= 330.0  # 329.3 MiB
+
+
+def test_maml_task_peak_stays_under_its_bound():
+    """One MAML task at the default separator and 4-second mixtures keeps the
+    support forward graph across the query passes, but no query graph next to
+    the differentiated support graph, and the Hessian-vector product frees
+    what it walks."""
+    cfg = SeparatorConfig()
+    theta = model.init_params(cfg, seed=62)
+    task = trainer.SeparationTask(make_task(62, n=dsp.SEGMENT_SAMPLES), cfg)
+    tracemalloc.start()
+    try:
+        trainer._meta_task_gradient(theta, task, 0.01, "maml")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 2 ** 20 <= 360.0  # 347 MiB; 505 MiB with both graphs alive
 
 
 def _recording_vjp(node, log):
