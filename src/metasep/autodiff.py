@@ -238,12 +238,15 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
+    # with e = e^-|x|, max(e, x >= 0) / (1 + e) is 1 / (1 + e^-x) where x >= 0
+    # and e^x / (1 + e^x) elsewhere, so exp never overflows; -|x| is taken as
+    # min(x, -x), which keeps a NaN's sign
     x = a.data
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    e = np.negative(x, out=np.empty_like(x))  # an array even for a 0-d x, so it is reused
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    y = np.maximum(e, x >= 0)
+    y /= np.add(e, 1.0, out=e)
 
     def vjp(g):
         y_out = ref()
@@ -361,6 +364,14 @@ def _windows(xp: np.ndarray, kernel: int, stride: int, dilation: int) -> np.ndar
         writeable=False)
 
 
+def _padded(x: np.ndarray, pad: int) -> np.ndarray:
+    if not pad:
+        return x
+    xp = np.zeros((x.shape[0], x.shape[1] + 2 * pad))
+    xp[:, pad:-pad] = x
+    return xp
+
+
 def _conv_geometry(op, t, kernel, stride, dilation, pad):
     _check(stride >= 1 and dilation >= 1 and pad >= 0, op, "stride/dilation/pad out of range")
     span = dilation * (kernel - 1) + 1
@@ -385,13 +396,16 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
            f"bias must be ({cout},), got {None if b is None else b.data.shape}")
     t_out = _conv_geometry("conv1d", t, k, stride, dilation, pad)
 
-    xp = np.pad(x.data, ((0, 0), (pad, pad))) if pad else x.data
-    win = _windows(xp, k, stride, dilation).reshape(groups, cg, t_out, k)
     wg = w.data.reshape(groups, cout // groups, cg, k)
-    if groups == 1:
-        y = wg[0].reshape(cout, cg * k) @ win[0].transpose(0, 2, 1).reshape(cg * k, t_out)
+    if (k, stride, pad, groups) == (1, 1, 0, 1):
+        # the window view would hand BLAS these same operands
+        y = wg[0].reshape(cout, cg) @ x.data
     else:
-        y = np.einsum("gitk,goik->got", win, wg).reshape(cout, t_out)
+        win = _windows(_padded(x.data, pad), k, stride, dilation).reshape(groups, cg, t_out, k)
+        if groups == 1:
+            y = wg[0].reshape(cout, cg * k) @ win[0].transpose(0, 2, 1).reshape(cg * k, t_out)
+        else:
+            y = np.einsum("gitk,goik->got", win, wg).reshape(cout, t_out)
     if b is not None:
         y += b.data[:, None]  # y is fresh, so no pre-bias array outlives the call
 
@@ -426,13 +440,21 @@ def conv1d_input_grad(g: Tensor, w: Tensor, *, stride: int = 1, dilation: int = 
     gg = g.data.reshape(groups, cout // groups, t_out)
     wg = w.data.reshape(groups, cout // groups, cg, k)
     dxp = np.zeros((cin, out_len + 2 * pad))
-    hi = (t_out - 1) * stride + 1
     if groups == 1:
         contrib = (wg[0].transpose(1, 2, 0).reshape(cg * k, cout) @ gg[0]).reshape(cin, k, t_out)
     else:
         contrib = np.einsum("got,goik->gikt", gg, wg).reshape(cin, k, t_out)
-    for tap in range(k):
-        dxp[:, tap * dilation: tap * dilation + hi: stride] += contrib[:, tap]
+    if dilation == 1 and k % stride == 0:
+        # tap j * stride + r of output t lands in block t + j, column r: k / stride
+        # block adds, and each sample still sums its taps in increasing order
+        q = k // stride
+        blocks = dxp[:, :(t_out + q - 1) * stride].reshape(cin, t_out + q - 1, stride)
+        for j in range(q):
+            blocks[:, j:j + t_out] += contrib[:, j * stride:(j + 1) * stride].transpose(0, 2, 1)
+    else:
+        hi = (t_out - 1) * stride + 1
+        for tap in range(k):
+            dxp[:, tap * dilation: tap * dilation + hi: stride] += contrib[:, tap]
     dx = dxp[:, pad: pad + out_len] if pad else dxp
 
     def vjp(c):
@@ -459,14 +481,18 @@ def conv1d_weight_grad(x: Tensor, g: Tensor, *, kernel: int, stride: int = 1,
            f"grad length {t_out} does not match {t_expect} windows of the input")
 
     cg = cin // groups
-    xp = np.pad(x.data, ((0, 0), (pad, pad))) if pad else x.data
-    win = _windows(xp, kernel, stride, dilation).reshape(groups, cg, t_out, kernel)
     gg = g.data.reshape(groups, cout // groups, t_out)
-    if groups == 1:
-        cols = win[0].transpose(1, 0, 2).reshape(t_out, cg * kernel)
-        dw = (gg[0] @ cols).reshape(cout, cg, kernel)
+    if (kernel, stride, pad, groups) == (1, 1, 0, 1):
+        # the window view would hand BLAS these same operands
+        dw = (gg[0] @ x.data.T).reshape(cout, cg, kernel)
     else:
-        dw = np.einsum("got,gitk->goik", gg, win).reshape(cout, cg, kernel)
+        xp = _padded(x.data, pad)
+        win = _windows(xp, kernel, stride, dilation).reshape(groups, cg, t_out, kernel)
+        if groups == 1:
+            cols = win[0].transpose(1, 0, 2).reshape(t_out, cg * kernel)
+            dw = (gg[0] @ cols).reshape(cout, cg, kernel)
+        else:
+            dw = np.einsum("got,gitk->goik", gg, win).reshape(cout, cg, kernel)
 
     def vjp(c):
         dx = conv1d_input_grad(g, c, stride=stride, dilation=dilation, groups=groups,
@@ -537,7 +563,8 @@ def gln(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     n = x.data.size
     mu = (1.0 / n) * x.data.sum()
     centered = x.data - mu
-    inv = 1.0 / np.sqrt((1.0 / n) * (centered * centered).sum() + float(eps))
+    y = centered * centered
+    inv = 1.0 / np.sqrt((1.0 / n) * y.sum() + float(eps))
     stats = (mu, inv)
 
     def vjp(g):
@@ -548,7 +575,10 @@ def gln(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
         dbeta = sum_time(g) if beta.requires_grad else None
         return (dx, dgamma, dbeta)
 
-    y = centered * inv * gamma.data[:, None] + beta.data[:, None]
+    # ((centered * inv) * gamma) + beta, written over the squared deviations
+    np.multiply(centered, inv, out=y)
+    y *= gamma.data[:, None]
+    y += beta.data[:, None]
     return _node("gln", y, (x, gamma, beta), vjp)
 
 

@@ -166,10 +166,16 @@ def si_snr_improvement(pair: MixturePair, estimates) -> float:
     The estimates must already be aligned to the sources (best assignment
     under the permutation-invariant loss).
     """
+    return si_snr_gain(pair, [si_snr(src, est) for src, est in zip(pair.sources, estimates)])
+
+
+def si_snr_gain(pair: MixturePair, scores) -> float:
+    """Mean per-source gain of aligned Si-SNR scores, one per source, over
+    the Si-SNR of the raw mixture."""
     mix = pair.mixture
     total = 0.0
-    for src, est in zip(pair.sources, estimates):
-        total += si_snr(src, est) - si_snr(src, mix)
+    for src, score in zip(pair.sources, scores):
+        total += score - si_snr(src, mix)
     return total / len(pair.sources)
 
 

@@ -228,8 +228,13 @@ def upit_loss(estimates, sources):
         return loss_swap, (1, 0)
 
     ests = [dsp._as_samples(e) for e in estimates]
-    loss_id = -0.5 * (dsp.si_snr(srcs[0], ests[0]) + dsp.si_snr(srcs[1], ests[1]))
-    loss_swap = -0.5 * (dsp.si_snr(srcs[0], ests[1]) + dsp.si_snr(srcs[1], ests[0]))
+    return _upit_pick([[dsp.si_snr(s, e) for e in ests] for s in srcs])
+
+
+def _upit_pick(snr) -> tuple[float, tuple[int, int]]:
+    """upit_loss's (loss, permutation) from the Si-SNR floats snr[source][estimate]."""
+    loss_id = -0.5 * (snr[0][0] + snr[1][1])
+    loss_swap = -0.5 * (snr[0][1] + snr[1][0])
     if loss_id <= loss_swap:
         return loss_id, (0, 1)
     return loss_swap, (1, 0)
@@ -245,11 +250,12 @@ def mixture_loss_tensors(pair: dsp.MixturePair, p: Mapping[str, Tensor],
 
 def evaluate_si_snri(pair: dsp.MixturePair, params: ParamVector,
                      config: SeparatorConfig) -> float:
-    """Si-SNR improvement of the separated estimates, uPIT-aligned."""
+    """Si-SNR improvement of the separated estimates, uPIT-aligned. The
+    scores that choose the assignment are the scores it reports."""
     estimates = forward_separate(pair.mixture, params, config)
-    _, perm = upit_loss(estimates, pair.sources)
-    aligned = tuple(estimates[perm[c]] for c in range(2))
-    return dsp.si_snr_improvement(pair, aligned)
+    snr = [[dsp.si_snr(s, e) for e in estimates] for s in pair.sources]
+    _, perm = _upit_pick(snr)
+    return dsp.si_snr_gain(pair, [snr[c][perm[c]] for c in range(2)])
 
 
 # ---------------------------------------------------------------------------

@@ -419,14 +419,23 @@ class AdaptResult:
 
 def finetune_adapt(theta: ParamVector, task: taskgen.MetaTask, beta_ft: float,
                    model_config: SeparatorConfig, noisy: bool = False) -> AdaptResult:
-    """One plain gradient step on the support mixture, scored on the queries."""
+    """One plain gradient step on the support mixture, scored on the queries.
+    A step whose scores are not finite raises ValueError, naming the task and
+    the rate."""
     require_finite("beta_ft", beta_ft)
     prep = prepare_adapt(theta, task, model_config, noisy=noisy)
-    adapted = prep.adapted(beta_ft)
+    # an overflowing step is reported by the check below, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        adapted = prep.adapted(beta_ft)
+        loss = prep.sep.support_loss_value(adapted)
+        score = prep.sep.query_si_snri(adapted)
+    if not (math.isfinite(loss) and math.isfinite(score)):
+        raise ValueError(f"task {prep.sep.name} scores {score} dB Si-SNRi and support loss "
+                         f"{loss} after one step at rate {beta_ft!r}")
     return AdaptResult(
         adapted=adapted,
         support_loss_pre=prep.support_loss_pre,
-        support_loss_post=prep.sep.support_loss_value(adapted),
+        support_loss_post=loss,
         query_si_snri_pre=prep.query_si_snri_pre,
-        query_si_snri_post=prep.sep.query_si_snri(adapted),
+        query_si_snri_post=score,
     )

@@ -222,8 +222,9 @@ def test_conv1d_input_grad_gradients(seed, stride, dilation, groups, pad):
     assert cin >= 1
 
 
-# K=16, stride 8 is the encoder/decoder geometry
-TCONV_SECOND_ORDER_CASES = [(0, 16, 8, 1, 1, 0), (1, 5, 2, 1, 2, 1), (2, 3, 1, 2, 3, 2)]
+# K=16, stride 8 is the encoder/decoder geometry; K=1, stride 1 a 1x1 conv's
+TCONV_SECOND_ORDER_CASES = [(0, 16, 8, 1, 1, 0), (1, 5, 2, 1, 2, 1), (2, 3, 1, 2, 3, 2),
+                            (3, 1, 1, 1, 1, 0)]
 
 
 @pytest.mark.parametrize("seed,k,stride,dilation,groups,pad", TCONV_SECOND_ORDER_CASES)
@@ -280,6 +281,126 @@ def test_prelu_forward_and_input_vjp_are_bit_exact(slope):
         dx, _ = out._vjp(ad.tensor(g))
         assert np.array_equal(_bits(out.data), _bits(np.where(x > 0, x, slope * x)))
         assert np.array_equal(_bits(dx.data), _bits(np.where(x > 0, g, slope * g)))
+
+
+def _sigmoid_by_sign(x):
+    """sigmoid's former forward: the two branches split by boolean-mask indexing."""
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    y[~pos] = ex / (1.0 + ex)
+    return y
+
+
+def test_sigmoid_forward_is_bit_exact():
+    special = np.array([0.0, -0.0, 1e3, -1e3, np.inf, -np.inf, np.nan, -np.nan, 5e-324])
+    for x in [special, RNG(982).normal(size=(128, 3999)) * 8.0, *special]:
+        x = np.asarray(x)
+        got = ad.sigmoid(ad.tensor(x)).data
+        assert got.shape == x.shape
+        assert np.array_equal(_bits(got), _bits(_sigmoid_by_sign(x)))
+
+
+def _tap_overlap_add(g, w, *, stride, dilation, groups, pad, out_len):
+    """conv1d_input_grad's former forward: one strided add per kernel tap."""
+    cout, t_out = g.shape
+    _, cg, k = w.shape
+    cin = cg * groups
+    gg = g.reshape(groups, cout // groups, t_out)
+    wg = w.reshape(groups, cout // groups, cg, k)
+    dxp = np.zeros((cin, out_len + 2 * pad))
+    hi = (t_out - 1) * stride + 1
+    if groups == 1:
+        contrib = (wg[0].transpose(1, 2, 0).reshape(cg * k, cout) @ gg[0]).reshape(cin, k, t_out)
+    else:
+        contrib = np.einsum("got,goik->gikt", gg, wg).reshape(cin, k, t_out)
+    for tap in range(k):
+        dxp[:, tap * dilation: tap * dilation + hi: stride] += contrib[:, tap]
+    return dxp[:, pad: pad + out_len] if pad else dxp
+
+
+@pytest.mark.parametrize("cout,cg,k,stride,dilation,groups,pad,extra", [
+    (64, 1, 16, 8, 1, 1, 0, 0),   # the default separator's decoder
+    (16, 1, 32, 16, 1, 1, 0, 0),  # the benchmark's tiny separator's decoder
+    (16, 1, 32, 16, 1, 1, 0, 9),  # 9 trailing samples that no tap reaches
+    (6, 2, 16, 8, 1, 1, 3, 5),    # padded
+    (4, 3, 1, 1, 1, 1, 0, 0),     # 1 tap
+    (4, 2, 4, 2, 1, 2, 1, 1),     # grouped
+    (4, 3, 5, 2, 1, 1, 1, 1),     # a stride that does not divide K
+    (4, 1, 3, 1, 2, 4, 2, 0),     # dilated depthwise
+])
+def test_conv1d_input_grad_forward_is_bit_exact(cout, cg, k, stride, dilation, groups, pad,
+                                                extra):
+    rng = RNG(983)
+    t_out = 37
+    out_len = (t_out - 1) * stride + dilation * (k - 1) + 1 - 2 * pad + extra
+    g = rng.normal(size=(cout, t_out))
+    w = rng.normal(size=(cout, cg, k))
+    kw = dict(stride=stride, dilation=dilation, groups=groups, pad=pad, out_len=out_len)
+    got = ad.conv1d_input_grad(ad.tensor(g), ad.tensor(w), **kw).data
+    assert got.shape == (cg * groups, out_len)
+    assert np.array_equal(_bits(got), _bits(_tap_overlap_add(g, w, **kw)))
+
+
+def _windowed_conv(x, w, *, stride, dilation, groups, pad):
+    """conv1d's former forward, over np.pad and a window view at every geometry;
+    with g in place of w, conv1d_weight_grad's."""
+    cout, cg, k = w.shape
+    xp = np.pad(x, ((0, 0), (pad, pad))) if pad else x
+    t_out = (xp.shape[1] - dilation * (k - 1) - 1) // stride + 1
+    win = ad._windows(xp, k, stride, dilation).reshape(groups, cg, t_out, k)
+    wg = w.reshape(groups, cout // groups, cg, k)
+    if groups == 1:
+        return wg[0].reshape(cout, cg * k) @ win[0].transpose(0, 2, 1).reshape(cg * k, t_out)
+    return np.einsum("gitk,goik->got", win, wg).reshape(cout, t_out)
+
+
+def _windowed_weight_grad(x, g, *, kernel, stride, dilation, groups, pad):
+    cin, cout = x.shape[0], g.shape[0]
+    cg, t_out = cin // groups, g.shape[1]
+    xp = np.pad(x, ((0, 0), (pad, pad))) if pad else x
+    win = ad._windows(xp, kernel, stride, dilation).reshape(groups, cg, t_out, kernel)
+    gg = g.reshape(groups, cout // groups, t_out)
+    if groups == 1:
+        cols = win[0].transpose(1, 0, 2).reshape(t_out, cg * kernel)
+        return (gg[0] @ cols).reshape(cout, cg, kernel)
+    return np.einsum("got,gitk->goik", gg, win).reshape(cout, cg, kernel)
+
+
+@pytest.mark.parametrize("cout,cg,k,stride,dilation,groups,pad", [
+    (5, 6, 1, 1, 1, 1, 0),   # 1 tap: the weight matrix times the input
+    (5, 6, 3, 1, 1, 1, 1),   # padded
+    (6, 1, 3, 1, 2, 6, 2),   # padded depthwise, dilated
+    (4, 3, 4, 2, 1, 2, 0),   # strided, grouped
+])
+def test_conv1d_and_weight_grad_forwards_are_bit_exact(cout, cg, k, stride, dilation,
+                                                       groups, pad):
+    rng = RNG(984)
+    x = rng.normal(size=(cg * groups, 45))
+    w = rng.normal(size=(cout, cg, k))
+    b = rng.normal(size=cout)
+    kw = dict(stride=stride, dilation=dilation, groups=groups, pad=pad)
+    want = _windowed_conv(x, w, **kw)
+    got = ad.conv1d(ad.tensor(x), ad.tensor(w), **kw).data
+    assert np.array_equal(_bits(got), _bits(want))
+    got = ad.conv1d(ad.tensor(x), ad.tensor(w), ad.tensor(b), **kw).data
+    assert np.array_equal(_bits(got), _bits(want + b[:, None]))
+    g = rng.normal(size=want.shape)
+    got = ad.conv1d_weight_grad(ad.tensor(x), ad.tensor(g), kernel=k, **kw).data
+    assert np.array_equal(_bits(got), _bits(_windowed_weight_grad(x, g, kernel=k, **kw)))
+
+
+def test_gln_forward_is_bit_exact():
+    rng = RNG(986)
+    x, gamma, beta = rng.normal(size=(8, 301)) * 3.0 + 0.7, rng.normal(size=8), rng.normal(size=8)
+    n = x.size
+    mu = (1.0 / n) * x.sum()
+    centered = x - mu
+    inv = 1.0 / np.sqrt((1.0 / n) * (centered * centered).sum() + 1e-8)
+    want = centered * inv * gamma[:, None] + beta[:, None]  # gln's former forward
+    got = ad.gln(ad.tensor(x), ad.tensor(gamma), ad.tensor(beta), 1e-8).data
+    assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_broadcasts_are_read_only_views():

@@ -5,6 +5,7 @@ import platform
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -411,6 +412,28 @@ def test_cli_refuses_an_overflowing_rate(params, test_sets, tmp_path, capsys, co
     assert err["type"] == "EvalError" and "traceback" not in err
     assert err["message"].startswith("task acc01/s202a+s202b scores nan dB")
     assert err["message"].endswith("at rate 1e+300")
+    assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_rate_aborts_finetune(params, test_sets):
+    """finetune refuses a step whose scores overflow to NaN, naming the task
+    and the rate, without numpy's overflow warnings."""
+    want = ("task acc00/s200a+s200b scores nan dB Si-SNRi and support loss nan "
+            "after one step at rate 1e+300")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=re.escape(want)):
+            trainer.finetune_adapt(params, test_sets[0].tasks[0], 1e300, MICRO, noisy=True)
+
+
+def test_cli_finetune_refuses_an_overflowing_rate(params, test_sets, tmp_path, capsys):
+    code = _run_on_joint_checkpoint(params, test_sets, tmp_path, "finetune", ["--beta", "1e300"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    err = json.loads(err)["error"]
+    assert err == {"type": "ValueError",
+                   "message": "task acc01/s202a+s202b scores nan dB Si-SNRi and support "
+                              "loss nan after one step at rate 1e+300"}
     assert not (tmp_path / "out").exists()
 
 

@@ -526,6 +526,44 @@ def test_evaluate_si_snri_is_finite_and_permutation_aligned():
     assert np.isfinite(val)
 
 
+def _si_snri_of_upit_aligned(pair, estimates):
+    """evaluate_si_snri's former route: uPIT's permutation, then
+    si_snr_improvement of the aligned estimates."""
+    _, perm = model.upit_loss(estimates, pair.sources)
+    return dsp.si_snr_improvement(pair, tuple(estimates[perm[c]] for c in range(2)))
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_evaluate_si_snri_equals_si_snr_improvement_of_upit_aligned(monkeypatch, order):
+    """Bit for bit, with the separator's estimates in either order, so both
+    permutations are chosen."""
+    params = model.init_params(TINY, seed=33)
+    pair = make_pair(n=240, seed=34)
+    estimates = model.forward_separate(pair.mixture, params, TINY)
+    estimates = tuple(estimates[e] for e in order)
+    monkeypatch.setattr(model, "forward_separate", lambda *args: estimates)
+    assert model.evaluate_si_snri(pair, params, TINY) == _si_snri_of_upit_aligned(pair, estimates)
+    assert model.upit_loss(estimates, pair.sources)[1] != model.upit_loss(
+        estimates[::-1], pair.sources)[1]
+
+
+def test_evaluate_si_snri_at_a_upit_tie(monkeypatch):
+    """Sources s and -s give each estimate the same Si-SNR against both, so
+    the two assignments tie exactly; the scores still match bit for bit."""
+    rng = RNG(36)
+    s = dsp.Waveform(rng.normal(size=240))
+    pair = dsp.MixturePair(mixture=dsp.Waveform(rng.normal(size=240)),
+                           sources=(s, dsp.Waveform(-s.samples)), snr_db=0.0)
+    estimates = (dsp.Waveform(s.samples + rng.normal(size=240)),
+                 dsp.Waveform(rng.normal(size=240)))
+    snr = [[dsp.si_snr(src, e) for e in estimates] for src in pair.sources]
+    assert snr[0][0] + snr[1][1] == snr[0][1] + snr[1][0] and snr[0][0] != snr[0][1]
+    assert model.upit_loss(estimates, pair.sources)[1] == (0, 1)
+    monkeypatch.setattr(model, "forward_separate", lambda *args: estimates)
+    params = model.init_params(TINY, seed=33)
+    assert model.evaluate_si_snri(pair, params, TINY) == _si_snri_of_upit_aligned(pair, estimates)
+
+
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     cfg = TINY
     params = model.init_params(cfg, seed=35)
