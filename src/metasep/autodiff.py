@@ -87,6 +87,9 @@ class NonScalarOutputError(ValueError):
     """Raised when a gradient is requested of a non-scalar output."""
 
 
+# Node ids key the reverse walk's bookkeeping, so they must be unique across
+# the threads that build graphs at once: next() on an itertools.count is one
+# C call that runs under the GIL, so no two threads ever get the same id.
 _ids = itertools.count()
 
 

@@ -8,7 +8,8 @@ Hessian-vector product through the support gradient, which makes it the
 exact gradient through the adaptation; joint training skips adaptation
 entirely, pooling support and query mixtures as ordinary supervised data.
 All three go through :func:`meta_gradient`, which differentiates each
-mixture's loss before building the next one's graph.
+mixture's loss before building the next one's graph; a meta task's query
+mixtures at the adapted parameters run on up to two threads.
 
 Anything with a ``support_loss`` method and a ``query_terms`` list of query
 losses over parameter tensors can be trained; separation tasks are one such
@@ -21,6 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -40,6 +42,11 @@ MODES = ("joint", "maml", "fomaml")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Threads for one task's query passes at theta'. numpy releases the GIL in the
+# default separator's kernels, and two query graphs take less memory than the
+# maml Hessian-vector product that follows them (see _meta_task_gradient).
+QUERY_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
 
 
 class TrainingDiverged(RuntimeError):
@@ -185,15 +192,11 @@ def _check_finite(loss: Tensor, task, phase: str) -> None:
 @dataclass
 class AdaptedParams:
     """One-step-adapted parameters, the leaves they were derived from, and
-    the support loss over those leaves with its graph."""
+    the support loss at those leaves."""
 
     prime: "OrderedDict[str, Tensor]"
     leaves: "OrderedDict[str, Tensor]"
-    loss: Tensor
-
-    @property
-    def support_loss(self) -> float:
-        return self.loss.item()
+    support_loss: float
 
     def to_vector(self, like: ParamVector) -> ParamVector:
         return like.flatten_named({n: t.data for n, t in self.prime.items()})
@@ -216,7 +219,7 @@ def inner_adapt(theta: ParamVector, task: TaskLoss, alpha: float,
     loss = task.support_loss(leaves)
     _check_finite(loss, task, "support")
     return AdaptedParams(prime=_inner_step(leaves, loss, alpha, create_graph),
-                         leaves=leaves, loss=loss)
+                         leaves=leaves, support_loss=loss.item())
 
 
 def _flat_grad(theta: ParamVector, output: Tensor, leaves: Mapping[str, Tensor]) -> np.ndarray:
@@ -224,19 +227,40 @@ def _flat_grad(theta: ParamVector, output: Tensor, leaves: Mapping[str, Tensor])
     return theta.flatten_named({n: g.data for n, g in zip(leaves, grads)}).values
 
 
+def _term_gradient(theta: ParamVector, task: TaskLoss, phase: str,
+                   loss_fn: LossFn) -> tuple[np.ndarray, float]:
+    """Gradient and value at theta of one loss term, named `phase` in errors;
+    its graph is built at fresh leaves and consumed by its backward."""
+    leaves = theta.to_leaves()
+    loss = loss_fn(leaves)
+    _check_finite(loss, task, phase)
+    return _flat_grad(theta, loss, leaves), loss.item()
+
+
+def _in_order(fn: Callable, items: Sequence, workers: int):
+    """fn over items on up to `workers` threads, yielded in the items' order.
+    A failure cancels the items not yet started, and the threads are joined
+    before the failure propagates."""
+    if workers < 2:
+        yield from map(fn, items)
+        return
+    # imported here: it loads logging too, 0.8 MB that scoring-only runs skip
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers, thread_name_prefix="metasep-term") as pool:
+        yield from pool.map(fn, items)
+
+
 def _mean_gradient(theta: ParamVector, task: TaskLoss, terms: Sequence[LossFn],
-                   phase: str) -> tuple[np.ndarray, float]:
+                   phase: str, workers: int = 1) -> tuple[np.ndarray, float]:
     """Gradient and value at theta of the mean of the task's loss terms, named
-    `phase` in errors; each term's graph is differentiated and dropped before
-    the next is built."""
+    `phase` in errors. Each term's graph is differentiated and dropped by the
+    thread that built it, and `workers` terms run at a time; the results are
+    summed in term order, so the bits do not depend on the schedule."""
     total, value = np.zeros_like(theta.values), 0.0
-    for loss_fn in terms:
-        leaves = theta.to_leaves()
-        loss = loss_fn(leaves)
-        _check_finite(loss, task, phase)
-        total += _flat_grad(theta, loss, leaves)
-        value += loss.item()
-        del leaves, loss
+    for g, term_value in _in_order(functools.partial(_term_gradient, theta, task, phase),
+                                   terms, workers):
+        total += g
+        value += term_value
     return total / len(terms), value / len(terms)
 
 
@@ -248,26 +272,24 @@ def _meta_task_gradient(theta: ParamVector, task: TaskLoss, alpha: float,
     through the differentiated support graph: one Hessian-vector product
     (Pearlmutter 1994).
 
-    maml runs its passes in this order, so that next to the support forward
-    graph one large graph is alive at a time: the support forward, kept to the
-    end; a create-graph support backward (in inner_adapt), of which only
-    theta' is kept; the query passes at theta', each consuming its graph; the
-    create-graph support backward again on the kept forward graph; and the
-    Hessian-vector product, a first-order backward that consumes both support
-    graphs as it walks them. The two support backwards run the same VJPs, so
-    the bits are those of one backward kept throughout."""
+    Both modes take theta' from a first-order support backward, which consumes
+    the support graph. The query passes at theta' then run on QUERY_WORKERS
+    threads, so at most two query graphs are alive at once. maml then builds
+    the support forward again at fresh leaves and takes its create-graph
+    backward, which runs the same VJPs as the first-order one and so gives
+    theta' the same bits; the Hessian-vector product, a first-order backward,
+    consumes both support graphs as it walks them, and is where the peak is.
+    joint's pooled terms run one at a time: at small separators the GIL sets
+    the pace, and a second graph would only raise the peak."""
     if mode == "joint":
         return _mean_gradient(theta, task, [task.support_loss] + task.query_terms(), "pooled")
-    adapted = inner_adapt(theta, task, alpha, create_graph=mode == "maml")
-    theta_prime, leaves, support = adapted.to_vector(theta), adapted.leaves, adapted.loss
-    del adapted  # drops maml's support backward graph; `support` keeps its forward graph
-    g_q, q_loss = _mean_gradient(theta_prime, task, task.query_terms(), "query")
+    theta_prime = inner_adapt(theta, task, alpha, create_graph=False).to_vector(theta)
+    g_q, q_loss = _mean_gradient(theta_prime, task, task.query_terms(), "query", QUERY_WORKERS)
     if mode == "maml":
-        prime = _inner_step(leaves, support, alpha, create_graph=True)
-        del support  # so the walk below frees each support node it passes
+        adapted = inner_adapt(theta, task, alpha, create_graph=True)
         v = theta.replace(g_q)
         g_q = _flat_grad(theta, functools.reduce(ad.add, (
-            ad.dot(p, ad.tensor(v.view(n))) for n, p in prime.items())), leaves)
+            ad.dot(p, ad.tensor(v.view(n))) for n, p in adapted.prime.items())), adapted.leaves)
     return g_q, q_loss
 
 

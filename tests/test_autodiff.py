@@ -1,4 +1,6 @@
 import gc
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -558,6 +560,31 @@ def test_no_grad_suppresses_recording():
     assert not y.requires_grad
     (g,) = ad.grad(ad.mul(x, x), [x])
     assert g.item() == 4.0
+
+
+def test_node_ids_stay_unique_across_threads():
+    """Eight threads record graph nodes at once, switching every microsecond;
+    a lost update of the shared id counter would hand two nodes one id."""
+    ids, previous = [[] for _ in range(8)], sys.getswitchinterval()
+
+    def record(out):
+        x = ad.tensor(1.0, requires_grad=True)
+        for _ in range(2000):
+            out.append(ad.add(x, x)._id)
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=record, args=(out,)) for out in ids]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    every = [i for out in ids for i in out]
+    assert len(every) == 8 * 2000
+    assert len(set(every)) == len(every)
 
 
 def test_gradient_and_second_order_through_inner_grad():

@@ -549,3 +549,38 @@ def test_import_keeps_freed_pages_unless_set(preset):
         assert refaults < 100, out
     else:
         assert refaults > 1000, out
+
+
+_ARENA_PROBE = """
+import resource, threading, metasep, numpy as np
+def churn():
+    bufs = [np.ones(1 << 18) * k for k in range(8)]  # eight 2 MB arrays, then freed
+    del bufs
+worker = threading.Thread(target=churn)
+worker.start()
+worker.join()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+bufs = [np.ones(1 << 18) * k for k in range(8)]
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+@pytest.mark.parametrize("preset", [None, "MALLOC_ARENA_MAX=8",
+                                    "GLIBC_TUNABLES=glibc.malloc.arena_max=8"],
+                         ids=["default", "malloc-env", "glibc-tunables"])
+def test_import_shares_one_arena_across_threads_unless_set(preset):
+    """After importing metasep, the main thread reuses the pages that another
+    thread's arrays freed instead of faulting in its own; an explicit arena
+    setting wins."""
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = str(Path(metasep.__file__).resolve().parents[1])
+    env.update(kv.split("=", 1) for kv in (preset or "").split())
+    out = subprocess.run([sys.executable, "-c", _ARENA_PROBE], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout.split()
+    faults = int(out[0])
+    if preset is None:
+        assert faults < 100, out
+    else:
+        assert faults > 1000, out

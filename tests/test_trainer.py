@@ -1,4 +1,6 @@
+import functools
 import math
+import threading
 import weakref
 
 import numpy as np
@@ -282,22 +284,118 @@ def test_meta_gradient_frees_each_task_graph_before_the_next(mode):
 
 @pytest.mark.parametrize("mode", trainer.MODES)
 def test_meta_gradient_keeps_one_query_mixture_graph_alive(mode, monkeypatch):
+    """Each thread drops a mixture's graph before it builds the next, and the
+    query workers of a meta mode hold at most one graph each."""
+    monkeypatch.setattr(trainer, "QUERY_WORKERS", 2)
     sep = trainer.SeparationTask(make_task(42), MICRO)
     support = sep.task.support_pair().mixture.samples
     built, alive_at_build = [], []
     real = model.mixture_loss_tensors
 
     def tracked(pair, params, config):
-        alive_at_build.append(sum(ref() is not None for ref in built))
+        me = threading.get_ident()
+        alive = [owner for owner, ref in built if ref() is not None]
+        alive_at_build.append((alive.count(me), len(alive)))
         loss = real(pair, params, config)
         if not np.array_equal(pair.mixture.samples, support) or mode == "joint":
-            built.append(weakref.ref(loss))
+            built.append((me, weakref.ref(loss)))
         return loss
 
     monkeypatch.setattr(model, "mixture_loss_tensors", tracked)
     trainer.meta_gradient(model.init_params(MICRO, seed=6), [sep], 0.01, mode)
     assert len(built) == (5 if mode == "joint" else 4)
-    assert alive_at_build == [0] * len(alive_at_build)
+    assert all(own == 0 for own, _ in alive_at_build)
+    assert max(total for _, total in alive_at_build) <= (0 if mode == "joint" else 1)
+
+
+# The tiny separator of acceptance criteria 7 and 10, at 0.4-second mixtures.
+TINY = SeparatorConfig(enc_channels=16, enc_kernel=32, enc_stride=16, bottleneck_channels=8,
+                       conv_channels=16, kernel=3, blocks_per_stack=3, stacks=1)
+TINY_LEN = 3200
+
+
+def _sequential_task_gradient(theta, task, alpha, mode):
+    """One task's meta-gradient and loss with the query passes one after
+    another on this thread, at theta' from the support backward that the
+    Hessian-vector product then walks."""
+    adapted = trainer.inner_adapt(theta, task, alpha, create_graph=mode == "maml")
+    theta_prime = adapted.to_vector(theta)
+    terms = task.query_terms()
+    total, value = np.zeros_like(theta.values), 0.0
+    for loss_fn in terms:
+        leaves = theta_prime.to_leaves()
+        loss = loss_fn(leaves)
+        grads = ad.grad(loss, list(leaves.values()))
+        total += theta.flatten_named({n: g.data for n, g in zip(leaves, grads)}).values
+        value += loss.item()
+    g_q = total / len(terms)
+    if mode == "maml":
+        v = theta.replace(g_q)
+        out = functools.reduce(ad.add, (ad.dot(p, ad.tensor(v.view(n)))
+                                        for n, p in adapted.prime.items()))
+        grads = ad.grad(out, list(adapted.leaves.values()))
+        g_q = theta.flatten_named({n: g.data for n, g in zip(adapted.leaves, grads)}).values
+    return g_q, value / len(terms)
+
+
+@pytest.mark.parametrize("mode", ["maml", "fomaml"])
+def test_threaded_query_passes_equal_a_sequential_loop(mode, monkeypatch):
+    monkeypatch.setattr(trainer, "QUERY_WORKERS", 2)
+    theta = model.init_params(TINY, seed=70)
+    tasks = [trainer.SeparationTask(make_task(70, n=TINY_LEN), TINY),
+             trainer.SeparationTask(make_task(71, n=TINY_LEN), TINY, noisy=True)]
+    made = []  # (thread, node id) of every tensor the threaded call makes
+    real_init = ad.Tensor.__init__
+
+    def recording_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        made.append((threading.get_ident(), self._id))
+
+    monkeypatch.setattr(ad.Tensor, "__init__", recording_init)
+    g, loss = trainer.meta_gradient(theta, tasks, 0.01, mode)
+    monkeypatch.setattr(ad.Tensor, "__init__", real_init)
+
+    total, losses = np.zeros_like(theta.values), []
+    for task in tasks:
+        g_task, loss_task = _sequential_task_gradient(theta, task, 0.01, mode)
+        total += g_task
+        losses.append(loss_task)
+    assert np.array_equal(g.values, total)
+    assert np.array_equal(loss, float(np.mean(losses)))
+    main = threading.get_ident()
+    worker_ids = [i for thread, i in made if thread != main]
+    assert len({thread for thread, _ in made if thread != main}) >= 2
+    assert len(set(worker_ids)) == len(worker_ids)
+    assert len({i for _, i in made}) == len(made)
+
+
+class FourQueryTask(QuadraticTask):
+    """Quadratic task whose query loss is split into four terms, one of which
+    is NaN when `nan_at` names it."""
+
+    def __init__(self, name, nan_at=None):
+        super().__init__(1.0, 1.0, 1.0, 3.0)
+        self.name, self.nan_at = name, nan_at
+
+    def query_terms(self):
+        terms = [self.query_loss] * 4
+        if self.nan_at is not None:
+            terms[self.nan_at] = lambda p: ad.scalar_mul(math.nan, self.query_loss(p))
+        return terms
+
+
+@pytest.mark.parametrize("nan_at", [0, 3])
+@pytest.mark.parametrize("mode", ["maml", "fomaml"])
+def test_non_finite_query_loss_in_a_worker_raises(mode, nan_at, monkeypatch):
+    monkeypatch.setattr(trainer, "QUERY_WORKERS", 2)
+    before = threading.active_count()
+    tasks = [FourQueryTask("quad-ok"), FourQueryTask("quad-nan", nan_at)]
+    with pytest.raises(trainer.TrainingDiverged,
+                       match=r"^query loss is non-finite for task quad-nan$"):
+        trainer.meta_gradient(theta_vec(0.3), tasks, 0.05, mode)
+    assert threading.active_count() == before
+    trainer.meta_gradient(theta_vec(0.3), tasks[:1], 0.05, mode)
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +543,10 @@ def test_training_keeps_no_mixture_past_its_loss(mode, monkeypatch):
                            dev_sets=make_task_sets(1, 2, seed0=50))
     assert not result.aborted
     assert max(alive_at_build) <= 2
-    # 3 batches of 2 tasks with 5 mixtures each, and 2 dev tasks' 4 queries, per epoch
-    assert len(built) == 2 * (3 * 2 * 5 + 2 * 4)
+    # 3 batches of 2 tasks with 5 mixtures each (maml builds its support mixture
+    # again after the queries), and 2 dev tasks' 4 queries, per epoch
+    per_task = 6 if mode == "maml" else 5
+    assert len(built) == 2 * (3 * 2 * per_task + 2 * 4)
 
 
 def test_train_aborts_with_last_good_params(monkeypatch, tmp_path):
