@@ -9,7 +9,8 @@ exact gradient through the adaptation; joint training skips adaptation
 entirely, pooling support and query mixtures as ordinary supervised data.
 All three go through :func:`meta_gradient`, which differentiates each
 mixture's loss before building the next one's graph; a meta task's query
-mixtures at the adapted parameters run on up to two threads.
+mixtures at the adapted parameters run on up to two threads, and so do the
+VJPs of MAML's Hessian-vector product.
 
 Anything with a ``support_loss`` method and a ``query_terms`` list of query
 losses over parameter tensors can be trained; separation tasks are one such
@@ -42,9 +43,10 @@ MODES = ("joint", "maml", "fomaml")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# Threads for one task's query passes at theta'. numpy releases the GIL in the
-# default separator's kernels, and two query graphs take less memory than the
-# maml Hessian-vector product that follows them (see _meta_task_gradient).
+# Threads for one task's query passes at theta', and for the walk of maml's
+# Hessian-vector product that follows them (see _meta_task_gradient). numpy
+# releases the GIL in the default separator's kernels, and two query graphs
+# take less memory than the Hessian-vector product.
 QUERY_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                     else os.cpu_count() or 1)
 
@@ -272,13 +274,20 @@ def _meta_task_gradient(theta: ParamVector, task: TaskLoss, alpha: float,
     through the differentiated support graph: one Hessian-vector product
     (Pearlmutter 1994).
 
-    Both modes take theta' from a first-order support backward, which consumes
-    the support graph. The query passes at theta' then run on QUERY_WORKERS
-    threads, so at most two query graphs are alive at once. maml then builds
-    the support forward again at fresh leaves and takes its create-graph
-    backward, which runs the same VJPs as the first-order one and so gives
-    theta' the same bits; the Hessian-vector product, a first-order backward,
-    consumes both support graphs as it walks them, and is where the peak is.
+    The passes run in this order:
+
+    1. a first-order support backward gives theta' and consumes the support
+       graph (both modes);
+    2. the query passes at theta' run on QUERY_WORKERS threads, so at most
+       two query graphs are alive at once (both modes);
+    3. maml builds the support forward again at fresh leaves and takes its
+       create-graph backward, which runs the same VJPs as the first-order one
+       and so gives theta' the same bits;
+    4. maml's Hessian-vector product, a first-order backward, consumes both
+       support graphs as it walks them, and is where the peak is. Its VJPs
+       run on up to QUERY_WORKERS threads (autodiff.walk_workers), with the
+       cotangents summed in the one-thread order, so the bits are the same.
+
     joint's pooled terms run one at a time: at small separators the GIL sets
     the pace, and a second graph would only raise the peak."""
     if mode == "joint":
@@ -288,8 +297,10 @@ def _meta_task_gradient(theta: ParamVector, task: TaskLoss, alpha: float,
     if mode == "maml":
         adapted = inner_adapt(theta, task, alpha, create_graph=True)
         v = theta.replace(g_q)
-        g_q = _flat_grad(theta, functools.reduce(ad.add, (
-            ad.dot(p, ad.tensor(v.view(n))) for n, p in adapted.prime.items())), adapted.leaves)
+        inner = functools.reduce(ad.add, (ad.dot(p, ad.tensor(v.view(n)))
+                                          for n, p in adapted.prime.items()))
+        with ad.walk_workers(QUERY_WORKERS):
+            g_q = _flat_grad(theta, inner, adapted.leaves)
     return g_q, q_loss
 
 

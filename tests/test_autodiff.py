@@ -1,6 +1,7 @@
 import gc
 import sys
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -665,6 +666,180 @@ def test_first_order_grad_frees_the_nodes_it_walks():
         assert [r() for r in refs if r() is not None] == []
     finally:
         gc.enable()
+
+
+def _walk_threads(monkeypatch):
+    """Node-making thread names, recorded while every first-order walk
+    inside walk_workers takes a helper whatever its arrays' sizes."""
+    monkeypatch.setattr(ad, "_HELPER_MIN_MEAN_ELEMENTS", 0)
+    made, node = [], ad._node
+
+    def recording_node(op, data, parents, vjp):
+        out = node(op, data, parents, vjp)
+        made.append((threading.current_thread().name, out))
+        return out
+
+    monkeypatch.setattr(ad, "_node", recording_node)
+    return made
+
+
+@pytest.mark.parametrize("op", sorted(CASES))
+def test_two_thread_walk_gives_the_same_bits(op, monkeypatch):
+    """Every case's gradient with respect to all its inputs has the same bits
+    on one and on two threads, and the helper records no graph."""
+    made = _walk_threads(monkeypatch)
+    vals = case_inputs(op, 0)
+    runs = []
+    for workers in (1, 2):
+        ins = [ad.tensor(v, requires_grad=True) for v in vals.values()]
+        with ad.walk_workers(workers):
+            runs.append(ad.grad(scalar_loss(CASES[op].build(*ins)), ins))
+    for one, two in zip(*runs):
+        assert np.array_equal(one.data, two.data)
+    assert all(not t._parents and not t.requires_grad
+               for thread, t in made if thread == "metasep-walk")
+
+
+def test_helper_threads_run_vjps_without_recording(monkeypatch):
+    """On a model loss the helper runs VJPs, and every cotangent it makes is
+    a plain array with no parents."""
+    made = _walk_threads(monkeypatch)
+    leaves, loss = _micro_loss(43)
+    with ad.walk_workers(2):
+        ad.grad(loss, list(leaves.values()))
+    helper = [t for thread, t in made if thread == "metasep-walk"]
+    assert helper
+    assert all(not t._parents and not t.requires_grad and t._vjp is None for t in helper)
+
+
+def test_small_graphs_keep_the_walk_on_one_thread(monkeypatch):
+    """Over a graph of small arrays the GIL sets the pace, so walk_workers
+    starts no helper there."""
+    threads = []
+    monkeypatch.setattr(ad._Walk, "help", lambda walk: threads.append(walk))
+    leaves, loss = _micro_loss(45)
+    with ad.walk_workers(2):
+        ad.grad(loss, list(leaves.values()))
+    assert threads == []
+
+
+def test_walks_on_more_threads_than_cores_keep_their_bits(monkeypatch):
+    """Stress: four walk threads on 2 CPUs, switching every microsecond, over
+    model losses; a lost update of the walk's shared state would lose or
+    reorder a contribution, or hang the walk."""
+    monkeypatch.setattr(ad, "_HELPER_MIN_MEAN_ELEMENTS", 0)
+    results, previous = {}, sys.getswitchinterval()
+
+    def walk_all():
+        for seed in range(46, 52):
+            for workers in (1, 4):
+                leaves, loss = _micro_loss(seed)
+                with ad.walk_workers(workers):
+                    results[seed, workers] = ad.grad(loss, list(leaves.values()))
+
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=walk_all, daemon=True)
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not runner.is_alive()
+    assert len(results) == 12
+    for seed in range(46, 52):
+        for one, four in zip(results[seed, 1], results[seed, 4]):
+            assert np.array_equal(one.data, four.data)
+
+
+def test_vjp_failing_on_the_helper_propagates(monkeypatch):
+    """Of two sibling nodes, the helper runs one, whose VJP raises there; the
+    other waits on the calling thread until then. The error reaches the
+    caller, and the helper thread is gone."""
+    monkeypatch.setattr(ad, "_HELPER_MIN_MEAN_ELEMENTS", 0)
+    failed = threading.Event()
+
+    def vjp(g):
+        if threading.current_thread().name == "metasep-walk":
+            failed.set()
+            raise ValueError("vjp failed on the helper")
+        assert failed.wait(timeout=30)
+        return (g,)
+
+    before = threading.active_count()
+    x = ad.tensor(1.0, requires_grad=True)
+    out = ad.add(ad._node("a", np.asarray(1.0), (x,), vjp),
+                 ad._node("b", np.asarray(1.0), (x,), vjp))
+    with ad.walk_workers(2), pytest.raises(ValueError, match="on the helper"):
+        ad.grad(out, [x])
+    assert threading.active_count() == before
+    y = ad.tensor(2.0, requires_grad=True)
+    with ad.walk_workers(2):
+        (g,) = ad.grad(ad.mul(y, y), [y])
+    assert g.item() == 4.0
+    assert threading.active_count() == before
+
+
+def test_vjp_failing_on_the_caller_waits_for_the_helper(monkeypatch):
+    """When the calling thread's VJP raises while the helper still runs one,
+    grad returns only after the helper has ended."""
+    monkeypatch.setattr(ad, "_HELPER_MIN_MEAN_ELEMENTS", 0)
+    started = threading.Event()
+
+    def vjp(g):
+        if threading.current_thread().name == "metasep-walk":
+            started.set()
+            time.sleep(0.2)
+            return (g,)
+        assert started.wait(timeout=30)
+        raise ValueError("vjp failed on the caller")
+
+    before = threading.active_count()
+    x = ad.tensor(1.0, requires_grad=True)
+    out = ad.add(ad._node("a", np.asarray(1.0), (x,), vjp),
+                 ad._node("b", np.asarray(1.0), (x,), vjp))
+    with ad.walk_workers(2), pytest.raises(ValueError, match="on the caller"):
+        ad.grad(out, [x])
+    assert threading.active_count() == before
+
+
+def test_two_thread_walk_consumes_its_graph(monkeypatch):
+    """A walk on two threads consumes its graph as one on one thread does."""
+    monkeypatch.setattr(ad, "_HELPER_MIN_MEAN_ELEMENTS", 0)
+    leaves, loss = _micro_loss(44)
+    shared = _interior_nodes(loss)[0]
+    with ad.walk_workers(2):
+        ad.grad(loss, list(leaves.values()))
+        with pytest.raises(RuntimeError, match="consumed"):
+            ad.grad(loss, list(leaves.values()))
+        with pytest.raises(RuntimeError, match="consumed"):
+            ad.grad(ad.dot(shared, shared), list(leaves.values()))
+
+
+def test_in_place_sums_never_write_into_a_vjp_result():
+    """add's VJP hands one array to both its inputs, and sum_time's hands out
+    read-only views. A first-order walk sums three contributions of each kind
+    in a buffer of its own, with the bits of a create-graph walk, which adds
+    into fresh arrays."""
+    rng = RNG(5)
+    c, weights = rng.normal(size=(3, 4)), rng.normal(size=(3, 3))
+    a0, b0 = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+
+    def build():
+        a, b = ad.tensor(a0, requires_grad=True), ad.tensor(b0, requires_grad=True)
+        out = ad.dot(ad.add(ad.add(a, a), a), ad.tensor(c))  # one array, three times
+        for w in weights:  # three read-only views
+            out = ad.add(out, ad.dot(ad.sum_time(b), ad.tensor(w)))
+        return out, a, b
+
+    out, a, b = build()
+    first = ad.grad(out, [a, b])
+    out, a, b = build()
+    again = ad.grad(out, [a, b], create_graph=True)
+    for one, other in zip(first, again):
+        assert np.array_equal(one.data, other.data)
+    assert np.array_equal(first[0].data, (c + c) + c)
+    np.testing.assert_allclose(first[1].data, np.broadcast_to(weights.sum(0)[:, None], (3, 4)),
+                               rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -369,6 +369,35 @@ def test_threaded_query_passes_equal_a_sequential_loop(mode, monkeypatch):
     assert len({i for _, i in made}) == len(made)
 
 
+@pytest.mark.parametrize("separator", ["tiny", "default"])
+def test_hessian_vector_product_on_two_threads_gives_the_same_bits(separator, monkeypatch):
+    """The maml meta-gradient has the same bits with its Hessian-vector
+    product on one thread and on two; at the tiny separator, whose graph
+    alone would keep the walk on one thread, the helper is forced."""
+    if separator == "tiny":
+        cfg, n = TINY, TINY_LEN
+        monkeypatch.setattr(ad, "_HELPER_MIN_MEAN_ELEMENTS", 0)
+    else:
+        cfg, n = SeparatorConfig(), dsp.SEGMENT_SAMPLES
+    theta = model.init_params(cfg, seed=72)
+    task = trainer.SeparationTask(make_task(72, n=n), cfg)
+    helped = []
+    real_help = ad._Walk.help
+
+    def counting_help(walk):
+        helped.append(threading.current_thread().name)
+        real_help(walk)
+
+    monkeypatch.setattr(ad._Walk, "help", counting_help)
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(trainer, "QUERY_WORKERS", workers)
+        runs.append(trainer._meta_task_gradient(theta, task, 0.01, "maml"))
+    assert helped == ["metasep-walk"]  # the Hessian-vector product's, no query walk's
+    assert np.array_equal(runs[0][0], runs[1][0])
+    assert runs[0][1] == runs[1][1]
+
+
 class FourQueryTask(QuadraticTask):
     """Quadratic task whose query loss is split into four terms, one of which
     is NaN when `nan_at` names it."""
