@@ -3,13 +3,19 @@
 import ctypes
 import os
 import platform
+import sys
+import warnings
 
 # OpenBLAS reads its thread count once, when numpy loads. The engine's
 # matrices are too small for threaded BLAS to gain anything, and its threads
 # stall when a core is busy (one training epoch at the tiny separator ran
 # about twice as slow with one of two cores loaded), so the package runs on
 # one thread. An explicit setting in the environment wins.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
+    warnings.warn("numpy was imported before metasep, so BLAS keeps its default thread "
+                  "count; import metasep first", RuntimeWarning, stacklevel=2)
+for _var in _BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")
 del _var
 

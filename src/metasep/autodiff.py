@@ -38,6 +38,7 @@ Design constraints honored throughout:
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
 import threading
@@ -59,6 +60,7 @@ __all__ = [
     "grad",
     "no_grad",
     "walk_workers",
+    "run_with_helpers",
     "add",
     "sub",
     "mul",
@@ -899,6 +901,24 @@ class _Walk:
             pass
 
 
+def run_with_helpers(helpers: int, work: Callable[[], None],
+                     helper_work: Callable[[], None], name: str) -> None:
+    """Run `work` here while `helpers` daemon threads run `helper_work`, each
+    in a copy of this thread's context (numpy's errstate is a context
+    variable); they are joined before this returns. `helper_work` keeps its
+    own failures for the caller to raise."""
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(helper_work,),
+                                name=name, daemon=True) for _ in range(helpers)]
+    try:
+        for thread in threads:
+            thread.start()
+        work()
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+
+
 def grad(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> list[Tensor]:
     """Cotangents of a scalar `output` with respect to each tensor in `wrt`.
 
@@ -919,25 +939,17 @@ def grad(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> l
         return [Tensor(np.zeros(w.data.shape)) for w in wrt]
 
     walk = _Walk(output, wrt, bool(create_graph))
-    helpers = []
+    helpers = 0
     if not create_graph and walk.mean_elements >= _HELPER_MIN_MEAN_ELEMENTS:
-        helpers = [threading.Thread(target=walk.help, name="metasep-walk", daemon=True)
-                   for _ in range(_GradMode.walk_workers - 1)]
-    if helpers:
+        helpers = _GradMode.walk_workers - 1
+    if helpers > 0:
         walk.share()
     prev = _GradMode.enabled
     _GradMode.enabled = bool(create_graph)
     try:
-        for helper in helpers:
-            helper.start()
-        walk.run()
+        run_with_helpers(helpers, walk.run, walk.help, "metasep-walk")
     finally:
         _GradMode.enabled = prev
-        if helpers:
-            walk.stop()
-            for helper in helpers:
-                if helper.ident is not None:
-                    helper.join()
     if walk.error is not None:
         raise walk.error
     return [walk.cot[k] if k is not None and walk.cot[k] is not None

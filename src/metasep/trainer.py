@@ -10,7 +10,7 @@ entirely, pooling support and query mixtures as ordinary supervised data.
 All three go through :func:`meta_gradient`, which differentiates each
 mixture's loss before building the next one's graph; a meta task's query
 mixtures at the adapted parameters run on up to two threads, and so do the
-VJPs of MAML's Hessian-vector product.
+VJPs of MAML's Hessian-vector product and the forwards of each query score.
 
 Anything with a ``support_loss`` method and a ``query_terms`` list of query
 losses over parameter tensors can be trained; separation tasks are one such
@@ -21,6 +21,7 @@ meta-gradient algebra against closed forms.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -43,12 +44,35 @@ MODES = ("joint", "maml", "fomaml")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# Threads for one task's query passes at theta', and for the walk of maml's
-# Hessian-vector product that follows them (see _meta_task_gradient). numpy
-# releases the GIL in the default separator's kernels, and two query graphs
-# take less memory than the Hessian-vector product.
+# Threads for one task's query passes at theta', for the walk of maml's
+# Hessian-vector product that follows them (see _meta_task_gradient) and for
+# scoring query mixtures. numpy releases the GIL in the separator's kernels,
+# and two query graphs take less memory than the Hessian-vector product.
 QUERY_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                     else os.cpu_count() or 1)
+
+
+def _in_order(fn: Callable, items: Sequence, workers: int) -> list:
+    """[fn(item) for item in items] on this thread and up to `workers` - 1
+    helpers, which claim items in order. No item after a failed one starts;
+    once the helpers are joined, the lowest failing item's error is raised."""
+    results, errors = [None] * len(items), [None] * len(items)
+    claims = itertools.count()  # next() is one C call under the GIL
+
+    def run_items():
+        for i in claims:
+            if i >= len(items) or any(err is not None for err in errors[:i]):
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as err:  # re-raised by the calling thread
+                errors[i] = err
+
+    ad.run_with_helpers(min(workers, len(items)) - 1, run_items, run_items, "metasep-term")
+    for err in errors:
+        if err is not None:
+            raise err
+    return results
 
 
 class TrainingDiverged(RuntimeError):
@@ -175,10 +199,10 @@ class SeparationTask:
             return self.support_loss(params.to_constants()).item()
 
     def query_si_snri(self, params: ParamVector) -> float:
-        return float(np.mean([
-            model_mod.evaluate_si_snri(self.task.mixture(k, noisy=self.noisy),
-                                       params, self.config)
-            for k in self.task.query_indices]))
+        return float(np.mean(_in_order(
+            lambda k: model_mod.evaluate_si_snri(self.task.mixture(k, noisy=self.noisy),
+                                                 params, self.config),
+            self.task.query_indices, QUERY_WORKERS)))
 
 
 def _check_finite(loss: Tensor, task, phase: str) -> None:
@@ -237,19 +261,6 @@ def _term_gradient(theta: ParamVector, task: TaskLoss, phase: str,
     loss = loss_fn(leaves)
     _check_finite(loss, task, phase)
     return _flat_grad(theta, loss, leaves), loss.item()
-
-
-def _in_order(fn: Callable, items: Sequence, workers: int):
-    """fn over items on up to `workers` threads, yielded in the items' order.
-    A failure cancels the items not yet started, and the threads are joined
-    before the failure propagates."""
-    if workers < 2:
-        yield from map(fn, items)
-        return
-    # imported here: it loads logging too, 0.8 MB that scoring-only runs skip
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(workers, thread_name_prefix="metasep-term") as pool:
-        yield from pool.map(fn, items)
 
 
 def _mean_gradient(theta: ParamVector, task: TaskLoss, terms: Sequence[LossFn],

@@ -5,6 +5,7 @@ import platform
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -127,6 +128,36 @@ def test_full_grid_sweep_equals_meta_test_at_every_rate(params, test_sets, noisy
         report = evalcli.meta_test(params, MICRO, extra, test_sets, row["beta_ft"],
                                    noisy=noisy)
         assert row["mean_si_snri_db"] == report.overall_mean(condition, "after")
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_scores_do_not_depend_on_query_workers(params, test_sets, noisy, monkeypatch):
+    """Query Si-SNRi, meta_test rows and a 9-rate sweep's rows have the same
+    floats scored on one thread and on two; the threads switch every
+    microsecond so that the helper takes items even at this small separator."""
+    extra = dict(CKPT_EXTRA, mode="joint")
+    names, score = set(), model.evaluate_si_snri
+
+    def named_score(*args):
+        names.add(threading.current_thread().name)
+        return score(*args)
+
+    monkeypatch.setattr(model, "evaluate_si_snri", named_score)
+    runs, previous = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2):
+            monkeypatch.setattr(trainer, "QUERY_WORKERS", workers)
+            runs.append((
+                [trainer.SeparationTask(t, MICRO, noisy=noisy).query_si_snri(params)
+                 for ts in test_sets for t in ts.tasks],
+                evalcli.meta_test(params, MICRO, extra, test_sets, 0.01, noisy=noisy).rows,
+                evalcli.beta_sweep(params, MICRO, extra, test_sets, noisy=noisy).rows))
+    finally:
+        sys.setswitchinterval(previous)
+    assert len(runs[1][2]) == len(evalcli.BETA_GRID) == 9
+    assert runs[0] == runs[1]
+    assert names == {"MainThread", "metasep-term"}
 
 
 @pytest.fixture
@@ -516,6 +547,45 @@ def test_import_pins_blas_threads_unless_set(preset):
          "os.environ['OMP_NUM_THREADS'], os.environ['MKL_NUM_THREADS'])"],
         env=env, capture_output=True, text=True, timeout=60, check=True).stdout.split()
     assert out == [preset or "1", "1", "1"]
+
+
+@pytest.mark.parametrize("order,preset,warns", [
+    ("numpy, metasep", None, True),
+    ("numpy, metasep", "OMP_NUM_THREADS=1", False),
+    ("metasep, numpy", None, False),
+], ids=["numpy-first", "numpy-first-with-setting", "metasep-first"])
+def test_import_warns_when_the_blas_pin_cannot_take_effect(order, preset, warns):
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(metasep.__file__).resolve().parents[1])
+    env.update(kv.split("=", 1) for kv in (preset or "").split())
+    err = subprocess.run([sys.executable, "-c", f"import {order}"], env=env,
+                         capture_output=True, text=True, timeout=60, check=True).stderr
+    assert ("RuntimeWarning: numpy was imported before metasep" in err) == warns, err
+
+
+_SWEEP_PROBE = """
+import sys
+sys.path.insert(0, {tests!r})
+import metasep
+from metasep import evalcli, model, trainer
+from test_trainer import MICRO, make_task, make_task_sets
+trainer.QUERY_WORKERS = 2
+params = model.init_params(MICRO, seed=1)
+extra = {{"mode": "joint", "train_accents": ["train00"], "config_hash": "x"}}
+evalcli.beta_sweep(params, MICRO, extra, make_task_sets(2, 1, seed0=200))
+trainer.meta_gradient(params, [trainer.SeparationTask(make_task(7), MICRO)], 0.01, "fomaml")
+print("concurrent.futures" in sys.modules)
+"""
+
+
+def test_sweep_and_meta_gradient_leave_concurrent_futures_unloaded():
+    """The two-thread map needs no thread pool, so neither concurrent.futures
+    nor the logging it loads is imported."""
+    env = dict(os.environ, PYTHONPATH=str(Path(metasep.__file__).resolve().parents[1]))
+    probe = _SWEEP_PROBE.format(tests=str(Path(__file__).resolve().parent))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout.split()
+    assert out == ["False"]
 
 
 _REFAULT_PROBE = """

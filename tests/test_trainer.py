@@ -1,6 +1,7 @@
 import functools
 import math
 import threading
+import warnings
 import weakref
 
 import numpy as np
@@ -364,7 +365,8 @@ def test_threaded_query_passes_equal_a_sequential_loop(mode, monkeypatch):
     assert np.array_equal(loss, float(np.mean(losses)))
     main = threading.get_ident()
     worker_ids = [i for thread, i in made if thread != main]
-    assert len({thread for thread, _ in made if thread != main}) >= 2
+    threads = {thread for thread, _ in made}
+    assert len(threads) >= 2 and main in threads  # the caller is one of the workers
     assert len(set(worker_ids)) == len(worker_ids)
     assert len({i for _, i in made}) == len(made)
 
@@ -424,6 +426,50 @@ def test_non_finite_query_loss_in_a_worker_raises(mode, nan_at, monkeypatch):
         trainer.meta_gradient(theta_vec(0.3), tasks, 0.05, mode)
     assert threading.active_count() == before
     trainer.meta_gradient(theta_vec(0.3), tasks[:1], 0.05, mode)
+    assert threading.active_count() == before
+
+
+def test_in_order_helpers_run_under_the_callers_errstate():
+    """Each of two threads takes one item, and the helper's overflow obeys the
+    caller's np.errstate (a context variable), so no warning is raised."""
+    both_in = threading.Barrier(2, timeout=30)
+    names = []
+
+    def overflow(x):
+        both_in.wait()
+        names.append(threading.current_thread().name)
+        return x * 1e300
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with np.errstate(over="ignore"):
+            out = trainer._in_order(overflow, [np.float64(1e300)] * 2, 2)
+    assert out == [np.inf, np.inf]
+    assert sorted(names) == ["MainThread", "metasep-term"]
+
+
+def test_in_order_raises_the_lowest_failing_items_error():
+    """Item 1 fails first, then item 0: item 0's error is raised, no later
+    item is started, and the helper is joined."""
+    before = threading.active_count()
+    item_1_failed = threading.Event()
+    started = []
+
+    def fail_first_two(i):
+        started.append(i)
+        if i == 1:
+            item_1_failed.set()
+            raise ValueError("item 1 failed")
+        if i == 0:
+            assert item_1_failed.wait(timeout=30)
+            raise ValueError("item 0 failed")
+        return i
+
+    with pytest.raises(ValueError, match="item 0 failed"):
+        trainer._in_order(fail_first_two, range(4), 2)
+    assert sorted(started) == [0, 1]
+    assert threading.active_count() == before
+    assert trainer._in_order(lambda i: i * i, range(5), 2) == [0, 1, 4, 9, 16]
     assert threading.active_count() == before
 
 
