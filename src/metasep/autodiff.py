@@ -29,21 +29,25 @@ Design constraints honored throughout:
 * the reverse walk runs a node once every consumer that feeds it has run,
   highest topological position first, and sums each node's cotangent
   contributions in one fixed order (consumers by descending position, then
-  by parent index). Inside :class:`walk_workers` a first-order walk over
-  large arrays runs ready VJPs on helper threads too; a contribution that
-  comes early waits for those before it, so the bits are those of one
-  thread. A first-order walk adds the third and later contributions in place
-  into a buffer of its own, never into an array a VJP returned.
+  by parent index). Inside :class:`walk_workers` a walk over large arrays
+  runs ready VJPs on helper threads too, which record graph nodes in a
+  create-graph walk as the caller does. The weight, bias, slope and shift
+  gradients that flow into leaves come back deferred and run on whichever
+  thread has no node to start. A contribution that comes early waits for
+  those before it, so the bits are those of one thread. A first-order walk
+  adds the third and later contributions in place into a buffer of its own,
+  never into an array a VJP returned.
 """
 
 from __future__ import annotations
 
 import contextvars
+import functools
 import itertools
 import math
 import threading
 import weakref
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from heapq import heappop, heappush
 from itertools import zip_longest
 from typing import Callable, Mapping, Sequence
@@ -169,6 +173,16 @@ def _node(op: str, data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable)
     else:
         out.op = op
     return out
+
+
+class _Later(functools.partial):
+    """A VJP's contribution to one parent, computed when the walk calls it:
+    the weight, bias, slope and shift gradients of conv1d, conv1d_input_grad,
+    prelu and gln. A walk on helper threads queues those that flow into a
+    leaf (see _Walk); the walk calls every other one as it hands the node's
+    results to their sums, in the order of the node's parents."""
+
+    __slots__ = ()
 
 
 def _check(cond: bool, op: str, msg: str) -> None:
@@ -429,9 +443,9 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
     def vjp(g):
         dx = conv1d_input_grad(g, w, stride=stride, dilation=dilation, groups=groups,
                                pad=pad, out_len=t) if x.requires_grad else None
-        dw = conv1d_weight_grad(x, g, kernel=k, stride=stride, dilation=dilation,
-                                groups=groups, pad=pad) if w.requires_grad else None
-        return (dx, dw) if b is None else (dx, dw, sum_time(g) if b.requires_grad else None)
+        dw = _Later(conv1d_weight_grad, x, g, kernel=k, stride=stride, dilation=dilation,
+                    groups=groups, pad=pad) if w.requires_grad else None
+        return (dx, dw) if b is None else (dx, dw, _Later(sum_time, g) if b.requires_grad else None)
 
     return _node("conv1d", y, (x, w) if b is None else (x, w, b), vjp)
 
@@ -477,8 +491,8 @@ def conv1d_input_grad(g: Tensor, w: Tensor, *, stride: int = 1, dilation: int = 
     def vjp(c):
         dg = conv1d(c, w, stride=stride, dilation=dilation, groups=groups,
                     pad=pad) if g.requires_grad else None
-        dw = conv1d_weight_grad(c, g, kernel=k, stride=stride, dilation=dilation,
-                                groups=groups, pad=pad) if w.requires_grad else None
+        dw = _Later(conv1d_weight_grad, c, g, kernel=k, stride=stride, dilation=dilation,
+                    groups=groups, pad=pad) if w.requires_grad else None
         return (dg, dw)
 
     return _node("conv1d_input_grad", dx, (g, w), vjp)
@@ -548,7 +562,7 @@ def _gated(x: Tensor, a: Tensor, gate: np.ndarray) -> Tensor:
 
     def vjp(g):
         dx = _gated(g, a, gate) if x.requires_grad else None
-        da = _masked_dot(g, x, gate) if a.requires_grad else None
+        da = _Later(_masked_dot, g, x, gate) if a.requires_grad else None
         return (dx, da)
 
     # one multiply by where(gate, 1, a); the closure keeps only the boolean gate
@@ -589,7 +603,7 @@ def gln(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
         # gamma's gradient reads xhat before the input gradient scales it in place
         dgamma = _gln_gamma_grad(x, g, stats, xhat) if gamma.requires_grad else None
         dx = _gln_input_grad(x, g, gamma, stats, xhat) if x.requires_grad else None
-        dbeta = sum_time(g) if beta.requires_grad else None
+        dbeta = _Later(sum_time, g) if beta.requires_grad else None
         return (dx, dgamma, dbeta)
 
     # ((centered * inv) * gamma) + beta, written over the squared deviations
@@ -686,10 +700,10 @@ def _consumed(g):
                        "build it again, or take the earlier backward with create_graph=True")
 
 
-# A first-order walk takes helper threads only over graphs whose nodes hold
-# this many elements on average. Below it the GIL sets the pace. On 2 vCPUs
-# with one BLAS thread, a Hessian-vector product averaging 8k elements (the
-# tiny separator) took 16.4 ms on two threads against 14.8 ms on one, one
+# A walk takes helper threads only over graphs whose nodes hold this many
+# elements on average. Below it the GIL sets the pace. On 2 vCPUs with one
+# BLAS thread, a Hessian-vector product averaging 8k elements (the tiny
+# separator) took 16.4 ms on two threads against 14.8 ms on one, one
 # averaging 14k gained 3 %, and one averaging 23k took 112 against 142 ms
 # (the default separator's averages 46k).
 _HELPER_MIN_MEAN_ELEMENTS = 20_000
@@ -697,14 +711,17 @@ _HELPER_MIN_MEAN_ELEMENTS = 20_000
 # for one that comes before them in their sum's order, unless no other thread
 # runs one. It bounds the arrays that an out-of-order schedule keeps alive.
 _MAX_PARKED = 2
+# A shared walk queues at most this many leaf contributions (each holds a
+# cotangent array); the thread whose VJP made one more runs it next itself.
+_MAX_QUEUED = 2
 _MISSING = object()
 
 
 class walk_workers:
-    """Context manager: the first-order :func:`grad` calls of this thread run
-    their VJPs on up to `n` threads where the graph's arrays are large enough
-    to gain from it, with the same bits as on one. Create-graph walks, and the
-    walks of threads outside the context, stay on one thread."""
+    """Context manager: the :func:`grad` calls of this thread run their VJPs
+    on up to `n` threads where the graph's arrays are large enough to gain
+    from it, with the same bits as on one. The walks of threads outside the
+    context stay on one thread."""
 
     def __init__(self, n: int):
         self._n = int(n)
@@ -723,15 +740,24 @@ class _Walk:
     """One reverse walk from `output`, shared by the threads that run it.
 
     The walk covers the nodes that `output` reaches through requires-grad
-    edges, numbered so that each comes after its parents. A node is ready once
+    edges, numbered by a depth-first walk over their parents so that each
+    comes after its parents; node ids play no part, so a graph recorded on
+    several threads is numbered as one recorded on one. A node is ready once
     every consumer that feeds it has run, and ready nodes are taken highest
     position first: on one thread that is descending topological order. Each
     node's cotangent contributions are ranked in that order (consumers by
     descending position, then by parent index) and summed in rank order, each
     as soon as those before it are in; one that comes early is parked until
-    then. So the bits do not depend on the schedule. The lock, the counts of
-    running and waiting threads and the cap on parked contributions come into
-    play only once :meth:`share` has readied the walk for helper threads.
+    then. So the bits do not depend on the schedule.
+
+    Once :meth:`share` has readied the walk for helper threads, the lock, the
+    counts of running and waiting threads, the cap on parked contributions
+    and the queue of leaf contributions come into play. A deferred
+    contribution (:class:`_Later`) into a leaf is queued, and a thread runs a
+    queued one when no node is ready to start; its result joins the ranked
+    sum as any VJP's does. Other deferred contributions are computed as soon
+    as their VJP returns, and in a walk on one thread each one is computed
+    as it is handed to its sum, in the order of the node's parents.
 
     A first-order walk makes one buffer for a sum of two contributions and
     adds any further ones into it in place. It never writes into an array
@@ -783,6 +809,8 @@ class _Walk:
         self.next = [0] * n       # rank of node k's next contribution to sum
         self.parked: dict = {}    # (position, rank) -> contribution that came early
         self.ready = [-(n - 1)]   # heap of negated positions
+        self.queue: deque = deque()  # (link, _Later) into a leaf, for any thread
+        self.leaf: list | None = None
         self.shared = False
         self.running = self.waiting = 0
         self.stopped = False
@@ -793,26 +821,34 @@ class _Walk:
     def share(self) -> None:
         """Ready the walk for helper threads; call it before any thread runs."""
         self.shared = True
+        self.leaf = [node._vjp is None for node in self.order]
         self.wake = threading.Condition(self.lock)
 
     def run(self) -> None:
-        """Run ready nodes until none is left or the walk is stopped. A
-        failure stops the walk for every thread, then propagates."""
+        """Run ready nodes and queued contributions until none is left or the
+        walk is stopped. A failure stops the walk for every thread, then
+        propagates."""
         lock, ready, order, cot, keep = self.lock, self.ready, self.order, self.cot, set(self.at)
         links, counts, nxt, parked, owned = (self.links, self.counts, self.next,
                                              self.parked, self.owned)
-        create_graph, shared = self.create_graph, self.shared
-        k, grads = None, ()
+        queue, leaf, create_graph, shared = self.queue, self.leaf, self.create_graph, self.shared
+        # (link, contribution) pairs to hand over, once this thread has run
+        # something, and the leaf contributions it runs next itself
+        done, mine, later = None, [], None
         try:
             while True:
                 if shared:
                     lock.acquire()
                 try:
-                    if k is not None:
-                        # hand node k's VJP results to its parents' sums
-                        for link, pg in zip_longest(links[k], grads):
+                    if done is not None:
+                        for link, pg in done:
                             if link is None:
                                 continue
+                            if type(pg) is _Later:
+                                if shared:  # into a leaf
+                                    (queue if len(queue) < _MAX_QUEUED else mine).append((link, pg))
+                                    continue
+                                pg = pg()
                             q, rank = link
                             if rank != nxt[q]:
                                 parked[link] = pg
@@ -840,44 +876,60 @@ class _Walk:
                                 if pg is _MISSING:
                                     break
                             nxt[q] = rank
-                        k = grads = pg = have = None
+                        done = pg = have = None
                         if shared:
-                            self.running -= 1
+                            if not mine:
+                                self.running -= 1
                             if self.waiting:
                                 self.wake.notify_all()
-                    if shared:
-                        # wait while another thread runs a node, and none is
-                        # ready or too many contributions are parked
-                        while not self.stopped and self.running and not (
-                                ready and len(parked) <= _MAX_PARKED):
-                            self.waiting += 1
-                            self.wake.wait()
-                            self.waiting -= 1
-                        if self.stopped:
+                    if mine:
+                        later, mine = mine, []
+                    else:
+                        take_node = bool(ready)
+                        if shared:
+                            # wait while another thread runs, nothing is queued
+                            # and no node is ready or too many are parked
+                            while not self.stopped and self.running and not queue and not (
+                                    ready and len(parked) <= _MAX_PARKED):
+                                self.waiting += 1
+                                self.wake.wait()
+                                self.waiting -= 1
+                            if self.stopped:
+                                return
+                            take_node = ready and (len(parked) <= _MAX_PARKED or not self.running)
+                            if not (take_node or queue):  # every node has run
+                                if self.waiting:
+                                    self.wake.notify_all()
+                                return
+                            self.running += 1
+                        elif not ready:
                             return
-                        if not ready:  # every node has run
-                            if self.waiting:
-                                self.wake.notify_all()
-                            return
-                        self.running += 1
-                    elif not ready:
-                        return
-                    k = -heappop(ready)
-                    node, g = order[k], cot[k]
-                    order[k] = None  # the walk keeps no node it has passed
-                    if k not in keep:
-                        cot[k] = None
+                        if take_node:
+                            k = -heappop(ready)
+                            node, g = order[k], cot[k]
+                            order[k] = None  # the walk keeps no node it has passed
+                            if k not in keep:
+                                cot[k] = None
+                        else:
+                            later = [queue.popleft()]
                 finally:
                     if shared:
                         lock.release()
+                if later is not None:
+                    done = [(link, pg()) for link, pg in later]
+                    later = None
+                    continue
                 vjp = node._vjp
                 if g is None or vjp is None:
-                    grads = ()
+                    done = ()
                 else:
                     if not create_graph:
                         node._vjp, node._parents = _consumed, ()
-                    grads = vjp(g)
-                g = node = vjp = None
+                    done = zip_longest(links[k], vjp(g))
+                    if shared:  # the contributions into interior nodes, now
+                        done = [(link, pg() if type(pg) is _Later and not leaf[link[0]] else pg)
+                                for link, pg in done]
+                g = node = vjp = pg = None
         except BaseException as err:
             self.stop(err)
             raise
@@ -892,9 +944,10 @@ class _Walk:
                 self.wake.notify_all()
 
     def help(self) -> None:
-        """A helper thread's loop. It records no graph. Its failure is kept in
-        ``error`` by run() and raised in the calling thread, not here."""
-        _GradMode.enabled = False
+        """A helper thread's loop. It records graph nodes as the caller does,
+        that is in a create-graph walk only. Its failure is kept in ``error``
+        by run() and raised in the calling thread, not here."""
+        _GradMode.enabled = self.create_graph
         try:
             self.run()
         except BaseException:
@@ -928,7 +981,7 @@ def grad(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> l
     parents and its VJP right after the VJP runs, so its inputs are freed as
     the walk goes, and another backward through any of those nodes raises
     ``RuntimeError`` instead of returning zeros. Inside :class:`walk_workers`
-    a first-order walk may run VJPs on helper threads too, with the same bits.
+    the walk may run VJPs on helper threads too, with the same bits.
     Tensors in `wrt` that the output does not depend on receive zeros.
     """
     if output.data.shape != ():
@@ -940,7 +993,7 @@ def grad(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> l
 
     walk = _Walk(output, wrt, bool(create_graph))
     helpers = 0
-    if not create_graph and walk.mean_elements >= _HELPER_MIN_MEAN_ELEMENTS:
+    if walk.mean_elements >= _HELPER_MIN_MEAN_ELEMENTS:
         helpers = _GradMode.walk_workers - 1
     if helpers > 0:
         walk.share()

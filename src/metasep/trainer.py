@@ -8,9 +8,17 @@ Hessian-vector product through the support gradient, which makes it the
 exact gradient through the adaptation; joint training skips adaptation
 entirely, pooling support and query mixtures as ordinary supervised data.
 All three go through :func:`meta_gradient`, which differentiates each
-mixture's loss before building the next one's graph; a meta task's query
-mixtures at the adapted parameters run on up to two threads, and so do the
-VJPs of MAML's Hessian-vector product and the forwards of each query score.
+mixture's loss before building the next one's graph.
+
+Up to QUERY_WORKERS threads share the work, with the bits of one. A meta
+task's query mixtures at the adapted parameters run as items of the in-order
+map :func:`_in_order`, and so do the forwards of each query score. Every
+walk that runs alone takes the helper threads of ``autodiff.walk_workers``:
+the support walk that gives theta', MAML's create-graph support walk and its
+Hessian-vector product, each of joint's pooled terms and the support walk of
+:func:`prepare_adapt`. No walk of an item of a map that runs on two threads
+takes one, whether the item runs on the caller or on a helper, so at most
+QUERY_WORKERS threads run and at most two query graphs are alive at once.
 
 Anything with a ``support_loss`` method and a ``query_terms`` list of query
 losses over parameter tensors can be trained; separation tasks are one such
@@ -44,18 +52,19 @@ MODES = ("joint", "maml", "fomaml")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# Threads for one task's query passes at theta', for the walk of maml's
-# Hessian-vector product that follows them (see _meta_task_gradient) and for
-# scoring query mixtures. numpy releases the GIL in the separator's kernels,
-# and two query graphs take less memory than the Hessian-vector product.
+# Threads for one task's query passes at theta', for the walks that run
+# alone (see the module docstring) and for scoring query mixtures. numpy
+# releases the GIL in the separator's kernels, and two query graphs take less
+# memory than the Hessian-vector product.
 QUERY_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                     else os.cpu_count() or 1)
 
 
 def _in_order(fn: Callable, items: Sequence, workers: int) -> list:
     """[fn(item) for item in items] on this thread and up to `workers` - 1
-    helpers, which claim items in order. No item after a failed one starts;
-    once the helpers are joined, the lowest failing item's error is raised."""
+    helpers, which claim items in order; with helpers, every item's walks
+    stay on its own thread. No item after a failed one starts; once the
+    helpers are joined, the lowest failing item's error is raised."""
     results, errors = [None] * len(items), [None] * len(items)
     claims = itertools.count()  # next() is one C call under the GIL
 
@@ -68,7 +77,12 @@ def _in_order(fn: Callable, items: Sequence, workers: int) -> list:
             except BaseException as err:  # re-raised by the calling thread
                 errors[i] = err
 
-    ad.run_with_helpers(min(workers, len(items)) - 1, run_items, run_items, "metasep-term")
+    helpers = min(workers, len(items)) - 1
+    if helpers > 0:
+        with ad.walk_workers(1):
+            ad.run_with_helpers(helpers, run_items, run_items, "metasep-term")
+    else:
+        run_items()
     for err in errors:
         if err is not None:
             raise err
@@ -295,22 +309,25 @@ def _meta_task_gradient(theta: ParamVector, task: TaskLoss, alpha: float,
        create-graph backward, which runs the same VJPs as the first-order one
        and so gives theta' the same bits;
     4. maml's Hessian-vector product, a first-order backward, consumes both
-       support graphs as it walks them, and is where the peak is. Its VJPs
-       run on up to QUERY_WORKERS threads (autodiff.walk_workers), with the
-       cotangents summed in the one-thread order, so the bits are the same.
+       support graphs as it walks them, and is where the peak is.
 
-    joint's pooled terms run one at a time: at small separators the GIL sets
+    The walks of passes 1, 3 and 4 run their VJPs on up to QUERY_WORKERS
+    threads (autodiff.walk_workers), with the cotangents summed in the
+    one-thread order, so the bits are the same. joint's pooled terms run one
+    at a time, each walk on those threads: at small separators the GIL sets
     the pace, and a second graph would only raise the peak."""
     if mode == "joint":
-        return _mean_gradient(theta, task, [task.support_loss] + task.query_terms(), "pooled")
-    theta_prime = inner_adapt(theta, task, alpha, create_graph=False).to_vector(theta)
+        with ad.walk_workers(QUERY_WORKERS):
+            return _mean_gradient(theta, task, [task.support_loss] + task.query_terms(), "pooled")
+    with ad.walk_workers(QUERY_WORKERS):
+        theta_prime = inner_adapt(theta, task, alpha, create_graph=False).to_vector(theta)
     g_q, q_loss = _mean_gradient(theta_prime, task, task.query_terms(), "query", QUERY_WORKERS)
     if mode == "maml":
-        adapted = inner_adapt(theta, task, alpha, create_graph=True)
-        v = theta.replace(g_q)
-        inner = functools.reduce(ad.add, (ad.dot(p, ad.tensor(v.view(n)))
-                                          for n, p in adapted.prime.items()))
         with ad.walk_workers(QUERY_WORKERS):
+            adapted = inner_adapt(theta, task, alpha, create_graph=True)
+            v = theta.replace(g_q)
+            inner = functools.reduce(ad.add, (ad.dot(p, ad.tensor(v.view(n)))
+                                              for n, p in adapted.prime.items()))
             g_q = _flat_grad(theta, inner, adapted.leaves)
     return g_q, q_loss
 
@@ -447,7 +464,8 @@ def prepare_adapt(theta: ParamVector, task: taskgen.MetaTask, config: SeparatorC
     """Support gradient, support loss and query Si-SNRi at theta, computed
     once per task however many rates are scored."""
     sep = SeparationTask(task, config, noisy=noisy)
-    g, value = _mean_gradient(theta, sep, [sep.support_loss], "support")
+    with ad.walk_workers(QUERY_WORKERS):
+        g, value = _mean_gradient(theta, sep, [sep.support_loss], "support")
     return PreparedAdapt(theta=theta, sep=sep, support_grad=g, support_loss_pre=value,
                          query_si_snri_pre=sep.query_si_snri(theta))
 

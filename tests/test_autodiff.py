@@ -1,3 +1,6 @@
+import collections
+import contextlib
+import functools
 import gc
 import sys
 import threading
@@ -840,6 +843,105 @@ def test_in_place_sums_never_write_into_a_vjp_result():
     assert np.array_equal(first[0].data, (c + c) + c)
     np.testing.assert_allclose(first[1].data, np.broadcast_to(weights.sum(0)[:, None], (3, 4)),
                                rtol=1e-14)
+
+
+@contextlib.contextmanager
+def _switching_fast():
+    """Threads switch every microsecond inside this context."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
+
+
+@pytest.mark.parametrize("op", sorted(CASES))
+def test_two_thread_create_graph_walk_gives_the_same_bits(op, monkeypatch):
+    """Every case's create-graph gradient, built on one and on two threads
+    switching every microsecond, and a first-order backward through it have
+    the same bits."""
+    monkeypatch.setattr(ad, "_HELPER_MIN_MEAN_ELEMENTS", 0)
+    vals = case_inputs(op, 0)
+    runs = []
+    for workers in (1, 2):
+        ins = [ad.tensor(v, requires_grad=True) for v in vals.values()]
+        with ad.walk_workers(workers), _switching_fast():
+            grads = ad.grad(scalar_loss(CASES[op].build(*ins)), ins, create_graph=True)
+        again = ad.grad(functools.reduce(ad.add, (ad.dot(g, g) for g in grads)), ins)
+        runs.append([g.data for g in grads + again])
+    for one, two in zip(*runs):
+        assert np.array_equal(one, two)
+
+
+def test_create_graph_helper_records_nodes_with_unique_ids(monkeypatch):
+    """In a create-graph walk the helper records graph nodes, as the caller
+    does, and no id is handed out twice."""
+    made = _walk_threads(monkeypatch)
+    leaves, loss = _micro_loss(53)
+    with ad.walk_workers(2), _switching_fast():
+        grads = ad.grad(loss, list(leaves.values()), create_graph=True)
+    helper = [t for thread, t in made if thread == "metasep-walk"]
+    assert any(t._parents and t.requires_grad for t in helper)
+    ids = [t._id for _, t in made]
+    assert len(set(ids)) == len(ids)
+    assert any(g.requires_grad for g in grads)
+
+
+@pytest.mark.parametrize("cap", [0, 1, None])
+@pytest.mark.parametrize("create_graph", [False, True])
+def test_queued_leaf_contributions_stay_under_their_cap(cap, create_graph, monkeypatch):
+    """A probe on the queue of leaf contributions sees it hold at most
+    _MAX_QUEUED of them, and at any cap (0 sends every one to the thread
+    that made it) the gradients have the bits of one thread."""
+    monkeypatch.setattr(ad, "_HELPER_MIN_MEAN_ELEMENTS", 0)
+    if cap is not None:
+        monkeypatch.setattr(ad, "_MAX_QUEUED", cap)
+    lengths = []
+
+    class Probe(collections.deque):
+        def append(self, item):
+            super().append(item)
+            lengths.append(len(self))
+
+    monkeypatch.setattr(ad, "deque", Probe)
+    runs = []
+    for workers in (1, 2):
+        leaves, loss = _micro_loss(54)
+        with ad.walk_workers(workers), _switching_fast():
+            runs.append(ad.grad(loss, list(leaves.values()), create_graph=create_graph))
+    for one, two in zip(*runs):
+        assert np.array_equal(one.data, two.data)
+    assert max(lengths, default=0) <= ad._MAX_QUEUED
+    assert bool(lengths) == (ad._MAX_QUEUED > 0)
+
+
+@pytest.mark.parametrize("create_graph", [False, True])
+def test_leaf_contribution_failing_on_the_helper_propagates(create_graph, monkeypatch):
+    """Two sibling nodes each queue a deferred contribution into a leaf. The
+    helper runs one and it raises there; the other, on the calling thread,
+    waits until then. The error reaches the caller, and the helper is gone."""
+    monkeypatch.setattr(ad, "_HELPER_MIN_MEAN_ELEMENTS", 0)
+    failed = threading.Event()
+
+    def contribution(g):
+        if threading.current_thread().name == "metasep-walk":
+            failed.set()
+            raise ValueError("deferred contribution failed on the helper")
+        assert failed.wait(timeout=30)
+        return g
+
+    def vjp(g):
+        return (ad._Later(contribution, g),)
+
+    before = threading.active_count()
+    x, y = ad.tensor(1.0, requires_grad=True), ad.tensor(2.0, requires_grad=True)
+    out = ad.add(ad._node("a", np.asarray(1.0), (x,), vjp),
+                 ad._node("b", np.asarray(1.0), (y,), vjp))
+    with ad.walk_workers(2), pytest.raises(ValueError, match="on the helper"):
+        ad.grad(out, [x, y], create_graph=create_graph)
+    assert failed.is_set()
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------

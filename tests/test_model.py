@@ -482,13 +482,14 @@ def test_maml_task_resident_peak_stays_under_its_bound():
 
 def _recording_vjp(node, log):
     """Wraps node's VJP so each call logs the id counter on entry, the
-    outputs and what the VJP's closure holds."""
+    outputs, with each deferred contribution computed, and what the VJP's
+    closure holds."""
     vjp = node._vjp
     held = [c.cell_contents for c in vjp.__closure__ or ()]
 
     def recorded(g):
         start = next(ad._ids)
-        out = vjp(g)
+        out = tuple(o() if isinstance(o, ad._Later) else o for o in vjp(g))
         log.append((start, out, held))
         return out
 

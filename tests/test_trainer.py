@@ -371,11 +371,26 @@ def test_threaded_query_passes_equal_a_sequential_loop(mode, monkeypatch):
     assert len({i for _, i in made}) == len(made)
 
 
+def _counted_walk_helpers(monkeypatch):
+    """The names of the threads that help a walk, one per helper started."""
+    helped, real_help = [], ad._Walk.help
+
+    def counting_help(walk):
+        helped.append(threading.current_thread().name)
+        real_help(walk)
+
+    monkeypatch.setattr(ad._Walk, "help", counting_help)
+    return helped
+
+
 @pytest.mark.parametrize("separator", ["tiny", "default"])
 def test_hessian_vector_product_on_two_threads_gives_the_same_bits(separator, monkeypatch):
-    """The maml meta-gradient has the same bits with its Hessian-vector
-    product on one thread and on two; at the tiny separator, whose graph
-    alone would keep the walk on one thread, the helper is forced."""
+    """Every mode's meta-gradient has the same bits with QUERY_WORKERS 1 and
+    2; at the tiny separator, whose graphs alone would keep every walk on one
+    thread, the helper is forced. On two, each walk that runs alone takes
+    one helper: maml's theta' walk, its create-graph walk and its
+    Hessian-vector product, fomaml's theta' walk and joint's five pooled
+    terms. No query walk takes one."""
     if separator == "tiny":
         cfg, n = TINY, TINY_LEN
         monkeypatch.setattr(ad, "_HELPER_MIN_MEAN_ELEMENTS", 0)
@@ -383,21 +398,45 @@ def test_hessian_vector_product_on_two_threads_gives_the_same_bits(separator, mo
         cfg, n = SeparatorConfig(), dsp.SEGMENT_SAMPLES
     theta = model.init_params(cfg, seed=72)
     task = trainer.SeparationTask(make_task(72, n=n), cfg)
-    helped = []
-    real_help = ad._Walk.help
+    helped = _counted_walk_helpers(monkeypatch)
+    for mode, walks in (("maml", 3), ("fomaml", 1), ("joint", 5)):
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(trainer, "QUERY_WORKERS", workers)
+            runs.append(trainer._meta_task_gradient(theta, task, 0.01, mode))
+        assert helped == ["metasep-walk"] * walks, mode
+        helped.clear()
+        assert np.array_equal(runs[0][0], runs[1][0]), mode
+        assert runs[0][1] == runs[1][1], mode
 
-    def counting_help(walk):
-        helped.append(threading.current_thread().name)
-        real_help(walk)
 
-    monkeypatch.setattr(ad._Walk, "help", counting_help)
+def test_prepare_adapt_support_walk_takes_one_helper(monkeypatch):
+    """prepare_adapt's support gradient and scores have the same bits with
+    QUERY_WORKERS 1 and 2; on two its one walk takes a helper, forced at
+    this small separator."""
+    monkeypatch.setattr(ad, "_HELPER_MIN_MEAN_ELEMENTS", 0)
+    theta = model.init_params(TINY, seed=73)
+    task = make_task(73, n=TINY_LEN)
+    helped = _counted_walk_helpers(monkeypatch)
     runs = []
     for workers in (1, 2):
         monkeypatch.setattr(trainer, "QUERY_WORKERS", workers)
-        runs.append(trainer._meta_task_gradient(theta, task, 0.01, "maml"))
-    assert helped == ["metasep-walk"]  # the Hessian-vector product's, no query walk's
+        prep = trainer.prepare_adapt(theta, task, TINY, noisy=True)
+        runs.append((prep.support_grad, prep.support_loss_pre, prep.query_si_snri_pre))
+    assert helped == ["metasep-walk"]
     assert np.array_equal(runs[0][0], runs[1][0])
-    assert runs[0][1] == runs[1][1]
+    assert runs[0][1:] == runs[1][1:]
+
+
+def test_walks_of_a_two_thread_map_take_no_helper(monkeypatch):
+    """Inside walk_workers, the query passes of a two-thread map walk each
+    graph on the thread that built it, the caller's as well."""
+    monkeypatch.setattr(ad, "_HELPER_MIN_MEAN_ELEMENTS", 0)
+    monkeypatch.setattr(ad._Walk, "share", lambda walk: pytest.fail("a query walk shared"))
+    sep = trainer.SeparationTask(make_task(74), MICRO)
+    theta = model.init_params(MICRO, seed=74)
+    with ad.walk_workers(2):
+        trainer._mean_gradient(theta, sep, sep.query_terms(), "query", 2)
 
 
 class FourQueryTask(QuadraticTask):
