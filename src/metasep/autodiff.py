@@ -29,14 +29,15 @@ Design constraints honored throughout:
 * the reverse walk runs a node once every consumer that feeds it has run,
   highest topological position first, and sums each node's cotangent
   contributions in one fixed order (consumers by descending position, then
-  by parent index). Inside :class:`walk_workers` a walk over large arrays
-  runs ready VJPs on helper threads too, which record graph nodes in a
-  create-graph walk as the caller does. The weight, bias, slope and shift
-  gradients that flow into leaves come back deferred and run on whichever
-  thread has no node to start. A contribution that comes early waits for
-  those before it, so the bits are those of one thread. A first-order walk
-  adds the third and later contributions in place into a buffer of its own,
-  never into an array a VJP returned.
+  by parent index). A walk over large arrays runs ready VJPs on ``WORKERS``
+  threads, unless its thread runs an item of an :func:`in_order` map on
+  several threads; the helpers record graph nodes in a create-graph walk as
+  the caller does. The weight, bias, slope and shift gradients that flow
+  into leaves come back deferred and run on whichever thread has no node to
+  start. A contribution that comes early waits for those before it, so the
+  bits are those of one thread. A first-order walk adds the third and later
+  contributions in place into a buffer of its own, never into an array a
+  VJP returned.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ import contextvars
 import functools
 import itertools
 import math
+import os
 import threading
 import weakref
 from collections import OrderedDict, deque
@@ -63,8 +65,8 @@ __all__ = [
     "tensor",
     "grad",
     "no_grad",
-    "walk_workers",
-    "run_with_helpers",
+    "WORKERS",
+    "in_order",
     "add",
     "sub",
     "mul",
@@ -111,11 +113,12 @@ _ids = itertools.count()
 
 
 class _GradMode(threading.local):
-    """Per-thread recording flag; concurrent evaluations stay independent."""
+    """Per-thread recording flag, and whether the thread runs an item of an
+    in_order map on several threads; concurrent evaluations stay independent."""
 
     def __init__(self):
         self.enabled = True
-        self.walk_workers = 1  # see walk_workers
+        self.in_map = False
 
 
 _GradMode = _GradMode()
@@ -700,6 +703,12 @@ def _consumed(g):
                        "build it again, or take the earlier backward with create_graph=True")
 
 
+# Threads that a walk running alone and an in_order map put to work: 2, or 1
+# where the process may use one CPU. numpy releases the GIL in the
+# separator's kernels, and two query graphs take less memory than the
+# Hessian-vector product.
+WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
 # A walk takes helper threads only over graphs whose nodes hold this many
 # elements on average. Below it the GIL sets the pace. On 2 vCPUs with one
 # BLAS thread, a Hessian-vector product averaging 8k elements (the tiny
@@ -715,25 +724,6 @@ _MAX_PARKED = 2
 # cotangent array); the thread whose VJP made one more runs it next itself.
 _MAX_QUEUED = 2
 _MISSING = object()
-
-
-class walk_workers:
-    """Context manager: the :func:`grad` calls of this thread run their VJPs
-    on up to `n` threads where the graph's arrays are large enough to gain
-    from it, with the same bits as on one. The walks of threads outside the
-    context stay on one thread."""
-
-    def __init__(self, n: int):
-        self._n = int(n)
-
-    def __enter__(self):
-        self._prev = _GradMode.walk_workers
-        _GradMode.walk_workers = self._n
-        return self
-
-    def __exit__(self, *exc):
-        _GradMode.walk_workers = self._prev
-        return False
 
 
 class _Walk:
@@ -954,8 +944,8 @@ class _Walk:
             pass
 
 
-def run_with_helpers(helpers: int, work: Callable[[], None],
-                     helper_work: Callable[[], None], name: str) -> None:
+def _run_with_helpers(helpers: int, work: Callable[[], None],
+                      helper_work: Callable[[], None], name: str) -> None:
     """Run `work` here while `helpers` daemon threads run `helper_work`, each
     in a copy of this thread's context (numpy's errstate is a context
     variable); they are joined before this returns. `helper_work` keeps its
@@ -972,6 +962,37 @@ def run_with_helpers(helpers: int, work: Callable[[], None],
                 thread.join()
 
 
+def in_order(fn: Callable, items: Sequence, workers: int) -> list:
+    """[fn(item) for item in items] on this thread and up to `workers` - 1
+    helpers, which claim items in order. With helpers, every thread of the
+    map is marked, so no walk of an item takes a helper of its own. No item
+    after a failed one starts; once the helpers are joined, the lowest
+    failing item's error is raised."""
+    results, errors = [None] * len(items), [None] * len(items)
+    claims = itertools.count()  # next() is one C call under the GIL
+    helpers = min(workers, len(items)) - 1
+
+    def run_items():
+        prev = _GradMode.in_map
+        _GradMode.in_map = prev or helpers > 0  # a helper thread starts unmarked
+        try:
+            for i in claims:
+                if i >= len(items) or any(err is not None for err in errors[:i]):
+                    return
+                try:
+                    results[i] = fn(items[i])
+                except BaseException as err:  # re-raised by the calling thread
+                    errors[i] = err
+        finally:
+            _GradMode.in_map = prev
+
+    _run_with_helpers(helpers, run_items, run_items, "metasep-term")
+    for err in errors:
+        if err is not None:
+            raise err
+    return results
+
+
 def grad(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> list[Tensor]:
     """Cotangents of a scalar `output` with respect to each tensor in `wrt`.
 
@@ -980,8 +1001,10 @@ def grad(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> l
     Without it the walk consumes that graph: every node it passes loses its
     parents and its VJP right after the VJP runs, so its inputs are freed as
     the walk goes, and another backward through any of those nodes raises
-    ``RuntimeError`` instead of returning zeros. Inside :class:`walk_workers`
-    the walk may run VJPs on helper threads too, with the same bits.
+    ``RuntimeError`` instead of returning zeros. Where the graph's arrays are
+    large enough, the walk runs its VJPs on ``WORKERS`` threads, with the
+    bits of one, unless this thread runs an item of an :func:`in_order` map
+    on several threads.
     Tensors in `wrt` that the output does not depend on receive zeros.
     """
     if output.data.shape != ():
@@ -993,14 +1016,14 @@ def grad(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> l
 
     walk = _Walk(output, wrt, bool(create_graph))
     helpers = 0
-    if walk.mean_elements >= _HELPER_MIN_MEAN_ELEMENTS:
-        helpers = _GradMode.walk_workers - 1
+    if walk.mean_elements >= _HELPER_MIN_MEAN_ELEMENTS and not _GradMode.in_map:
+        helpers = WORKERS - 1
     if helpers > 0:
         walk.share()
     prev = _GradMode.enabled
     _GradMode.enabled = bool(create_graph)
     try:
-        run_with_helpers(helpers, walk.run, walk.help, "metasep-walk")
+        _run_with_helpers(helpers, walk.run, walk.help, "metasep-walk")
     finally:
         _GradMode.enabled = prev
     if walk.error is not None:

@@ -204,7 +204,7 @@ def atomic_open(path, mode: str = "w"):
 def write_wav(path, wav: Waveform) -> None:
     """Mono 16-bit PCM at the pipeline rate; samples clipped to [-1, 1)."""
     pcm = np.clip(np.round(wav.samples * 32768.0), -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as f:
+    with atomic_open(path, "wb") as raw, wave.open(raw, "wb") as f:
         f.setnchannels(1)
         f.setsampwidth(2)
         f.setframerate(SAMPLE_RATE)

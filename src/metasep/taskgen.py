@@ -46,7 +46,7 @@ def _child_rng(seed: int, *scope) -> np.random.Generator:
 
 
 def write_manifest(path, entries) -> None:
-    with open(path, "w") as f:
+    with dsp.atomic_open(path) as f:
         for e in entries:
             f.write(json.dumps({"accent": e["accent"], "speaker_id": e["speaker_id"],
                                 "path": e["path"], "samples": e["samples"]}) + "\n")

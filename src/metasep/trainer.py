@@ -10,15 +10,14 @@ entirely, pooling support and query mixtures as ordinary supervised data.
 All three go through :func:`meta_gradient`, which differentiates each
 mixture's loss before building the next one's graph.
 
-Up to QUERY_WORKERS threads share the work, with the bits of one. A meta
-task's query mixtures at the adapted parameters run as items of the in-order
-map :func:`_in_order`, and so do the forwards of each query score. Every
-walk that runs alone takes the helper threads of ``autodiff.walk_workers``:
-the support walk that gives theta', MAML's create-graph support walk and its
-Hessian-vector product, each of joint's pooled terms and the support walk of
-:func:`prepare_adapt`. No walk of an item of a map that runs on two threads
-takes one, whether the item runs on the caller or on a helper, so at most
-QUERY_WORKERS threads run and at most two query graphs are alive at once.
+Threads belong to ``autodiff``, and the bits are those of one. A meta
+task's query mixtures at the adapted parameters, and the forwards of each
+query score, run as items of ``autodiff.in_order`` on ``autodiff.WORKERS``
+threads. Every other walk runs alone and takes the engine's helper threads:
+the support walks of :func:`_meta_task_gradient` and :func:`prepare_adapt`,
+MAML's Hessian-vector product and joint's pooled terms. No walk of a map's
+item takes one, so at most WORKERS threads run and at most two query graphs
+are alive at once.
 
 Anything with a ``support_loss`` method and a ``query_terms`` list of query
 losses over parameter tensors can be trained; separation tasks are one such
@@ -29,10 +28,8 @@ meta-gradient algebra against closed forms.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
-import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -52,41 +49,6 @@ MODES = ("joint", "maml", "fomaml")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# Threads for one task's query passes at theta', for the walks that run
-# alone (see the module docstring) and for scoring query mixtures. numpy
-# releases the GIL in the separator's kernels, and two query graphs take less
-# memory than the Hessian-vector product.
-QUERY_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count() or 1)
-
-
-def _in_order(fn: Callable, items: Sequence, workers: int) -> list:
-    """[fn(item) for item in items] on this thread and up to `workers` - 1
-    helpers, which claim items in order; with helpers, every item's walks
-    stay on its own thread. No item after a failed one starts; once the
-    helpers are joined, the lowest failing item's error is raised."""
-    results, errors = [None] * len(items), [None] * len(items)
-    claims = itertools.count()  # next() is one C call under the GIL
-
-    def run_items():
-        for i in claims:
-            if i >= len(items) or any(err is not None for err in errors[:i]):
-                return
-            try:
-                results[i] = fn(items[i])
-            except BaseException as err:  # re-raised by the calling thread
-                errors[i] = err
-
-    helpers = min(workers, len(items)) - 1
-    if helpers > 0:
-        with ad.walk_workers(1):
-            ad.run_with_helpers(helpers, run_items, run_items, "metasep-term")
-    else:
-        run_items()
-    for err in errors:
-        if err is not None:
-            raise err
-    return results
 
 
 class TrainingDiverged(RuntimeError):
@@ -131,6 +93,10 @@ class TrainConfig:
             raise ValueError("meta modes need a positive inner learning rate")
         if self.outer_optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown outer optimizer {self.outer_optimizer!r}")
+        for name, least in (("epochs", 1), ("meta_batch", 1), ("dev_eval_tasks", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -213,10 +179,10 @@ class SeparationTask:
             return self.support_loss(params.to_constants()).item()
 
     def query_si_snri(self, params: ParamVector) -> float:
-        return float(np.mean(_in_order(
+        return float(np.mean(ad.in_order(
             lambda k: model_mod.evaluate_si_snri(self.task.mixture(k, noisy=self.noisy),
                                                  params, self.config),
-            self.task.query_indices, QUERY_WORKERS)))
+            self.task.query_indices, ad.WORKERS)))
 
 
 def _check_finite(loss: Tensor, task, phase: str) -> None:
@@ -284,8 +250,8 @@ def _mean_gradient(theta: ParamVector, task: TaskLoss, terms: Sequence[LossFn],
     thread that built it, and `workers` terms run at a time; the results are
     summed in term order, so the bits do not depend on the schedule."""
     total, value = np.zeros_like(theta.values), 0.0
-    for g, term_value in _in_order(functools.partial(_term_gradient, theta, task, phase),
-                                   terms, workers):
+    for g, term_value in ad.in_order(functools.partial(_term_gradient, theta, task, phase),
+                                     terms, workers):
         total += g
         value += term_value
     return total / len(terms), value / len(terms)
@@ -303,7 +269,7 @@ def _meta_task_gradient(theta: ParamVector, task: TaskLoss, alpha: float,
 
     1. a first-order support backward gives theta' and consumes the support
        graph (both modes);
-    2. the query passes at theta' run on QUERY_WORKERS threads, so at most
+    2. the query passes at theta' run on autodiff.WORKERS threads, so at most
        two query graphs are alive at once (both modes);
     3. maml builds the support forward again at fresh leaves and takes its
        create-graph backward, which runs the same VJPs as the first-order one
@@ -311,24 +277,21 @@ def _meta_task_gradient(theta: ParamVector, task: TaskLoss, alpha: float,
     4. maml's Hessian-vector product, a first-order backward, consumes both
        support graphs as it walks them, and is where the peak is.
 
-    The walks of passes 1, 3 and 4 run their VJPs on up to QUERY_WORKERS
-    threads (autodiff.walk_workers), with the cotangents summed in the
-    one-thread order, so the bits are the same. joint's pooled terms run one
-    at a time, each walk on those threads: at small separators the GIL sets
-    the pace, and a second graph would only raise the peak."""
+    The walks of passes 1, 3 and 4 run alone, so they run their VJPs on up
+    to WORKERS threads, with the cotangents summed in the one-thread order,
+    so the bits are the same. joint's pooled terms run one at a time, each
+    walk on those threads: at small separators the GIL sets the pace, and a
+    second graph would only raise the peak."""
     if mode == "joint":
-        with ad.walk_workers(QUERY_WORKERS):
-            return _mean_gradient(theta, task, [task.support_loss] + task.query_terms(), "pooled")
-    with ad.walk_workers(QUERY_WORKERS):
-        theta_prime = inner_adapt(theta, task, alpha, create_graph=False).to_vector(theta)
-    g_q, q_loss = _mean_gradient(theta_prime, task, task.query_terms(), "query", QUERY_WORKERS)
+        return _mean_gradient(theta, task, [task.support_loss] + task.query_terms(), "pooled")
+    theta_prime = inner_adapt(theta, task, alpha, create_graph=False).to_vector(theta)
+    g_q, q_loss = _mean_gradient(theta_prime, task, task.query_terms(), "query", ad.WORKERS)
     if mode == "maml":
-        with ad.walk_workers(QUERY_WORKERS):
-            adapted = inner_adapt(theta, task, alpha, create_graph=True)
-            v = theta.replace(g_q)
-            inner = functools.reduce(ad.add, (ad.dot(p, ad.tensor(v.view(n)))
-                                              for n, p in adapted.prime.items()))
-            g_q = _flat_grad(theta, inner, adapted.leaves)
+        adapted = inner_adapt(theta, task, alpha, create_graph=True)
+        v = theta.replace(g_q)
+        inner = functools.reduce(ad.add, (ad.dot(p, ad.tensor(v.view(n)))
+                                          for n, p in adapted.prime.items()))
+        g_q = _flat_grad(theta, inner, adapted.leaves)
     return g_q, q_loss
 
 
@@ -464,8 +427,7 @@ def prepare_adapt(theta: ParamVector, task: taskgen.MetaTask, config: SeparatorC
     """Support gradient, support loss and query Si-SNRi at theta, computed
     once per task however many rates are scored."""
     sep = SeparationTask(task, config, noisy=noisy)
-    with ad.walk_workers(QUERY_WORKERS):
-        g, value = _mean_gradient(theta, sep, [sep.support_loss], "support")
+    g, value = _mean_gradient(theta, sep, [sep.support_loss], "support")
     return PreparedAdapt(theta=theta, sep=sep, support_grad=g, support_loss_pre=value,
                          query_si_snri_pre=sep.query_si_snri(theta))
 

@@ -672,8 +672,8 @@ def test_first_order_grad_frees_the_nodes_it_walks():
 
 
 def _walk_threads(monkeypatch):
-    """Node-making thread names, recorded while every first-order walk
-    inside walk_workers takes a helper whatever its arrays' sizes."""
+    """Node-making thread names, recorded while every walk on more than one
+    worker takes a helper whatever its arrays' sizes."""
     monkeypatch.setattr(ad, "_HELPER_MIN_MEAN_ELEMENTS", 0)
     made, node = [], ad._node
 
@@ -694,9 +694,9 @@ def test_two_thread_walk_gives_the_same_bits(op, monkeypatch):
     vals = case_inputs(op, 0)
     runs = []
     for workers in (1, 2):
+        monkeypatch.setattr(ad, "WORKERS", workers)
         ins = [ad.tensor(v, requires_grad=True) for v in vals.values()]
-        with ad.walk_workers(workers):
-            runs.append(ad.grad(scalar_loss(CASES[op].build(*ins)), ins))
+        runs.append(ad.grad(scalar_loss(CASES[op].build(*ins)), ins))
     for one, two in zip(*runs):
         assert np.array_equal(one.data, two.data)
     assert all(not t._parents and not t.requires_grad
@@ -707,23 +707,56 @@ def test_helper_threads_run_vjps_without_recording(monkeypatch):
     """On a model loss the helper runs VJPs, and every cotangent it makes is
     a plain array with no parents."""
     made = _walk_threads(monkeypatch)
+    monkeypatch.setattr(ad, "WORKERS", 2)
     leaves, loss = _micro_loss(43)
-    with ad.walk_workers(2):
-        ad.grad(loss, list(leaves.values()))
+    ad.grad(loss, list(leaves.values()))
     helper = [t for thread, t in made if thread == "metasep-walk"]
     assert helper
     assert all(not t._parents and not t.requires_grad and t._vjp is None for t in helper)
 
 
 def test_small_graphs_keep_the_walk_on_one_thread(monkeypatch):
-    """Over a graph of small arrays the GIL sets the pace, so walk_workers
-    starts no helper there."""
+    """Over a graph of small arrays the GIL sets the pace, so a walk on two
+    workers starts no helper there."""
     threads = []
     monkeypatch.setattr(ad._Walk, "help", lambda walk: threads.append(walk))
+    monkeypatch.setattr(ad, "WORKERS", 2)
     leaves, loss = _micro_loss(45)
-    with ad.walk_workers(2):
-        ad.grad(loss, list(leaves.values()))
+    ad.grad(loss, list(leaves.values()))
     assert threads == []
+
+
+def test_a_walk_that_runs_alone_takes_a_helper_on_any_thread(monkeypatch):
+    """Outside an in_order map, a walk over large enough arrays takes
+    WORKERS - 1 helpers, on the main thread and on a thread started
+    elsewhere alike, with the bits of one thread."""
+    monkeypatch.setattr(ad, "_HELPER_MIN_MEAN_ELEMENTS", 0)
+    helped, real_help = [], ad._Walk.help
+
+    def counting_help(walk):
+        helped.append(threading.current_thread().name)
+        real_help(walk)
+
+    monkeypatch.setattr(ad._Walk, "help", counting_help)
+
+    def walk():
+        leaves, loss = _micro_loss(55)
+        return [g.data for g in ad.grad(loss, list(leaves.values()))]
+
+    monkeypatch.setattr(ad, "WORKERS", 1)
+    one = walk()
+    assert helped == []
+    monkeypatch.setattr(ad, "WORKERS", 2)
+    on_main = walk()
+    assert helped == ["metasep-walk"]
+    elsewhere = []
+    runner = threading.Thread(target=lambda: elsewhere.append(walk()), daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive()
+    assert helped == ["metasep-walk"] * 2
+    for a, b, c in zip(one, on_main, elsewhere[0]):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
 
 
 def test_walks_on_more_threads_than_cores_keep_their_bits(monkeypatch):
@@ -736,9 +769,9 @@ def test_walks_on_more_threads_than_cores_keep_their_bits(monkeypatch):
     def walk_all():
         for seed in range(46, 52):
             for workers in (1, 4):
+                monkeypatch.setattr(ad, "WORKERS", workers)
                 leaves, loss = _micro_loss(seed)
-                with ad.walk_workers(workers):
-                    results[seed, workers] = ad.grad(loss, list(leaves.values()))
+                results[seed, workers] = ad.grad(loss, list(leaves.values()))
 
     sys.setswitchinterval(1e-6)
     try:
@@ -759,6 +792,7 @@ def test_vjp_failing_on_the_helper_propagates(monkeypatch):
     other waits on the calling thread until then. The error reaches the
     caller, and the helper thread is gone."""
     monkeypatch.setattr(ad, "_HELPER_MIN_MEAN_ELEMENTS", 0)
+    monkeypatch.setattr(ad, "WORKERS", 2)
     failed = threading.Event()
 
     def vjp(g):
@@ -772,12 +806,11 @@ def test_vjp_failing_on_the_helper_propagates(monkeypatch):
     x = ad.tensor(1.0, requires_grad=True)
     out = ad.add(ad._node("a", np.asarray(1.0), (x,), vjp),
                  ad._node("b", np.asarray(1.0), (x,), vjp))
-    with ad.walk_workers(2), pytest.raises(ValueError, match="on the helper"):
+    with pytest.raises(ValueError, match="on the helper"):
         ad.grad(out, [x])
     assert threading.active_count() == before
     y = ad.tensor(2.0, requires_grad=True)
-    with ad.walk_workers(2):
-        (g,) = ad.grad(ad.mul(y, y), [y])
+    (g,) = ad.grad(ad.mul(y, y), [y])
     assert g.item() == 4.0
     assert threading.active_count() == before
 
@@ -786,6 +819,7 @@ def test_vjp_failing_on_the_caller_waits_for_the_helper(monkeypatch):
     """When the calling thread's VJP raises while the helper still runs one,
     grad returns only after the helper has ended."""
     monkeypatch.setattr(ad, "_HELPER_MIN_MEAN_ELEMENTS", 0)
+    monkeypatch.setattr(ad, "WORKERS", 2)
     started = threading.Event()
 
     def vjp(g):
@@ -800,7 +834,7 @@ def test_vjp_failing_on_the_caller_waits_for_the_helper(monkeypatch):
     x = ad.tensor(1.0, requires_grad=True)
     out = ad.add(ad._node("a", np.asarray(1.0), (x,), vjp),
                  ad._node("b", np.asarray(1.0), (x,), vjp))
-    with ad.walk_workers(2), pytest.raises(ValueError, match="on the caller"):
+    with pytest.raises(ValueError, match="on the caller"):
         ad.grad(out, [x])
     assert threading.active_count() == before
 
@@ -808,14 +842,14 @@ def test_vjp_failing_on_the_caller_waits_for_the_helper(monkeypatch):
 def test_two_thread_walk_consumes_its_graph(monkeypatch):
     """A walk on two threads consumes its graph as one on one thread does."""
     monkeypatch.setattr(ad, "_HELPER_MIN_MEAN_ELEMENTS", 0)
+    monkeypatch.setattr(ad, "WORKERS", 2)
     leaves, loss = _micro_loss(44)
     shared = _interior_nodes(loss)[0]
-    with ad.walk_workers(2):
+    ad.grad(loss, list(leaves.values()))
+    with pytest.raises(RuntimeError, match="consumed"):
         ad.grad(loss, list(leaves.values()))
-        with pytest.raises(RuntimeError, match="consumed"):
-            ad.grad(loss, list(leaves.values()))
-        with pytest.raises(RuntimeError, match="consumed"):
-            ad.grad(ad.dot(shared, shared), list(leaves.values()))
+    with pytest.raises(RuntimeError, match="consumed"):
+        ad.grad(ad.dot(shared, shared), list(leaves.values()))
 
 
 def test_in_place_sums_never_write_into_a_vjp_result():
@@ -865,8 +899,9 @@ def test_two_thread_create_graph_walk_gives_the_same_bits(op, monkeypatch):
     vals = case_inputs(op, 0)
     runs = []
     for workers in (1, 2):
+        monkeypatch.setattr(ad, "WORKERS", workers)
         ins = [ad.tensor(v, requires_grad=True) for v in vals.values()]
-        with ad.walk_workers(workers), _switching_fast():
+        with _switching_fast():
             grads = ad.grad(scalar_loss(CASES[op].build(*ins)), ins, create_graph=True)
         again = ad.grad(functools.reduce(ad.add, (ad.dot(g, g) for g in grads)), ins)
         runs.append([g.data for g in grads + again])
@@ -878,8 +913,9 @@ def test_create_graph_helper_records_nodes_with_unique_ids(monkeypatch):
     """In a create-graph walk the helper records graph nodes, as the caller
     does, and no id is handed out twice."""
     made = _walk_threads(monkeypatch)
+    monkeypatch.setattr(ad, "WORKERS", 2)
     leaves, loss = _micro_loss(53)
-    with ad.walk_workers(2), _switching_fast():
+    with _switching_fast():
         grads = ad.grad(loss, list(leaves.values()), create_graph=True)
     helper = [t for thread, t in made if thread == "metasep-walk"]
     assert any(t._parents and t.requires_grad for t in helper)
@@ -907,8 +943,9 @@ def test_queued_leaf_contributions_stay_under_their_cap(cap, create_graph, monke
     monkeypatch.setattr(ad, "deque", Probe)
     runs = []
     for workers in (1, 2):
+        monkeypatch.setattr(ad, "WORKERS", workers)
         leaves, loss = _micro_loss(54)
-        with ad.walk_workers(workers), _switching_fast():
+        with _switching_fast():
             runs.append(ad.grad(loss, list(leaves.values()), create_graph=create_graph))
     for one, two in zip(*runs):
         assert np.array_equal(one.data, two.data)
@@ -922,6 +959,7 @@ def test_leaf_contribution_failing_on_the_helper_propagates(create_graph, monkey
     helper runs one and it raises there; the other, on the calling thread,
     waits until then. The error reaches the caller, and the helper is gone."""
     monkeypatch.setattr(ad, "_HELPER_MIN_MEAN_ELEMENTS", 0)
+    monkeypatch.setattr(ad, "WORKERS", 2)
     failed = threading.Event()
 
     def contribution(g):
@@ -938,7 +976,7 @@ def test_leaf_contribution_failing_on_the_helper_propagates(create_graph, monkey
     x, y = ad.tensor(1.0, requires_grad=True), ad.tensor(2.0, requires_grad=True)
     out = ad.add(ad._node("a", np.asarray(1.0), (x,), vjp),
                  ad._node("b", np.asarray(1.0), (y,), vjp))
-    with ad.walk_workers(2), pytest.raises(ValueError, match="on the helper"):
+    with pytest.raises(ValueError, match="on the helper"):
         ad.grad(out, [x, y], create_graph=create_graph)
     assert failed.is_set()
     assert threading.active_count() == before

@@ -246,6 +246,24 @@ def test_wav_roundtrip(tmp_path):
     assert np.all(back.samples >= -1.0) and np.all(back.samples < 1.0)
 
 
+def test_wav_write_failing_midway_keeps_the_previous_file(tmp_path, monkeypatch):
+    """A write that fails after half its frames leaves the file that was
+    there as it was, and no temporary file beside it."""
+    path = tmp_path / "a.wav"
+    dsp.write_wav(path, make_wave(1000, seed=21, scale=0.2))
+    before = path.read_bytes()
+
+    def half_then_fail(self, data):
+        self.writeframesraw(data[:len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(dsp.wave.Wave_write, "writeframes", half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        dsp.write_wav(path, make_wave(600, seed=22, scale=0.2))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["a.wav"]
+
+
 def test_wav_read_rejects_wrong_rate(tmp_path):
     import wave as wave_mod
     path = tmp_path / "bad.wav"

@@ -147,7 +147,7 @@ def test_scores_do_not_depend_on_query_workers(params, test_sets, noisy, monkeyp
     sys.setswitchinterval(1e-6)
     try:
         for workers in (1, 2):
-            monkeypatch.setattr(trainer, "QUERY_WORKERS", workers)
+            monkeypatch.setattr(ad, "WORKERS", workers)
             runs.append((
                 [trainer.SeparationTask(t, MICRO, noisy=noisy).query_si_snri(params)
                  for ts in test_sets for t in ts.tasks],
@@ -339,6 +339,25 @@ def test_train_config_rejects_unknown_keys(tmp_path, capsys, section, key, value
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "EvalError" and "traceback" not in err
     assert key in err["message"] and repr(section) in err["message"]
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["--meta-batch", "0"], {}),
+    (["--epochs", "-2"], {}),
+    ([], {"train": {"dev_eval_tasks": -1}}),
+    ([], {"train": {"meta_batch": 1.5}}),
+], ids=["meta-batch-0", "epochs-negative", "dev-eval-tasks-negative", "meta-batch-fraction"])
+def test_cli_train_refuses_degenerate_counts(tmp_path, capsys, argv, config):
+    """train exits 1 with a JSON error and no traceback, and trains nothing."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = evalcli.main(["--config", str(path), "--out", str(tmp_path / "run"), "train",
+                         "--tasks", str(tmp_path / "tasks"), "--mode", "joint", *argv])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ValueError" and "traceback" not in err
+    assert "must be an integer of at least" in err["message"]
+    assert not (tmp_path / "run" / "checkpoint.msep").exists()
 
 
 @pytest.mark.parametrize("value", [5, [1], 0, None], ids=["5", "list", "0", "null"])
@@ -567,9 +586,9 @@ _SWEEP_PROBE = """
 import sys
 sys.path.insert(0, {tests!r})
 import metasep
-from metasep import evalcli, model, trainer
+from metasep import autodiff, evalcli, model, trainer
 from test_trainer import MICRO, make_task, make_task_sets
-trainer.QUERY_WORKERS = 2
+autodiff.WORKERS = 2
 params = model.init_params(MICRO, seed=1)
 extra = {{"mode": "joint", "train_accents": ["train00"], "config_hash": "x"}}
 evalcli.beta_sweep(params, MICRO, extra, make_task_sets(2, 1, seed0=200))

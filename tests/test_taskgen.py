@@ -29,6 +29,19 @@ def test_synth_manifest_row_count(tmp_path):
     assert len({(e["accent"], e["speaker_id"]) for e in entries}) == 12
 
 
+def test_manifest_write_failing_midway_keeps_the_previous_file(tmp_path):
+    """A manifest write that fails on its second entry leaves the manifest
+    that was there as it was, and no temporary file beside it."""
+    path = tmp_path / "manifest.jsonl"
+    entry = {"accent": "a", "speaker_id": "s0", "path": "audio/a.wav", "samples": 8}
+    taskgen.write_manifest(path, [entry])
+    before = path.read_bytes()
+    with pytest.raises(KeyError):
+        taskgen.write_manifest(path, [dict(entry, speaker_id="s1"), {"accent": "b"}])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.jsonl"]
+
+
 def test_synth_same_accent_speakers_are_distinct(tmp_path):
     taskgen.synth_corpus(SynthSpec(1, 2), seed=3, out_dir=tmp_path)
     a = dsp.read_wav(tmp_path / "audio" / "synth00_spk00.wav").samples

@@ -287,7 +287,7 @@ def test_meta_gradient_frees_each_task_graph_before_the_next(mode):
 def test_meta_gradient_keeps_one_query_mixture_graph_alive(mode, monkeypatch):
     """Each thread drops a mixture's graph before it builds the next, and the
     query workers of a meta mode hold at most one graph each."""
-    monkeypatch.setattr(trainer, "QUERY_WORKERS", 2)
+    monkeypatch.setattr(ad, "WORKERS", 2)
     sep = trainer.SeparationTask(make_task(42), MICRO)
     support = sep.task.support_pair().mixture.samples
     built, alive_at_build = [], []
@@ -341,7 +341,7 @@ def _sequential_task_gradient(theta, task, alpha, mode):
 
 @pytest.mark.parametrize("mode", ["maml", "fomaml"])
 def test_threaded_query_passes_equal_a_sequential_loop(mode, monkeypatch):
-    monkeypatch.setattr(trainer, "QUERY_WORKERS", 2)
+    monkeypatch.setattr(ad, "WORKERS", 2)
     theta = model.init_params(TINY, seed=70)
     tasks = [trainer.SeparationTask(make_task(70, n=TINY_LEN), TINY),
              trainer.SeparationTask(make_task(71, n=TINY_LEN), TINY, noisy=True)]
@@ -385,8 +385,8 @@ def _counted_walk_helpers(monkeypatch):
 
 @pytest.mark.parametrize("separator", ["tiny", "default"])
 def test_hessian_vector_product_on_two_threads_gives_the_same_bits(separator, monkeypatch):
-    """Every mode's meta-gradient has the same bits with QUERY_WORKERS 1 and
-    2; at the tiny separator, whose graphs alone would keep every walk on one
+    """Every mode's meta-gradient has the same bits with WORKERS 1 and 2; at
+    the tiny separator, whose graphs alone would keep every walk on one
     thread, the helper is forced. On two, each walk that runs alone takes
     one helper: maml's theta' walk, its create-graph walk and its
     Hessian-vector product, fomaml's theta' walk and joint's five pooled
@@ -402,7 +402,7 @@ def test_hessian_vector_product_on_two_threads_gives_the_same_bits(separator, mo
     for mode, walks in (("maml", 3), ("fomaml", 1), ("joint", 5)):
         runs = []
         for workers in (1, 2):
-            monkeypatch.setattr(trainer, "QUERY_WORKERS", workers)
+            monkeypatch.setattr(ad, "WORKERS", workers)
             runs.append(trainer._meta_task_gradient(theta, task, 0.01, mode))
         assert helped == ["metasep-walk"] * walks, mode
         helped.clear()
@@ -412,7 +412,7 @@ def test_hessian_vector_product_on_two_threads_gives_the_same_bits(separator, mo
 
 def test_prepare_adapt_support_walk_takes_one_helper(monkeypatch):
     """prepare_adapt's support gradient and scores have the same bits with
-    QUERY_WORKERS 1 and 2; on two its one walk takes a helper, forced at
+    WORKERS 1 and 2; on two its one walk takes a helper, forced at
     this small separator."""
     monkeypatch.setattr(ad, "_HELPER_MIN_MEAN_ELEMENTS", 0)
     theta = model.init_params(TINY, seed=73)
@@ -420,7 +420,7 @@ def test_prepare_adapt_support_walk_takes_one_helper(monkeypatch):
     helped = _counted_walk_helpers(monkeypatch)
     runs = []
     for workers in (1, 2):
-        monkeypatch.setattr(trainer, "QUERY_WORKERS", workers)
+        monkeypatch.setattr(ad, "WORKERS", workers)
         prep = trainer.prepare_adapt(theta, task, TINY, noisy=True)
         runs.append((prep.support_grad, prep.support_loss_pre, prep.query_si_snri_pre))
     assert helped == ["metasep-walk"]
@@ -429,14 +429,25 @@ def test_prepare_adapt_support_walk_takes_one_helper(monkeypatch):
 
 
 def test_walks_of_a_two_thread_map_take_no_helper(monkeypatch):
-    """Inside walk_workers, the query passes of a two-thread map walk each
-    graph on the thread that built it, the caller's as well."""
+    """With WORKERS 2, the query passes of a two-thread map walk each graph
+    on the thread that built it. Terms meet in pairs at a barrier, so the
+    caller and the map's helper walk two each."""
     monkeypatch.setattr(ad, "_HELPER_MIN_MEAN_ELEMENTS", 0)
+    monkeypatch.setattr(ad, "WORKERS", 2)
     monkeypatch.setattr(ad._Walk, "share", lambda walk: pytest.fail("a query walk shared"))
+    walkers, real_run = [], ad._Walk.run
+
+    def named_run(walk):
+        walkers.append(threading.current_thread().name)
+        real_run(walk)
+
+    monkeypatch.setattr(ad._Walk, "run", named_run)
     sep = trainer.SeparationTask(make_task(74), MICRO)
     theta = model.init_params(MICRO, seed=74)
-    with ad.walk_workers(2):
-        trainer._mean_gradient(theta, sep, sep.query_terms(), "query", 2)
+    pair_in = threading.Barrier(2, timeout=30)
+    terms = [lambda p, f=f: (pair_in.wait(), f(p))[1] for f in sep.query_terms()]
+    trainer._mean_gradient(theta, sep, terms, "query", 2)
+    assert sorted(walkers) == ["MainThread"] * 2 + ["metasep-term"] * 2
 
 
 class FourQueryTask(QuadraticTask):
@@ -457,7 +468,7 @@ class FourQueryTask(QuadraticTask):
 @pytest.mark.parametrize("nan_at", [0, 3])
 @pytest.mark.parametrize("mode", ["maml", "fomaml"])
 def test_non_finite_query_loss_in_a_worker_raises(mode, nan_at, monkeypatch):
-    monkeypatch.setattr(trainer, "QUERY_WORKERS", 2)
+    monkeypatch.setattr(ad, "WORKERS", 2)
     before = threading.active_count()
     tasks = [FourQueryTask("quad-ok"), FourQueryTask("quad-nan", nan_at)]
     with pytest.raises(trainer.TrainingDiverged,
@@ -482,7 +493,7 @@ def test_in_order_helpers_run_under_the_callers_errstate():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with np.errstate(over="ignore"):
-            out = trainer._in_order(overflow, [np.float64(1e300)] * 2, 2)
+            out = ad.in_order(overflow, [np.float64(1e300)] * 2, 2)
     assert out == [np.inf, np.inf]
     assert sorted(names) == ["MainThread", "metasep-term"]
 
@@ -505,10 +516,10 @@ def test_in_order_raises_the_lowest_failing_items_error():
         return i
 
     with pytest.raises(ValueError, match="item 0 failed"):
-        trainer._in_order(fail_first_two, range(4), 2)
+        ad.in_order(fail_first_two, range(4), 2)
     assert sorted(started) == [0, 1]
     assert threading.active_count() == before
-    assert trainer._in_order(lambda i: i * i, range(5), 2) == [0, 1, 4, 9, 16]
+    assert ad.in_order(lambda i: i * i, range(5), 2) == [0, 1, 4, 9, 16]
     assert threading.active_count() == before
 
 
@@ -720,6 +731,18 @@ def test_config_rejects_bad_mode_and_lr():
         TrainConfig(mode="magic")
     with pytest.raises(ValueError):
         TrainConfig(mode="maml", inner_lr=0.0)
+
+
+@pytest.mark.parametrize("name,value", [("meta_batch", 0), ("meta_batch", -1), ("meta_batch", 1.5),
+                                        ("epochs", 0), ("epochs", -2), ("dev_eval_tasks", -1)])
+def test_config_rejects_degenerate_counts(name, value):
+    """A meta-batch or epoch count below 1, a negative dev task cap, or a
+    count that is not an integer, is refused when the config is made, not by
+    a division, a slice or the task sampler later."""
+    least = 0 if name == "dev_eval_tasks" else 1
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be an integer of at least {least}, got {value}$"):
+        TrainConfig(mode="fomaml", **{name: value})
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
