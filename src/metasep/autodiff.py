@@ -386,6 +386,7 @@ def pad_channels(a: Tensor, lo: int, total: int) -> Tensor:
 # Each contraction runs as one BLAS matmul over (channel, tap) pairs when
 # groups == 1. Grouped (depthwise) weights are too thin for BLAS, so those go
 # to np.einsum's direct loop, which reads the strided windows without a copy.
+# A depthwise input gradient sums nothing, so it is one broadcast product.
 
 
 def _windows(xp: np.ndarray, kernel: int, stride: int, dilation: int) -> np.ndarray:
@@ -471,13 +472,27 @@ def conv1d_input_grad(g: Tensor, w: Tensor, *, stride: int = 1, dilation: int = 
     _check(t_expect == t_out, "conv1d_input_grad",
            f"grad length {t_out} inconsistent with output length {out_len} (expected {t_expect})")
 
+    def vjp(c):
+        dg = conv1d(c, w, stride=stride, dilation=dilation, groups=groups,
+                    pad=pad) if g.requires_grad else None
+        dw = _Later(conv1d_weight_grad, c, g, kernel=k, stride=stride, dilation=dilation,
+                    groups=groups, pad=pad) if w.requires_grad else None
+        return (dg, dw)
+
     gg = g.data.reshape(groups, cout // groups, t_out)
     wg = w.data.reshape(groups, cout // groups, cg, k)
-    dxp = np.zeros((cin, out_len + 2 * pad))
     if groups == 1:
         contrib = (wg[0].transpose(1, 2, 0).reshape(cg * k, cout) @ gg[0]).reshape(cin, k, t_out)
+        if (k, stride, pad) == (1, 1, 0):
+            # one tap per sample: the overlap-add would only add each product to
+            # a zero, and BLAS sums from +0.0, so that add would not change a bit
+            return _node("conv1d_input_grad", contrib.reshape(cin, t_out), (g, w), vjp)
+    elif cg == 1 and cout == groups:
+        # depthwise: each tap's contribution is the one product einsum would form
+        contrib = w.data.reshape(cin, k)[:, :, None] * g.data[:, None, :]
     else:
         contrib = np.einsum("got,goik->gikt", gg, wg).reshape(cin, k, t_out)
+    dxp = np.zeros((cin, out_len + 2 * pad))
     if dilation == 1 and k % stride == 0:
         # tap j * stride + r of output t lands in block t + j, column r: k / stride
         # block adds, and each sample still sums its taps in increasing order
@@ -490,14 +505,6 @@ def conv1d_input_grad(g: Tensor, w: Tensor, *, stride: int = 1, dilation: int = 
         for tap in range(k):
             dxp[:, tap * dilation: tap * dilation + hi: stride] += contrib[:, tap]
     dx = dxp[:, pad: pad + out_len] if pad else dxp
-
-    def vjp(c):
-        dg = conv1d(c, w, stride=stride, dilation=dilation, groups=groups,
-                    pad=pad) if g.requires_grad else None
-        dw = _Later(conv1d_weight_grad, c, g, kernel=k, stride=stride, dilation=dilation,
-                    groups=groups, pad=pad) if w.requires_grad else None
-        return (dg, dw)
-
     return _node("conv1d_input_grad", dx, (g, w), vjp)
 
 
@@ -547,7 +554,8 @@ def conv1d_weight_grad(x: Tensor, g: Tensor, *, kernel: int, stride: int = 1,
 # keeps the create-graph support gradient alive: PReLU's slope gradient is
 # one masked dot over the forward's gate, and the gLN backward is one input-
 # gradient node and one gamma-gradient node. Both take x_hat from the
-# forward's (mean, inv); gln's VJP computes it once for the two. The VJPs of
+# forward's (mean, inv); gln's VJP computes it once for the two, and the input
+# gradient takes one of its means from gamma's gradient. The VJPs of
 # those need x_hat = (x - mean) * inv and inv = 1 / sqrt(var + eps) as
 # functions of x; two more private nodes provide them, and all these VJPs are
 # built from each other again.
@@ -596,22 +604,23 @@ def gln(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
            f"{gamma.data.shape} and {beta.data.shape}")
     n = x.data.size
     mu = (1.0 / n) * x.data.sum()
-    centered = x.data - mu
-    y = centered * centered
-    inv = 1.0 / np.sqrt((1.0 / n) * y.sum() + float(eps))
+    y = x.data - mu
+    dev = y.ravel()
+    inv = 1.0 / np.sqrt((1.0 / n) * np.dot(dev, dev) + float(eps))
     stats = (mu, inv)
 
     def vjp(g):
         xhat = _xhat(x.data, stats)
-        # gamma's gradient reads xhat before the input gradient scales it in place
+        # gamma's gradient reads xhat before the input gradient scales it in
+        # place, and the input gradient reuses that gradient's sums
         dgamma = _gln_gamma_grad(x, g, stats, xhat) if gamma.requires_grad else None
-        dx = _gln_input_grad(x, g, gamma, stats, xhat) if x.requires_grad else None
+        dx = _gln_input_grad(x, g, gamma, stats, xhat,
+                             None if dgamma is None else dgamma.data) if x.requires_grad else None
         dbeta = _Later(sum_time, g) if beta.requires_grad else None
         return (dx, dgamma, dbeta)
 
-    # ((centered * inv) * gamma) + beta, written over the squared deviations
-    np.multiply(centered, inv, out=y)
-    y *= gamma.data[:, None]
+    # (x - mean) * (inv * gamma) + beta, written over the deviations
+    y *= (inv * gamma.data)[:, None]
     y += beta.data[:, None]
     return _node("gln", y, (x, gamma, beta), vjp)
 
@@ -624,29 +633,37 @@ def _xhat(x: np.ndarray, stats: tuple) -> np.ndarray:
 
 
 def _gln_input_grad(x: Tensor, g: Tensor, gamma: Tensor, stats: tuple,
-                    xhat: np.ndarray | None = None) -> Tensor:
+                    xhat: np.ndarray | None = None,
+                    gx: np.ndarray | None = None) -> Tensor:
     """J(x) (g * gamma), the cotangent of x for a cotangent g * gamma of
     x_hat, as one node. J h = inv * (h - mean(h) - x_hat * mean(h * x_hat))
-    is the Jacobian of x_hat, and it is symmetric. A given `xhat` is x_hat
-    for `stats`, and this call overwrites it."""
+    is the Jacobian of x_hat, and it is symmetric. Both means come from
+    per-channel sums: gamma . sum_t g / n and gamma . gx / n, where
+    gx = sum_t g * x_hat is gamma's gradient. A given `xhat` is x_hat for
+    `stats`, and this call overwrites it; a given `gx` is that sum."""
     n = x.data.size
     t = x.data.shape[1]
+    inv = stats[1]
     if xhat is None:
         xhat = _xhat(x.data, stats)
-    h = g.data * gamma.data[:, None]
-    xhat *= np.dot(h.ravel(), xhat.ravel()) / n
-    h -= h.sum() / n
+    if gx is None:
+        gx = np.einsum("ct,ct->c", g.data, xhat)
+    # inv * (g * gamma - m1 - x_hat * m2), with x_hat kept as (x - mean) * inv:
+    # inv * x - inv * mean would cancel where the mean is large next to the spread
+    h = g.data * (inv * gamma.data)[:, None]
+    xhat *= inv * (np.dot(gamma.data, gx) / n)
+    xhat += inv * (np.dot(gamma.data, g.data.sum(axis=1)) / n)
     h -= xhat
-    h *= stats[1]
 
     def vjp(c):
-        jc = _gln_input_grad(x, c, Tensor(np.ones(gamma.data.shape)), stats)
+        # one x_hat node for the three uses; jc overwrites the copy it is given
+        xh = _gln_normalize(x, stats)
+        jc = _gln_input_grad(x, c, Tensor(np.ones(gamma.data.shape)), stats, xh.data.copy())
         dx = dg = dgamma = None
         if x.requires_grad:
             # d<c, J(x) h>/dx = -(inv/n) (<c, Jh> x_hat + <h, x_hat> Jc + <c, x_hat> Jh)
             out = ref()
-            xh = _gln_normalize(x, stats)
-            h_xhat = dot(gamma, _gln_gamma_grad(x, g, stats))
+            h_xhat = dot(gamma, _gln_gamma_grad(x, g, stats, xh.data))
             dx = scale(add(add(scale(xh, dot(c, out)), scale(jc, h_xhat)),
                            scale(out, dot(c, xh))),
                        scalar_mul(-1.0 / n, _gln_inv(x, stats)))

@@ -209,8 +209,13 @@ DEFAULT_SPLIT_COUNTS = (85, 19, 19)
 
 def split_accents(accents, seed: int, counts: tuple[int, int, int] | None = None) -> SplitSpec:
     """Seeded random accent split. Without counts every accent is placed: the
-    paper's 85/19/19 on 123 accents, any further accents going to train."""
+    paper's 85/19/19 on 123 accents, any further accents going to train.
+    Given counts must be three non-negative ints (train, dev, test)."""
     accents = sorted(accents)
+    if counts is not None and (len(counts) != 3 or any(
+            isinstance(c, bool) or not isinstance(c, int) or c < 0 for c in counts)):
+        raise TaskGenError(f"split counts {tuple(counts)} must be three non-negative "
+                           f"integers (train, dev, test)")
     if counts is None:
         if len(accents) >= sum(DEFAULT_SPLIT_COUNTS):
             _, n_dev, n_test = DEFAULT_SPLIT_COUNTS

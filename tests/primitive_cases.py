@@ -37,9 +37,12 @@ def away_from(kink):
 
 
 def gln_stats(x):
-    """(mean, 1 / sqrt(variance + eps)) over all of x, as gln computes them."""
-    mu = x.mean()
-    return mu, 1.0 / np.sqrt(np.mean((x - mu) ** 2) + GLN_EPS)
+    """(mean, 1 / sqrt(variance + eps)) over all of x, as gln computes them:
+    the variance as the dot of the deviations with themselves."""
+    n = x.size
+    mu = (1.0 / n) * x.sum()
+    dev = (x - mu).ravel()
+    return mu, 1.0 / np.sqrt((1.0 / n) * np.dot(dev, dev) + GLN_EPS)
 
 
 @dataclass(frozen=True)
@@ -130,10 +133,11 @@ def _readout(op, ins):
     return scalar_loss(CASES[op].build(*ins.values()))
 
 
-def check_first_order(op, arg, seed, rtol=1e-5):
+def check_first_order(op, arg, seed, rtol=1e-5, vals=None):
     """Gradient of the readout with respect to input `arg`, against central
-    differences; the other inputs are constants."""
-    vals = case_inputs(op, seed)
+    differences; the other inputs are constants. `vals`, when given, replaces
+    the case's seeded inputs."""
+    vals = case_inputs(op, seed) if vals is None else vals
 
     def readout(v):
         return _readout(op, {n: v if n == arg else ad.tensor(x) for n, x in vals.items()})
@@ -144,11 +148,11 @@ def check_first_order(op, arg, seed, rtol=1e-5):
     assert_fd_close(got.data, num, rtol=rtol, label=f"{op}.{arg}[seed={seed}]")
 
 
-def check_second_order(op, arg, seed, rtol=1e-5):
+def check_second_order(op, arg, seed, rtol=1e-5, vals=None):
     """Gradient with respect to input `arg` of the squared norm of the op's
     own create-graph gradient with respect to every input, against central
-    differences."""
-    vals = case_inputs(op, seed)
+    differences. `vals`, when given, replaces the case's seeded inputs."""
+    vals = case_inputs(op, seed) if vals is None else vals
 
     def grad_norm(v):
         ins = {n: ad.tensor(v if n == arg else x, requires_grad=True) for n, x in vals.items()}

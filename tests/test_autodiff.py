@@ -13,8 +13,8 @@ import pytest
 from metasep import autodiff as ad
 from metasep import model, trainer
 from oracles import assert_fd_close, fd_gradient, naive_conv1d, naive_conv_transpose1d
-from primitive_cases import (CASES, CONV, case_inputs, check_first_order,
-                             check_second_order, scalar_loss)
+from primitive_cases import (CASES, CONV, GLN_EPS, case_inputs, check_first_order,
+                             check_second_order, gln_stats, scalar_loss)
 from test_trainer import MICRO, make_task
 
 RNG = np.random.default_rng
@@ -349,6 +349,47 @@ def test_conv1d_input_grad_forward_is_bit_exact(cout, cg, k, stride, dilation, g
     assert np.array_equal(_bits(got), _bits(_tap_overlap_add(g, w, **kw)))
 
 
+def _naive_overlap_add(g, w, *, stride, dilation, groups, pad, out_len):
+    """Loop-based conv1d_input_grad that adds every product to its sample in
+    a zeroed signal, taps in increasing order, as the kernel sums them."""
+    cout, t_out = g.shape
+    _, cg, k = w.shape
+    dxp = np.zeros((cg * groups, out_len + 2 * pad))
+    for tap in range(k):
+        for o in range(cout):
+            for i in range(cg):
+                for t in range(t_out):
+                    dxp[o // (cout // groups) * cg + i, t * stride + tap * dilation] += (
+                        w[o, i, tap] * g[o, t])
+    return dxp[:, pad: pad + out_len]
+
+
+@pytest.mark.parametrize("cout,cg,k,dilation,groups,pad", [
+    (5, 4, 1, 1, 1, 0),  # 1 tap: the product is dx, with no zero buffer
+    (4, 1, 1, 1, 4, 0),  # 1-tap depthwise, which keeps the zero buffer
+    (4, 1, 3, 1, 4, 1),  # padded depthwise
+    (4, 1, 3, 2, 4, 2),  # padded depthwise, dilated
+])
+def test_conv1d_input_grad_matches_a_naive_overlap_add(cout, cg, k, dilation, groups, pad):
+    rng = RNG(989)
+    t_out = 37
+    out_len = t_out + dilation * (k - 1) - 2 * pad
+    # whole numbers sum exactly in any order, so BLAS's bits are the loop's
+    g = np.round(rng.normal(size=(cout, t_out)) * 2.0)
+    w = np.round(rng.normal(size=(cout, cg, k)) * 2.0)
+    if groups > 1:  # no sums across channels: test the rounding of real products
+        g, w = rng.normal(size=g.shape), rng.normal(size=w.shape)
+    # a zero row and column of g against negative weights give products of -0.0,
+    # which the loop's add to a +0.0 clears
+    g[1], g[:, 5] = 0.0, 0.0
+    w[1], w[:, 0] = -np.abs(w[1]) - 1.0, -np.abs(w[:, 0]) - 1.0
+    kw = dict(stride=1, dilation=dilation, groups=groups, pad=pad, out_len=out_len)
+    got = ad.conv1d_input_grad(ad.tensor(g), ad.tensor(w), **kw).data
+    want = _naive_overlap_add(g, w, **kw)
+    assert not np.signbit(want[want == 0.0]).any()
+    assert np.array_equal(_bits(got), _bits(want))
+
+
 def _windowed_conv(x, w, *, stride, dilation, groups, pad):
     """conv1d's former forward, over np.pad and a window view at every geometry;
     with g in place of w, conv1d_weight_grad's."""
@@ -403,10 +444,61 @@ def test_gln_forward_is_bit_exact():
     n = x.size
     mu = (1.0 / n) * x.sum()
     centered = x - mu
-    inv = 1.0 / np.sqrt((1.0 / n) * (centered * centered).sum() + 1e-8)
-    want = centered * inv * gamma[:, None] + beta[:, None]  # gln's former forward
-    got = ad.gln(ad.tensor(x), ad.tensor(gamma), ad.tensor(beta), 1e-8).data
+    inv = 1.0 / np.sqrt((1.0 / n) * np.dot(centered.ravel(), centered.ravel()) + GLN_EPS)
+    want = centered * (inv * gamma)[:, None] + beta[:, None]  # one scale per channel
+    got = ad.gln(ad.tensor(x), ad.tensor(gamma), ad.tensor(beta), GLN_EPS).data
     assert np.array_equal(_bits(got), _bits(want))
+
+
+def _gln_input_grad_by_sums(x, g, gamma):
+    """inv * (g * gamma - m1 - x_hat * m2), its two means from per-channel sums."""
+    n = x.size
+    mu, inv = gln_stats(x)
+    xhat = (x - mu) * inv
+    m1 = np.dot(gamma, g.sum(axis=1)) / n
+    m2 = np.dot(gamma, np.einsum("ct,ct->c", g, xhat)) / n
+    return g * (inv * gamma)[:, None] - (xhat * (inv * m2) + inv * m1)
+
+
+def test_gln_input_grad_is_bit_exact():
+    rng = RNG(987)
+    x, g = rng.normal(size=(8, 301)) * 3.0 + 0.7, rng.normal(size=(8, 301))
+    gamma, beta = rng.normal(size=8), rng.normal(size=8)
+    want = _gln_input_grad_by_sums(x, g, gamma)
+    got = ad._gln_input_grad(ad.tensor(x), ad.tensor(g), ad.tensor(gamma), gln_stats(x)).data
+    assert np.array_equal(_bits(got), _bits(want))
+    # through gln's VJP, which hands the input gradient gamma's gradient
+    ins = [ad.tensor(v, requires_grad=True) for v in (x, gamma, beta)]
+    dx, dgamma, _ = ad.gln(*ins, GLN_EPS)._vjp(ad.tensor(g))
+    assert np.array_equal(_bits(dx.data), _bits(want))
+    mu, inv = gln_stats(x)
+    assert np.array_equal(_bits(dgamma.data), _bits(np.einsum("ct,ct->c", g, (x - mu) * inv)))
+
+
+# x at 1e6 is left out: a step of 1e-5 there is itself rounded by 1e-5 of its size
+GLN_FAR_INPUTS = [(mean, op, arg) for op in ("gln", "gln_input_grad")
+                  for arg in CASES[op].inputs for mean in (1e3, 1e6)
+                  if mean == 1e3 or arg != "x"]
+
+
+@pytest.mark.parametrize("mean,op,arg", GLN_FAR_INPUTS,
+                         ids=[f"{o}.{a}@{m:.0e}" for m, o, a in GLN_FAR_INPUTS])
+def test_gln_far_from_zero_mean_matches_differences(mean, op, arg):
+    """x = mean + N(0, 1), outside the case table's domains: a mean large next
+    to the spread, where x_hat written as inv * x - inv * mean would cancel."""
+    vals = case_inputs(op, 0)
+    vals["x"] = mean + vals["x"]
+    check_first_order(op, arg, 0, vals=vals)
+    check_second_order(op, arg, 0, vals=vals)
+
+
+def test_gln_forward_far_from_zero_mean_matches_textbook():
+    rng = RNG(988)
+    x, gamma, beta = 1e3 + rng.normal(size=(8, 301)), rng.normal(size=8), rng.normal(size=8)
+    centered = x - x.mean()
+    want = centered / np.sqrt(np.mean(centered ** 2) + GLN_EPS) * gamma[:, None] + beta[:, None]
+    got = ad.gln(ad.tensor(x), ad.tensor(gamma), ad.tensor(beta), GLN_EPS).data
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_broadcasts_are_read_only_views():

@@ -396,6 +396,31 @@ def test_build_tasks_rejects_degenerate_split(tmp_path, capsys, n_accents, count
     assert not (tmp_path / "tasks" / "tasks.json").exists()
 
 
+@pytest.mark.parametrize("counts,config", [
+    (["--train-accents", -1, "--dev-accents", 2, "--test-accents", 3], None),
+    (["--test-accents", -2], None),
+    ([], {"split_counts": [2.5, 1, 1]}),
+    ([], {"split_counts": [2, 1]}),
+    (["--dev-accents", 1], {"split_counts": [True, 0, 1]}),
+])
+def test_build_tasks_refuses_bad_split_counts(tmp_path, capsys, counts, config):
+    assert evalcli.main(["--seed", "3", "--out", str(tmp_path / "corpus"), "synth-corpus",
+                         "--accents", "4", "--speakers", "2"]) == 0
+    capsys.readouterr()
+    extra = []
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        extra = ["--config", str(tmp_path / "config.json")]
+    code = evalcli.main(["--seed", "3", *extra, "--out", str(tmp_path / "tasks"),
+                         "build-tasks", "--manifest",
+                         str(tmp_path / "corpus" / "manifest.jsonl"), *map(str, counts)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "TaskGenError" and "traceback" not in err
+    assert "split counts (" in err["message"] and "non-negative integers" in err["message"]
+    assert not (tmp_path / "tasks" / "tasks.json").exists()
+
+
 @pytest.mark.parametrize("index", [-1, 2])
 def test_finetune_rejects_task_index_out_of_range(params, test_sets, tmp_path, capsys, index):
     split = taskgen.SplitSpec(train=[], dev=[], test=[ts.accent for ts in test_sets])

@@ -254,6 +254,15 @@ def test_split_rejects_oversized_counts():
         taskgen.split_accents(["a", "b"], seed=0, counts=(2, 1, 1))
 
 
+@pytest.mark.parametrize("counts", [
+    (3, 0, -1), (-1, 2, 3), (2.5, 1, 1), (2.0, 1, 1), (True, 1, 1), ("2", 1, 1),
+    (np.int64(2), 1, 1), (2, 1), (2, 1, 1, 0),
+])
+def test_split_rejects_counts_that_are_not_three_non_negative_ints(counts):
+    with pytest.raises(taskgen.TaskGenError, match="split counts .* must be three non-negative"):
+        taskgen.split_accents([f"a{i}" for i in range(10)], seed=0, counts=counts)
+
+
 # ---------------------------------------------------------------------------
 # proportional sampling
 
