@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import os
 import struct
 import wave
@@ -38,6 +39,27 @@ NOISE_SNR_RANGE_DB = (10.0, 20.0)
 
 class ZeroSignalError(ValueError):
     """A source or reference with no energy cannot be mixed or scored."""
+
+
+def require_finite(name: str, value, error=ValueError) -> None:
+    """Refuse, with `error`, a rate, coefficient or length that is not a
+    finite real number (a bool is not one) before any work uses it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a finite number, got {value!r}")
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value}")
+
+
+def require_int(name: str, value, least: int, error=ValueError) -> None:
+    """Refuse, with `error`, a count or size that is not an int (a bool is
+    not one) of at least `least`."""
+    if not is_int_at_least(value, least):
+        raise error(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def is_int_at_least(value, least: int) -> bool:
+    """Whether `value` is an int (a bool is not one) of at least `least`."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 @dataclass
@@ -158,15 +180,6 @@ def si_snr(s, s_hat) -> float:
     num = float(np.dot(proj, proj))
     den = max(float(np.dot(err, err)), SI_SNR_EPS)
     return 10.0 * math.log10(num / den)
-
-
-def si_snr_improvement(pair: MixturePair, estimates) -> float:
-    """Mean per-source Si-SNR gain of the estimates over the raw mixture.
-
-    The estimates must already be aligned to the sources (best assignment
-    under the permutation-invariant loss).
-    """
-    return si_snr_gain(pair, [si_snr(src, est) for src, est in zip(pair.sources, estimates)])
 
 
 def si_snr_gain(pair: MixturePair, scores) -> float:

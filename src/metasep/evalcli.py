@@ -22,7 +22,6 @@ import csv
 import dataclasses
 import io
 import json
-import math
 import sys
 import traceback
 from dataclasses import dataclass, field
@@ -41,6 +40,7 @@ BETA_GRID = (1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1)
 META_BETA_DEFAULT = 0.01
 
 CSV_COLUMNS = ("accent", "condition", "phase", "mean_si_snri_db", "n_tasks")
+CONFIG_KEYS = ("model", "split_counts", "train", "utterance_seconds")
 
 
 class EvalError(ValueError):
@@ -133,13 +133,14 @@ def meta_test(params: ParamVector, config: SeparatorConfig, checkpoint_extra: di
               report: EvalReport | None = None, *,
               prepared: list[trainer.PreparedAdapt] | None = None) -> EvalReport:
     """Adapt-and-score every test task; aggregates into an EvalReport.
-    A task whose "after" score is not finite aborts it with an EvalError.
+    A task whose "after" score is not finite aborts it with the ValueError
+    of ``trainer.PreparedAdapt.score``.
 
     ``prepared`` holds ``trainer.prepare_adapt`` of every test task, in this
     function's order, for the same parameters and condition; without it each
     task is prepared as it is scored.
     """
-    trainer.require_finite("beta_ft", beta_ft)
+    dsp.require_finite("beta_ft", beta_ft)
     _check_test_sets(checkpoint_extra, test_sets)
     tasks = _test_tasks(test_sets)
     if prepared is None:
@@ -156,13 +157,7 @@ def meta_test(params: ParamVector, config: SeparatorConfig, checkpoint_extra: di
     after: dict[str, list[float]] = {}
     for (accent, _), prep in zip(tasks, prepared):
         before.setdefault(accent, []).append(prep.query_si_snri_pre)
-        # an overflowing step is reported by the check below, not by numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            score = prep.sep.query_si_snri(prep.adapted(beta_ft))
-        if not math.isfinite(score):
-            raise EvalError(f"task {prep.sep.name} scores {score} dB Si-SNRi after one "
-                            f"step at rate {beta_ft!r}")
-        after.setdefault(accent, []).append(score)
+        after.setdefault(accent, []).append(prep.score(beta_ft)["query_si_snri_post"])
 
     if report is None:
         report = EvalReport()
@@ -193,7 +188,7 @@ def beta_sweep(params: ParamVector, config: SeparatorConfig, checkpoint_extra: d
     """
     grid = tuple(float(b) for b in grid)
     for beta in grid:
-        trainer.require_finite("beta_ft", beta)
+        dsp.require_finite("beta_ft", beta)
     if not grid:
         raise EvalError("sweep grid is empty")
     mode = checkpoint_extra.get("mode")
@@ -274,9 +269,15 @@ def _write_resolved_config(out_dir, command: str, resolved: dict) -> None:
 
 
 def _load_json_config(path) -> dict:
+    """The config file's object ({} without a file), refusing a top-level key
+    that no command reads. One file may serve every command."""
     cfg = {} if path is None else json.loads(Path(path).read_text())
     if not isinstance(cfg, dict):
         raise EvalError(f"config file {path} is {json.dumps(cfg)}, not an object")
+    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
+    if unknown:
+        raise EvalError(f"unknown top-level config keys: {', '.join(unknown)} "
+                        f"(known: {', '.join(CONFIG_KEYS)})")
     return cfg
 
 
@@ -386,15 +387,8 @@ def cmd_finetune(args) -> dict:
         raise EvalError(f"task index {args.task_index} is out of range: accent "
                         f"{wanted[0].accent} has {len(tasks)} tasks")
     task = tasks[args.task_index]
-    beta = args.beta if args.beta is not None else META_BETA_DEFAULT
-    res = trainer.finetune_adapt(params, task, beta, model_config, noisy=args.noise)
-    out = {
-        "accent": task.accent, "speakers": list(task.speakers), "beta_ft": beta,
-        "support_loss_pre": res.support_loss_pre,
-        "support_loss_post": res.support_loss_post,
-        "query_si_snri_pre": res.query_si_snri_pre,
-        "query_si_snri_post": res.query_si_snri_post,
-    }
+    out = {"accent": task.accent, "speakers": list(task.speakers), "beta_ft": args.beta,
+           **trainer.finetune_adapt(params, task, args.beta, model_config, noisy=args.noise)}
     _write_resolved_config(args.out, "finetune",
                            {"command": "finetune", "seed": args.seed, **out})
     return out
@@ -403,14 +397,13 @@ def cmd_finetune(args) -> dict:
 def cmd_evaluate(args) -> dict:
     params, model_config, extra = model_mod.load_checkpoint(args.checkpoint)
     sets = _split_sets(args.tasks)
-    beta = args.beta if args.beta is not None else META_BETA_DEFAULT
-    report = meta_test(params, model_config, extra, sets["test"], beta, noisy=False)
+    report = meta_test(params, model_config, extra, sets["test"], args.beta, noisy=False)
     if args.noise:
-        report = meta_test(params, model_config, extra, sets["test"], beta,
+        report = meta_test(params, model_config, extra, sets["test"], args.beta,
                            noisy=True, report=report)
     paths = emit_report(report, args.out)
     resolved = {"command": "evaluate", "checkpoint": str(args.checkpoint),
-                "tasks": str(args.tasks), "beta_ft": beta, "noise": bool(args.noise),
+                "tasks": str(args.tasks), "beta_ft": args.beta, "noise": bool(args.noise),
                 "seed": args.seed}
     _write_resolved_config(args.out, "evaluate", resolved)
     return {"report_csv": str(paths["csv"]), "report_json": str(paths["json"]),
@@ -470,14 +463,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tasks", type=Path, required=True)
     p.add_argument("--accent", type=str, default=None)
     p.add_argument("--task-index", type=int, default=0, dest="task_index")
-    p.add_argument("--beta", type=float, default=None)
+    p.add_argument("--beta", type=float, default=META_BETA_DEFAULT)
     p.add_argument("--noise", action="store_true")
     p.set_defaults(fn=cmd_finetune)
 
     p = sub.add_parser("evaluate", help="meta-test a checkpoint on the test accents")
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--tasks", type=Path, required=True)
-    p.add_argument("--beta", type=float, default=None)
+    p.add_argument("--beta", type=float, default=META_BETA_DEFAULT)
     p.add_argument("--noise", action="store_true",
                    help="also evaluate with noise injected into test mixtures")
     p.set_defaults(fn=cmd_evaluate)

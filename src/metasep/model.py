@@ -54,10 +54,10 @@ class SeparatorConfig:
     stacks: int = 2
 
     def __post_init__(self):
-        for field in ("enc_channels", "enc_kernel", "enc_stride", "bottleneck_channels",
-                      "conv_channels", "kernel", "blocks_per_stack", "stacks"):
-            if getattr(self, field) <= 0:
-                raise ValueError(f"{field} must be positive, got {getattr(self, field)}")
+        for field in dataclasses.fields(self):
+            dsp.require_int(field.name, getattr(self, field.name), 1)
+        if self.kernel % 2 == 0:  # the depthwise padding keeps the length only when odd
+            raise ValueError(f"kernel must be odd, got {self.kernel}")
 
     def frames(self, n_samples: int) -> int:
         """Latent frame count for an n-sample input; requires clean alignment."""
@@ -204,12 +204,13 @@ def forward_separate(x, params: ParamVector,
 # permutation-invariant loss
 
 
-def upit_loss(estimates, sources):
+def upit_loss(estimates: Sequence[Tensor], sources) -> tuple[Tensor, tuple[int, int]]:
     """Utterance-level permutation-invariant loss over both assignments.
 
-    Returns (loss, permutation). With Tensor estimates the loss is a scalar
-    graph node; with arrays it is a float. The permutation maps source index
-    to the estimate assigned to it; ties break toward the identity.
+    Returns (loss, permutation): the loss is a scalar graph node over the
+    estimate tensors, and the permutation maps source index to the estimate
+    assigned to it; ties break toward the identity. Scores of separated
+    waveforms pick their assignment in :func:`evaluate_si_snri`.
     """
     srcs = [dsp._as_samples(s) for s in sources]
     if len(srcs) != 2 or len(estimates) != 2:
@@ -217,22 +218,17 @@ def upit_loss(estimates, sources):
     for s in srcs:
         if float(np.dot(s, s)) <= 0.0:
             raise dsp.ZeroSignalError("uPIT source has zero energy")
-
-    if isinstance(estimates[0], Tensor):
-        snr = [[dsp.si_snr_graph(srcs[c], estimates[e]) for e in range(2)]
-               for c in range(2)]
-        loss_id = ad.scalar_mul(-0.5, ad.add(snr[0][0], snr[1][1]))
-        loss_swap = ad.scalar_mul(-0.5, ad.add(snr[0][1], snr[1][0]))
-        if loss_id.item() <= loss_swap.item():
-            return loss_id, (0, 1)
-        return loss_swap, (1, 0)
-
-    ests = [dsp._as_samples(e) for e in estimates]
-    return _upit_pick([[dsp.si_snr(s, e) for e in ests] for s in srcs])
+    snr = [[dsp.si_snr_graph(srcs[c], estimates[e]) for e in range(2)] for c in range(2)]
+    loss_id = ad.scalar_mul(-0.5, ad.add(snr[0][0], snr[1][1]))
+    loss_swap = ad.scalar_mul(-0.5, ad.add(snr[0][1], snr[1][0]))
+    if loss_id.item() <= loss_swap.item():
+        return loss_id, (0, 1)
+    return loss_swap, (1, 0)
 
 
 def _upit_pick(snr) -> tuple[float, tuple[int, int]]:
-    """upit_loss's (loss, permutation) from the Si-SNR floats snr[source][estimate]."""
+    """uPIT's (loss, permutation) over the Si-SNR floats snr[source][estimate],
+    by upit_loss's rule."""
     loss_id = -0.5 * (snr[0][0] + snr[1][1])
     loss_swap = -0.5 * (snr[0][1] + snr[1][0])
     if loss_id <= loss_swap:

@@ -212,8 +212,8 @@ def split_accents(accents, seed: int, counts: tuple[int, int, int] | None = None
     paper's 85/19/19 on 123 accents, any further accents going to train.
     Given counts must be three non-negative ints (train, dev, test)."""
     accents = sorted(accents)
-    if counts is not None and (len(counts) != 3 or any(
-            isinstance(c, bool) or not isinstance(c, int) or c < 0 for c in counts)):
+    if counts is not None and (len(counts) != 3 or not all(
+            dsp.is_int_at_least(c, 0) for c in counts)):
         raise TaskGenError(f"split counts {tuple(counts)} must be three non-negative "
                            f"integers (train, dev, test)")
     if counts is None:
@@ -308,10 +308,13 @@ class SynthSpec:
     utterance_seconds: float = 12.5
 
     def __post_init__(self):
-        if self.speakers_per_accent < 2:
-            raise TaskGenError("synthetic accents need at least 2 speakers each")
+        dsp.require_int("n_accents", self.n_accents, 1, TaskGenError)
+        dsp.require_int("speakers_per_accent", self.speakers_per_accent, 2, TaskGenError)
+        dsp.require_finite("utterance_seconds", self.utterance_seconds, TaskGenError)
         if self.utterance_seconds < SEGMENTS_PER_SPEAKER * dsp.SEGMENT_SECONDS:
-            raise TaskGenError("utterances must yield at least 3 segments")
+            raise TaskGenError(f"utterance_seconds must be at least "
+                               f"{SEGMENTS_PER_SPEAKER * dsp.SEGMENT_SECONDS} to yield "
+                               f"{SEGMENTS_PER_SPEAKER} segments, got {self.utterance_seconds}")
 
 
 def _accent_family(k: int) -> dict:

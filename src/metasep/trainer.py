@@ -64,12 +64,6 @@ class TaskLoss(Protocol):
     def query_terms(self) -> list[LossFn]: ...
 
 
-def require_finite(name: str, value: float) -> None:
-    """Refuse a non-finite rate or coefficient before any work uses it."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-
-
 @dataclass
 class TrainConfig:
     mode: str = "fomaml"
@@ -86,7 +80,9 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("inner_lr", "outer_lr", "weight_decay"):
-            require_finite(name, getattr(self, name))
+            dsp.require_finite(name, getattr(self, name))
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be at least 0, got {self.weight_decay}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode != "joint" and self.inner_lr <= 0:
@@ -94,9 +90,7 @@ class TrainConfig:
         if self.outer_optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown outer optimizer {self.outer_optimizer!r}")
         for name, least in (("epochs", 1), ("meta_batch", 1), ("dev_eval_tasks", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < least:
-                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+            dsp.require_int(name, getattr(self, name), least)
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -173,10 +167,6 @@ class SeparationTask:
         terms = self.query_terms()
         total = functools.reduce(ad.add, (f(params) for f in terms))
         return ad.scalar_mul(1.0 / len(terms), total)
-
-    def support_loss_value(self, params: ParamVector) -> float:
-        with ad.no_grad():
-            return self.support_loss(params.to_constants()).item()
 
     def query_si_snri(self, params: ParamVector) -> float:
         return float(np.mean(ad.in_order(
@@ -410,7 +400,7 @@ def _write_outputs(result: TrainResult, cfg: TrainConfig,
 @dataclass
 class PreparedAdapt:
     """The rate-independent part of one-shot adaptation on one task: the
-    support gradient and the scores at theta. ``sep`` scores any rate."""
+    support gradient and the scores at theta. :meth:`score` scores any rate."""
 
     theta: ParamVector
     sep: SeparationTask
@@ -420,6 +410,24 @@ class PreparedAdapt:
 
     def adapted(self, beta_ft: float) -> ParamVector:
         return self.theta.replace(self.theta.values - beta_ft * self.support_grad)
+
+    def score(self, beta_ft: float, support_loss: bool = False) -> dict:
+        """The query Si-SNRi after one step at rate beta_ft, and the support
+        loss after it when asked, keyed as ``finetune`` reports them. A
+        non-finite result raises ValueError naming the task and the rate."""
+        # an overflowing step is reported by the check below, not by numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            adapted = self.adapted(beta_ft)
+            post = {"query_si_snri_post": self.sep.query_si_snri(adapted)}
+            if support_loss:
+                with ad.no_grad():
+                    post["support_loss_post"] = self.sep.support_loss(
+                        adapted.to_constants()).item()
+        if not all(map(math.isfinite, post.values())):
+            loss = f" and support loss {post['support_loss_post']}" if support_loss else ""
+            raise ValueError(f"task {self.sep.name} scores {post['query_si_snri_post']} dB "
+                             f"Si-SNRi{loss} after one step at rate {beta_ft!r}")
+        return post
 
 
 def prepare_adapt(theta: ParamVector, task: taskgen.MetaTask, config: SeparatorConfig,
@@ -432,34 +440,13 @@ def prepare_adapt(theta: ParamVector, task: taskgen.MetaTask, config: SeparatorC
                          query_si_snri_pre=sep.query_si_snri(theta))
 
 
-@dataclass
-class AdaptResult:
-    adapted: ParamVector
-    support_loss_pre: float
-    support_loss_post: float
-    query_si_snri_pre: float
-    query_si_snri_post: float
-
-
 def finetune_adapt(theta: ParamVector, task: taskgen.MetaTask, beta_ft: float,
-                   model_config: SeparatorConfig, noisy: bool = False) -> AdaptResult:
-    """One plain gradient step on the support mixture, scored on the queries.
-    A step whose scores are not finite raises ValueError, naming the task and
-    the rate."""
-    require_finite("beta_ft", beta_ft)
+                   model_config: SeparatorConfig, noisy: bool = False) -> dict:
+    """One plain gradient step on the support mixture: the support loss and
+    query Si-SNRi before and after it, refused as :meth:`PreparedAdapt.score`
+    refuses them."""
+    dsp.require_finite("beta_ft", beta_ft)
     prep = prepare_adapt(theta, task, model_config, noisy=noisy)
-    # an overflowing step is reported by the check below, not by numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        adapted = prep.adapted(beta_ft)
-        loss = prep.sep.support_loss_value(adapted)
-        score = prep.sep.query_si_snri(adapted)
-    if not (math.isfinite(loss) and math.isfinite(score)):
-        raise ValueError(f"task {prep.sep.name} scores {score} dB Si-SNRi and support loss "
-                         f"{loss} after one step at rate {beta_ft!r}")
-    return AdaptResult(
-        adapted=adapted,
-        support_loss_pre=prep.support_loss_pre,
-        support_loss_post=loss,
-        query_si_snri_pre=prep.query_si_snri_pre,
-        query_si_snri_post=score,
-    )
+    return {"support_loss_pre": prep.support_loss_pre,
+            "query_si_snri_pre": prep.query_si_snri_pre,
+            **prep.score(beta_ft, support_loss=True)}

@@ -2,7 +2,6 @@ import csv
 import json
 import os
 import platform
-import re
 import subprocess
 import sys
 import threading
@@ -78,12 +77,22 @@ def test_overall_mean_is_task_weighted(params):
 
 
 def test_aggregation_identity_on_real_report(params, test_sets):
+    """Every task's "after" score in a meta_test report is finetune's
+    query_si_snri_post, bit for bit, and the rows aggregate those scores."""
     report = evalcli.meta_test(params, MICRO, CKPT_EXTRA, test_sets, beta_ft=0.01)
     flat = []
     for ts in sorted(test_sets, key=lambda s: s.accent):
+        scores = []
         for task in ts.tasks:
+            alone = [taskgen.AccentTaskSet(accent=ts.accent, tasks=[task])]
+            (row,) = evalcli.meta_test(params, MICRO, CKPT_EXTRA, alone,
+                                       beta_ft=0.01).accent_rows("clean", "after")
             res = trainer.finetune_adapt(params, task, 0.01, MICRO)
-            flat.append(res.query_si_snri_post)
+            assert row["mean_si_snri_db"] == res["query_si_snri_post"]
+            scores.append(res["query_si_snri_post"])
+        (row,) = [r for r in report.accent_rows("clean", "after") if r["accent"] == ts.accent]
+        assert row["mean_si_snri_db"] == float(np.mean(scores))
+        flat += scores
     assert abs(report.overall_mean("clean", "after") - np.mean(flat)) <= 1e-12
 
 
@@ -360,6 +369,104 @@ def test_cli_train_refuses_degenerate_counts(tmp_path, capsys, argv, config):
     assert not (tmp_path / "run" / "checkpoint.msep").exists()
 
 
+@pytest.mark.parametrize("config,field", [
+    ({"model": {"kernel": 2}}, "kernel"),
+    ({"model": {"kernel": 3.0}}, "kernel"),
+    ({"model": {"enc_channels": 2.5}}, "enc_channels"),
+    ({"model": {"stacks": True}}, "stacks"),
+    ({"train": {"weight_decay": -5}}, "weight_decay"),
+    ({"train": {"outer_lr": "0.01"}}, "outer_lr"),
+], ids=["kernel-even", "kernel-float", "enc-channels-float", "stacks-bool",
+        "weight-decay-negative", "outer-lr-string"])
+def test_cli_train_refuses_a_degenerate_config_value(tmp_path, capsys, config, field):
+    """A bad model or train value exits 1 with a JSON error naming the
+    field, before any task is read: no traceback and no checkpoint."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = evalcli.main(["--config", str(path), "--out", str(tmp_path / "run"), "train",
+                         "--tasks", str(tmp_path / "tasks"), "--mode", "joint"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    err = json.loads(err)["error"]
+    assert err["type"] == "ValueError" and "traceback" not in err
+    assert err["message"].startswith(f"{field} must be ")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv,config,field", [
+    (["--accents", "0"], None, "n_accents"),
+    (["--accents", "-1"], None, "n_accents"),
+    (["--speakers", "1"], None, "speakers_per_accent"),
+    ([], '{"utterance_seconds": "12"}', "utterance_seconds"),
+    ([], '{"utterance_seconds": 1e400}', "utterance_seconds"),
+    ([], '{"utterance_seconds": 4}', "utterance_seconds"),
+], ids=["accents-0", "accents-negative", "speakers-1", "seconds-string", "seconds-overflow",
+        "seconds-short"])
+def test_cli_synth_corpus_refuses_bad_input_before_writing(tmp_path, capsys, argv, config,
+                                                           field):
+    extra = []
+    if config is not None:
+        (tmp_path / "config.json").write_text(config)
+        extra = ["--config", str(tmp_path / "config.json")]
+    flags = {"--accents": "2", "--speakers": "2"}
+    flags.update(zip(argv[::2], argv[1::2]))
+    code = evalcli.main([*extra, "--out", str(tmp_path / "corpus"), "synth-corpus",
+                         *[x for kv in flags.items() for x in kv]])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    err = json.loads(err)["error"]
+    assert err["type"] == "TaskGenError" and "traceback" not in err
+    assert err["message"].startswith(f"{field} must be ")
+    assert not (tmp_path / "corpus").exists()
+
+
+@pytest.mark.parametrize("command,config,key", [
+    ("build-tasks", {"split_count": [1, 0, 3]}, "split_count"),
+    ("build-tasks", {"modle": {"kernel": 3}}, "modle"),
+    ("synth-corpus", {"utterance_secs": 20}, "utterance_secs"),
+    ("train", {"splt": 1, "model": {}}, "splt"),
+])
+def test_cli_refuses_config_keys_no_command_reads(tmp_path, capsys, command, config, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = {"build-tasks": ["--manifest", str(tmp_path / "manifest.jsonl")],
+            "synth-corpus": ["--accents", "2", "--speakers", "2"],
+            "train": ["--tasks", str(tmp_path / "tasks"), "--mode", "joint"]}[command]
+    code = evalcli.main(["--config", str(path), "--out", str(tmp_path / "out"), command, *argv])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    err = json.loads(err)["error"]
+    assert err["type"] == "EvalError" and "traceback" not in err
+    assert err["message"] == (f"unknown top-level config keys: {key} "
+                              f"(known: model, split_counts, train, utterance_seconds)")
+    assert not (tmp_path / "out").exists()
+
+
+def test_one_config_file_serves_every_command(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "model": {"enc_channels": 4, "enc_kernel": 32, "enc_stride": 16,
+                  "bottleneck_channels": 2, "conv_channels": 4, "kernel": 3,
+                  "blocks_per_stack": 1, "stacks": 1},
+        "train": {"dev_eval_tasks": 0},
+        "split_counts": [2, 0, 1],
+        "utterance_seconds": 12.0,
+    }))
+    common = ["--seed", "3", "--config", str(config)]
+    assert evalcli.main([*common, "--out", str(tmp_path / "corpus"), "synth-corpus",
+                         "--accents", "3", "--speakers", "2"]) == 0
+    assert evalcli.main([*common, "--out", str(tmp_path / "tasks"), "build-tasks",
+                         "--manifest", str(tmp_path / "corpus" / "manifest.jsonl")]) == 0
+    assert evalcli.main([*common, "--out", str(tmp_path / "run"), "train", "--tasks",
+                         str(tmp_path / "tasks"), "--mode", "joint", "--epochs", "1"]) == 0
+    capsys.readouterr()
+    resolved = json.loads((tmp_path / "tasks" / "build_tasks_config.json").read_text())
+    assert [len(resolved["split"][k]) for k in ("train", "dev", "test")] == [2, 0, 1]
+    resolved = json.loads((tmp_path / "corpus" / "synth_corpus_config.json").read_text())
+    assert resolved["utterance_seconds"] == 12.0
+    assert (tmp_path / "run" / "checkpoint.msep").is_file()
+
+
 @pytest.mark.parametrize("value", [5, [1], 0, None], ids=["5", "list", "0", "null"])
 @pytest.mark.parametrize("section", ["model", "train", None])
 def test_train_config_section_must_be_an_object(tmp_path, capsys, section, value):
@@ -465,50 +572,41 @@ def test_cli_refuses_non_finite_rates(params, test_sets, tmp_path, capsys, work_
     assert not (tmp_path / "out").exists()
 
 
-def test_overflowing_rate_aborts_meta_test_and_sweep(params, test_sets):
-    """A finite rate whose step overflows scores NaN; that aborts the
-    evaluation, naming the task and the rate, instead of entering a report
-    or the sweep's choice of rate."""
-    extra = dict(CKPT_EXTRA, mode="joint")
-    first = "task acc00/s200a+s200b scores nan dB Si-SNRi after one step at rate 1e+300"
-    with pytest.raises(evalcli.EvalError, match=re.escape(first)):
-        evalcli.meta_test(params, MICRO, extra, test_sets, 1e300)
-    with pytest.raises(evalcli.EvalError, match=re.escape(first)):
-        evalcli.beta_sweep(params, MICRO, extra, test_sets, grid=(1e300, 0.01))
+def _overflow_refusal(task: str, command: str) -> str:
+    loss = " and support loss nan" if command == "finetune" else ""
+    return f"task {task} scores nan dB Si-SNRi{loss} after one step at rate 1e+300"
 
 
 @pytest.mark.parametrize("command,argv", [
     ("evaluate", ["--beta", "1e300"]),
     ("sweep-beta", ["--grid", "1e300,0.01"]),
+    ("finetune", ["--beta", "1e300"]),
 ])
 def test_cli_refuses_an_overflowing_rate(params, test_sets, tmp_path, capsys, command, argv):
-    assert _run_on_joint_checkpoint(params, test_sets, tmp_path, command, argv) == 1
-    err = json.loads(capsys.readouterr().err)["error"]
-    assert err["type"] == "EvalError" and "traceback" not in err
-    assert err["message"].startswith("task acc01/s202a+s202b scores nan dB")
-    assert err["message"].endswith("at rate 1e+300")
-    assert not (tmp_path / "out").exists()
-
-
-def test_overflowing_rate_aborts_finetune(params, test_sets):
-    """finetune refuses a step whose scores overflow to NaN, naming the task
-    and the rate, without numpy's overflow warnings."""
-    want = ("task acc00/s200a+s200b scores nan dB Si-SNRi and support loss nan "
-            "after one step at rate 1e+300")
+    """A finite rate whose step overflows scores NaN. One check refuses it,
+    through the API and through the CLI: a ValueError naming the task and the
+    rate, without numpy's overflow warnings, instead of a report row, the
+    sweep's choice of rate or finetune's scores."""
+    extra = dict(CKPT_EXTRA, mode="joint")
+    api = {
+        "evaluate": lambda: evalcli.meta_test(params, MICRO, extra, test_sets, 1e300),
+        "sweep-beta": lambda: evalcli.beta_sweep(params, MICRO, extra, test_sets,
+                                                 grid=(1e300, 0.01)),
+        "finetune": lambda: trainer.finetune_adapt(params, test_sets[0].tasks[0], 1e300,
+                                                   MICRO, noisy=True),
+    }[command]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValueError, match=re.escape(want)):
-            trainer.finetune_adapt(params, test_sets[0].tasks[0], 1e300, MICRO, noisy=True)
+        with pytest.raises(ValueError) as refused:
+            api()
+    assert type(refused.value) is ValueError
+    assert str(refused.value) == _overflow_refusal("acc00/s200a+s200b", command)
 
-
-def test_cli_finetune_refuses_an_overflowing_rate(params, test_sets, tmp_path, capsys):
-    code = _run_on_joint_checkpoint(params, test_sets, tmp_path, "finetune", ["--beta", "1e300"])
+    code = _run_on_joint_checkpoint(params, test_sets, tmp_path, command, argv)
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
-    err = json.loads(err)["error"]
-    assert err == {"type": "ValueError",
-                   "message": "task acc01/s202a+s202b scores nan dB Si-SNRi and support "
-                              "loss nan after one step at rate 1e+300"}
+    assert json.loads(err)["error"] == {
+        "type": "ValueError", "message": _overflow_refusal("acc01/s202a+s202b", command)}
     assert not (tmp_path / "out").exists()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import os
@@ -28,6 +29,12 @@ TINY = SeparatorConfig(enc_channels=8, enc_kernel=16, enc_stride=8,
                        blocks_per_stack=2, stacks=1)
 
 
+def upit(estimates, sources):
+    """model.upit_loss on constant tensors of the estimates: (loss float, permutation)."""
+    loss, perm = model.upit_loss([ad.tensor(dsp._as_samples(e)) for e in estimates], sources)
+    return loss.item(), perm
+
+
 def make_pair(n=400, seed=0, snr_db=2.0):
     rng = RNG(seed)
     return dsp.mix_at_snr(dsp.Waveform(rng.normal(size=n) * 0.3),
@@ -51,6 +58,33 @@ def test_frames_rejects_misaligned_length():
 def test_config_rejects_nonpositive():
     with pytest.raises(ValueError):
         SeparatorConfig(enc_stride=0)
+
+
+BAD_SEPARATOR_FIELDS = [
+    ("kernel", 2, "kernel must be odd, got 2"),
+    ("kernel", 3.0, "kernel must be an integer of at least 1, got 3.0"),
+    ("enc_channels", 2.5, "enc_channels must be an integer of at least 1, got 2.5"),
+    ("stacks", True, "stacks must be an integer of at least 1, got True"),
+    ("conv_channels", 0, "conv_channels must be an integer of at least 1, got 0"),
+    ("enc_stride", "8", "enc_stride must be an integer of at least 1, got '8'"),
+]
+
+
+@pytest.mark.parametrize("name,value,refusal", BAD_SEPARATOR_FIELDS)
+def test_config_refuses_a_field_that_is_not_a_positive_int(name, value, refusal):
+    """Every field is an int (a bool is not one) of at least 1, and the
+    depthwise kernel is odd so that its padding keeps the length; a bad value
+    is refused when the config is made, not inside the first forward."""
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+        SeparatorConfig(**{name: value})
+
+
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+def test_odd_kernels_keep_the_length(kernel):
+    cfg = dataclasses.replace(TINY, kernel=kernel)
+    x = RNG(2).normal(size=400)
+    outs = model.forward_separate(x, model.init_params(cfg, seed=0), cfg)
+    assert [len(o) for o in outs] == [400, 400]
 
 
 # ---------------------------------------------------------------------------
@@ -255,16 +289,16 @@ def test_forward_separate_composition_matches_stages():
 
 def test_upit_identity_permutation_for_true_sources():
     pair = make_pair(seed=24)
-    loss, perm = model.upit_loss(pair.sources, pair.sources)
+    loss, perm = upit(pair.sources, pair.sources)
     assert perm == (0, 1)
     assert loss < -40.0
 
 
 def test_upit_swapped_estimates_select_swap_with_same_loss():
     pair = make_pair(seed=25)
-    loss_in, perm_in = model.upit_loss(pair.sources, pair.sources)
+    loss_in, perm_in = upit(pair.sources, pair.sources)
     swapped = (pair.sources[1], pair.sources[0])
-    loss_sw, perm_sw = model.upit_loss(swapped, pair.sources)
+    loss_sw, perm_sw = upit(swapped, pair.sources)
     assert perm_sw == (1, 0)
     assert loss_sw == loss_in
 
@@ -274,7 +308,7 @@ def test_upit_matches_brute_force_enumeration():
     for _ in range(200):
         srcs = (rng.normal(size=50), rng.normal(size=50))
         ests = (rng.normal(size=50), rng.normal(size=50))
-        got_loss, got_perm = model.upit_loss(ests, srcs)
+        got_loss, got_perm = upit(ests, srcs)
         want_loss, want_perm = brute_force_upit(ests, srcs)
         assert got_loss == pytest.approx(want_loss, abs=1e-12)
         assert got_perm == want_perm
@@ -284,8 +318,8 @@ def test_upit_argument_swap_symmetry_exact():
     rng = RNG(27)
     srcs = (rng.normal(size=40), rng.normal(size=40))
     e1, e2 = rng.normal(size=40), rng.normal(size=40)
-    l_a, _ = model.upit_loss((e1, e2), srcs)
-    l_b, _ = model.upit_loss((e2, e1), srcs)
+    l_a, _ = upit((e1, e2), srcs)
+    l_b, _ = upit((e2, e1), srcs)
     assert l_a == l_b
 
 
@@ -294,24 +328,14 @@ def test_upit_scale_invariance(c1, c2):
     rng = RNG(28)
     srcs = (rng.normal(size=60), rng.normal(size=60))
     e1, e2 = rng.normal(size=60), rng.normal(size=60)
-    base, _ = model.upit_loss((e1, e2), srcs)
-    scaled, _ = model.upit_loss((c1 * e1, c2 * e2), srcs)
+    base, _ = upit((e1, e2), srcs)
+    scaled, _ = upit((c1 * e1, c2 * e2), srcs)
     assert abs(base - scaled) <= 1e-9
 
 
 def test_upit_rejects_zero_energy_source():
     with pytest.raises(dsp.ZeroSignalError):
-        model.upit_loss((np.ones(10), np.ones(10)), (np.zeros(10), np.ones(10)))
-
-
-def test_upit_tensor_variant_matches_float_variant():
-    rng = RNG(29)
-    srcs = (rng.normal(size=50), rng.normal(size=50))
-    e1, e2 = rng.normal(size=50), rng.normal(size=50)
-    f_loss, f_perm = model.upit_loss((e1, e2), srcs)
-    t_loss, t_perm = model.upit_loss((ad.tensor(e1), ad.tensor(e2)), srcs)
-    assert t_loss.item() == pytest.approx(f_loss, abs=1e-12)
-    assert t_perm == f_perm
+        upit((np.ones(10), np.ones(10)), (np.zeros(10), np.ones(10)))
 
 
 def test_end_to_end_gradient_matches_finite_differences():
@@ -335,7 +359,7 @@ def test_end_to_end_gradient_matches_finite_differences():
     def full_loss(values):
         pv = params.replace(values)
         est = model.forward_separate(pair.mixture, pv, cfg)
-        loss, _ = model.upit_loss(est, pair.sources)
+        loss, _ = upit(est, pair.sources)
         return loss
 
     rng = RNG(32)
@@ -567,10 +591,11 @@ def test_evaluate_si_snri_is_finite_and_permutation_aligned():
 
 
 def _si_snri_of_upit_aligned(pair, estimates):
-    """evaluate_si_snri's former route: uPIT's permutation, then
-    si_snr_improvement of the aligned estimates."""
-    _, perm = model.upit_loss(estimates, pair.sources)
-    return dsp.si_snr_improvement(pair, tuple(estimates[perm[c]] for c in range(2)))
+    """evaluate_si_snri's former route: uPIT's permutation, then the mean
+    Si-SNR gain of the aligned estimates."""
+    _, perm = upit(estimates, pair.sources)
+    return dsp.si_snr_gain(pair, [dsp.si_snr(pair.sources[c], estimates[perm[c]])
+                                  for c in range(2)])
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
@@ -583,8 +608,7 @@ def test_evaluate_si_snri_equals_si_snr_improvement_of_upit_aligned(monkeypatch,
     estimates = tuple(estimates[e] for e in order)
     monkeypatch.setattr(model, "forward_separate", lambda *args: estimates)
     assert model.evaluate_si_snri(pair, params, TINY) == _si_snri_of_upit_aligned(pair, estimates)
-    assert model.upit_loss(estimates, pair.sources)[1] != model.upit_loss(
-        estimates[::-1], pair.sources)[1]
+    assert upit(estimates, pair.sources)[1] != upit(estimates[::-1], pair.sources)[1]
 
 
 def test_evaluate_si_snri_at_a_upit_tie(monkeypatch):
@@ -598,7 +622,7 @@ def test_evaluate_si_snri_at_a_upit_tie(monkeypatch):
                  dsp.Waveform(rng.normal(size=240)))
     snr = [[dsp.si_snr(src, e) for e in estimates] for src in pair.sources]
     assert snr[0][0] + snr[1][1] == snr[0][1] + snr[1][0] and snr[0][0] != snr[0][1]
-    assert model.upit_loss(estimates, pair.sources)[1] == (0, 1)
+    assert upit(estimates, pair.sources)[1] == (0, 1)
     monkeypatch.setattr(model, "forward_separate", lambda *args: estimates)
     params = model.init_params(TINY, seed=33)
     assert model.evaluate_si_snri(pair, params, TINY) == _si_snri_of_upit_aligned(pair, estimates)

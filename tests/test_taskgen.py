@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,24 @@ def test_synth_deterministic_bytes(tmp_path):
 def test_synth_rejects_single_speaker():
     with pytest.raises(taskgen.TaskGenError):
         SynthSpec(3, 1)
+
+
+@pytest.mark.parametrize("kwargs,refusal", [
+    ({"n_accents": 0}, "n_accents must be an integer of at least 1, got 0"),
+    ({"n_accents": -1}, "n_accents must be an integer of at least 1, got -1"),
+    ({"n_accents": 2.0}, "n_accents must be an integer of at least 1, got 2.0"),
+    ({"speakers_per_accent": True},
+     "speakers_per_accent must be an integer of at least 2, got True"),
+    ({"utterance_seconds": "12"}, "utterance_seconds must be a finite number, got '12'"),
+    ({"utterance_seconds": math.inf}, "utterance_seconds must be finite, got inf"),
+    ({"utterance_seconds": math.nan}, "utterance_seconds must be finite, got nan"),
+    ({"utterance_seconds": 11.5}, "utterance_seconds must be at least 12.0 to yield 3 "
+                                  "segments, got 11.5"),
+])
+def test_synth_spec_refuses_degenerate_values(kwargs, refusal):
+    spec = {"n_accents": 2, "speakers_per_accent": 2, **kwargs}
+    with pytest.raises(taskgen.TaskGenError, match=f"^{re.escape(refusal)}$"):
+        SynthSpec(**spec)
 
 
 # ---------------------------------------------------------------------------

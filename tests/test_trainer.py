@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import threading
 import warnings
 import weakref
@@ -752,6 +753,26 @@ def test_config_rejects_non_finite_rates(name, value):
         TrainConfig(mode="fomaml", **{name: value})
 
 
+@pytest.mark.parametrize("name,value,refusal", [
+    ("weight_decay", -5, "weight_decay must be at least 0, got -5"),
+    ("weight_decay", -1e-9, "weight_decay must be at least 0, got -1e-09"),
+    ("outer_lr", "0.01", "outer_lr must be a finite number, got '0.01'"),
+    ("inner_lr", True, "inner_lr must be a finite number, got True"),
+    ("meta_batch", True, "meta_batch must be an integer of at least 1, got True"),
+    ("epochs", 2.0, "epochs must be an integer of at least 1, got 2.0"),
+])
+def test_config_refuses_degenerate_values(name, value, refusal):
+    """A negative weight decay would grow the parameters at every step, so it
+    is refused; so are rates that are not numbers and counts that are bools
+    or floats."""
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+        TrainConfig(mode="fomaml", **{name: value})
+
+
+def test_config_accepts_zero_weight_decay():
+    assert TrainConfig(mode="fomaml", weight_decay=0).weight_decay == 0
+
+
 def test_overflowing_update_aborts_with_the_previous_params(tmp_path):
     """An outer step whose parameters overflow is not taken: the run aborts
     and its checkpoint holds the last finite parameters, here the initial ones."""
@@ -771,10 +792,12 @@ def test_overflowing_update_aborts_with_the_previous_params(tmp_path):
 
 def test_finetune_zero_beta_changes_nothing():
     theta = model.init_params(MICRO, seed=7)
-    res = trainer.finetune_adapt(theta, make_task(90), beta_ft=0.0, model_config=MICRO)
-    assert np.array_equal(res.adapted.values, theta.values)
-    assert res.query_si_snri_post == res.query_si_snri_pre
-    assert res.support_loss_post == res.support_loss_pre
+    task = make_task(90)
+    res = trainer.finetune_adapt(theta, task, beta_ft=0.0, model_config=MICRO)
+    assert np.array_equal(trainer.prepare_adapt(theta, task, MICRO).adapted(0.0).values,
+                          theta.values)
+    assert res["query_si_snri_post"] == res["query_si_snri_pre"]
+    assert res["support_loss_post"] == res["support_loss_pre"]
 
 
 def test_finetune_matches_inner_adapt_algebra():
@@ -784,8 +807,9 @@ def test_finetune_matches_inner_adapt_algebra():
     res = trainer.finetune_adapt(theta, task, beta_ft=beta, model_config=MICRO)
     adapted = trainer.inner_adapt(theta, trainer.SeparationTask(task, MICRO),
                                   beta, create_graph=False)
-    np.testing.assert_array_equal(res.adapted.values, adapted.to_vector(theta).values)
-    assert res.support_loss_pre == adapted.support_loss
+    np.testing.assert_array_equal(trainer.prepare_adapt(theta, task, MICRO).adapted(beta).values,
+                                  adapted.to_vector(theta).values)
+    assert res["support_loss_pre"] == adapted.support_loss
 
 
 @pytest.mark.parametrize("noisy", [False, True])
@@ -795,9 +819,9 @@ def test_finetune_matches_inner_adapt_route_bit_for_bit(noisy):
     res = trainer.finetune_adapt(theta, task, beta_ft=0.02, model_config=MICRO, noisy=noisy)
     adapted, support_pre, support_post, snri_pre, snri_post = finetune_via_inner_adapt(
         theta, task, 0.02, MICRO, noisy=noisy)
-    assert res.adapted == adapted
-    assert (res.support_loss_pre, res.support_loss_post) == (support_pre, support_post)
-    assert (res.query_si_snri_pre, res.query_si_snri_post) == (snri_pre, snri_post)
+    assert trainer.prepare_adapt(theta, task, MICRO, noisy=noisy).adapted(0.02) == adapted
+    assert res == {"support_loss_pre": support_pre, "support_loss_post": support_post,
+                   "query_si_snri_pre": snri_pre, "query_si_snri_post": snri_post}
 
 
 def test_prepared_adapt_scores_any_rate_like_finetune():
@@ -806,9 +830,11 @@ def test_prepared_adapt_scores_any_rate_like_finetune():
     prep = trainer.prepare_adapt(theta, task, MICRO)
     for beta in (0.0, 1e-3, 0.05):
         res = trainer.finetune_adapt(theta, task, beta_ft=beta, model_config=MICRO)
-        assert prep.adapted(beta) == res.adapted
-        assert prep.sep.query_si_snri(prep.adapted(beta)) == res.query_si_snri_post
-        assert prep.query_si_snri_pre == res.query_si_snri_pre
+        assert prep.score(beta) == {"query_si_snri_post": res["query_si_snri_post"]}
+        assert prep.score(beta, support_loss=True) == {
+            k: res[k] for k in ("query_si_snri_post", "support_loss_post")}
+        assert prep.sep.query_si_snri(prep.adapted(beta)) == res["query_si_snri_post"]
+        assert prep.query_si_snri_pre == res["query_si_snri_pre"]
 
 
 def test_prepare_adapt_rejects_non_finite_support_loss():
@@ -821,4 +847,4 @@ def test_prepare_adapt_rejects_non_finite_support_loss():
 def test_finetune_reduces_support_loss_at_small_step():
     theta = model.init_params(MICRO, seed=9)
     res = trainer.finetune_adapt(theta, make_task(92), beta_ft=1e-4, model_config=MICRO)
-    assert res.support_loss_post < res.support_loss_pre
+    assert res["support_loss_post"] < res["support_loss_pre"]
