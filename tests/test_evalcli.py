@@ -577,24 +577,9 @@ def _overflow_refusal(task: str, command: str) -> str:
     return f"task {task} scores nan dB Si-SNRi{loss} after one step at rate 1e+300"
 
 
-@pytest.mark.parametrize("command,argv", [
-    ("evaluate", ["--beta", "1e300"]),
-    ("sweep-beta", ["--grid", "1e300,0.01"]),
-    ("finetune", ["--beta", "1e300"]),
-])
-def test_cli_refuses_an_overflowing_rate(params, test_sets, tmp_path, capsys, command, argv):
-    """A finite rate whose step overflows scores NaN. One check refuses it,
-    through the API and through the CLI: a ValueError naming the task and the
-    rate, without numpy's overflow warnings, instead of a report row, the
-    sweep's choice of rate or finetune's scores."""
-    extra = dict(CKPT_EXTRA, mode="joint")
-    api = {
-        "evaluate": lambda: evalcli.meta_test(params, MICRO, extra, test_sets, 1e300),
-        "sweep-beta": lambda: evalcli.beta_sweep(params, MICRO, extra, test_sets,
-                                                 grid=(1e300, 0.01)),
-        "finetune": lambda: trainer.finetune_adapt(params, test_sets[0].tasks[0], 1e300,
-                                                   MICRO, noisy=True),
-    }[command]
+def _refuses_overflow_quietly(api, command: str):
+    """api() raises exactly ValueError naming the first task and the rate,
+    without numpy's overflow warnings."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError) as refused:
@@ -602,12 +587,46 @@ def test_cli_refuses_an_overflowing_rate(params, test_sets, tmp_path, capsys, co
     assert type(refused.value) is ValueError
     assert str(refused.value) == _overflow_refusal("acc00/s200a+s200b", command)
 
+
+def _cli_refuses_overflow(params, test_sets, tmp_path, capsys, command, argv):
     code = _run_on_joint_checkpoint(params, test_sets, tmp_path, command, argv)
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == {
         "type": "ValueError", "message": _overflow_refusal("acc01/s202a+s202b", command)}
     assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_rate_aborts_meta_test_and_sweep(params, test_sets):
+    """A finite rate whose step overflows scores NaN; that aborts the
+    evaluation, naming the task and the rate, instead of entering a report
+    or the sweep's choice of rate."""
+    extra = dict(CKPT_EXTRA, mode="joint")
+    _refuses_overflow_quietly(
+        lambda: evalcli.meta_test(params, MICRO, extra, test_sets, 1e300), "evaluate")
+    _refuses_overflow_quietly(
+        lambda: evalcli.beta_sweep(params, MICRO, extra, test_sets, grid=(1e300, 0.01)),
+        "sweep-beta")
+
+
+@pytest.mark.parametrize("command,argv", [
+    ("evaluate", ["--beta", "1e300"]),
+    ("sweep-beta", ["--grid", "1e300,0.01"]),
+])
+def test_cli_refuses_an_overflowing_rate(params, test_sets, tmp_path, capsys, command, argv):
+    _cli_refuses_overflow(params, test_sets, tmp_path, capsys, command, argv)
+
+
+def test_overflowing_rate_aborts_finetune(params, test_sets):
+    """finetune refuses a step whose scores overflow to NaN through the same
+    check, adding the support loss to the message."""
+    _refuses_overflow_quietly(
+        lambda: trainer.finetune_adapt(params, test_sets[0].tasks[0], 1e300, MICRO,
+                                       noisy=True), "finetune")
+
+
+def test_cli_finetune_refuses_an_overflowing_rate(params, test_sets, tmp_path, capsys):
+    _cli_refuses_overflow(params, test_sets, tmp_path, capsys, "finetune", ["--beta", "1e300"])
 
 
 # ---------------------------------------------------------------------------
