@@ -29,15 +29,16 @@ Design constraints honored throughout:
 * the reverse walk runs a node once every consumer that feeds it has run,
   highest topological position first, and sums each node's cotangent
   contributions in one fixed order (consumers by descending position, then
-  by parent index). A walk over large arrays runs ready VJPs on ``WORKERS``
-  threads, unless its thread runs an item of an :func:`in_order` map on
-  several threads; the helpers record graph nodes in a create-graph walk as
-  the caller does. The weight, bias, slope and shift gradients that flow
-  into leaves come back deferred and run on whichever thread has no node to
-  start. A contribution that comes early waits for those before it, so the
-  bits are those of one thread. A first-order walk adds the third and later
-  contributions in place into a buffer of its own, never into an array a
-  VJP returned.
+  by parent index). Every walk runs one loop: on its own thread, or over
+  large arrays on ``WORKERS`` threads, unless its thread runs an item of an
+  :func:`in_order` map on several threads; the helpers record graph nodes
+  in a create-graph walk as the caller does. The weight, bias, slope and
+  shift gradients that flow into leaves come back deferred: with helpers, a
+  few wait for whichever thread has no node to start, and the thread that
+  made any other one runs it next. A contribution that comes early waits
+  for those before it, so the bits are those of one thread on any number
+  of threads. A first-order walk adds the third and later contributions in
+  place into a buffer of its own, never into an array a VJP returned.
 """
 
 from __future__ import annotations
@@ -181,9 +182,9 @@ def _node(op: str, data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable)
 class _Later(functools.partial):
     """A VJP's contribution to one parent, computed when the walk calls it:
     the weight, bias, slope and shift gradients of conv1d, conv1d_input_grad,
-    prelu and gln. A walk on helper threads queues those that flow into a
-    leaf (see _Walk); the walk calls every other one as it hands the node's
-    results to their sums, in the order of the node's parents."""
+    prelu and gln. The walk calls one that flows into an interior node as
+    soon as the VJP returns, and defers one that flows into a leaf (see
+    _Walk)."""
 
     __slots__ = ()
 
@@ -737,8 +738,9 @@ _HELPER_MIN_MEAN_ELEMENTS = 20_000
 # for one that comes before them in their sum's order, unless no other thread
 # runs one. It bounds the arrays that an out-of-order schedule keeps alive.
 _MAX_PARKED = 2
-# A shared walk queues at most this many leaf contributions (each holds a
-# cotangent array); the thread whose VJP made one more runs it next itself.
+# A walk with helpers queues at most this many leaf contributions (each holds
+# a cotangent array), a walk without none; the thread whose VJP made one more
+# runs it next itself.
 _MAX_QUEUED = 2
 _MISSING = object()
 
@@ -757,14 +759,16 @@ class _Walk:
     as soon as those before it are in; one that comes early is parked until
     then. So the bits do not depend on the schedule.
 
-    Once :meth:`share` has readied the walk for helper threads, the lock, the
-    counts of running and waiting threads, the cap on parked contributions
-    and the queue of leaf contributions come into play. A deferred
-    contribution (:class:`_Later`) into a leaf is queued, and a thread runs a
-    queued one when no node is ready to start; its result joins the ranked
-    sum as any VJP's does. Other deferred contributions are computed as soon
-    as their VJP returns, and in a walk on one thread each one is computed
-    as it is handed to its sum, in the order of the node's parents.
+    The calling thread and any helpers all run :meth:`run`. Under one lock
+    they share the sums, the counts of running and waiting threads, the cap
+    on parked contributions and the queue of leaf contributions. A deferred
+    contribution (:class:`_Later`) into an interior node is computed as soon
+    as its VJP returns. One into a leaf is queued, up to ``max_queued`` of
+    them, for a thread with no node ready to start, and the thread whose VJP
+    made one more runs it next itself. :func:`grad` sets that cap to
+    ``_MAX_QUEUED`` with helpers and to 0 without, so a lone thread runs its
+    leaf contributions right after the VJP that made them. Either way the
+    result joins the ranked sum as any VJP's does.
 
     A first-order walk makes one buffer for a sum of two contributions and
     adds any further ones into it in place. It never writes into an array
@@ -817,45 +821,37 @@ class _Walk:
         self.parked: dict = {}    # (position, rank) -> contribution that came early
         self.ready = [-(n - 1)]   # heap of negated positions
         self.queue: deque = deque()  # (link, _Later) into a leaf, for any thread
-        self.leaf: list | None = None
-        self.shared = False
+        self.max_queued = 0  # the queue's cap, set by grad from the helper count
+        self.leaf = [node._vjp is None for node in order]
         self.running = self.waiting = 0
         self.stopped = False
         self.error: BaseException | None = None
         self.lock = threading.Lock()
-        self.wake: threading.Condition | None = None
-
-    def share(self) -> None:
-        """Ready the walk for helper threads; call it before any thread runs."""
-        self.shared = True
-        self.leaf = [node._vjp is None for node in self.order]
         self.wake = threading.Condition(self.lock)
 
     def run(self) -> None:
         """Run ready nodes and queued contributions until none is left or the
         walk is stopped. A failure stops the walk for every thread, then
         propagates."""
-        lock, ready, order, cot, keep = self.lock, self.ready, self.order, self.cot, set(self.at)
+        lock, wake, ready, order, cot, keep = (self.lock, self.wake, self.ready, self.order,
+                                               self.cot, set(self.at))
         links, counts, nxt, parked, owned = (self.links, self.counts, self.next,
                                              self.parked, self.owned)
-        queue, leaf, create_graph, shared = self.queue, self.leaf, self.create_graph, self.shared
+        queue, max_queued, leaf, create_graph = (self.queue, self.max_queued, self.leaf,
+                                                 self.create_graph)
         # (link, contribution) pairs to hand over, once this thread has run
         # something, and the leaf contributions it runs next itself
         done, mine, later = None, [], None
         try:
             while True:
-                if shared:
-                    lock.acquire()
-                try:
+                with lock:
                     if done is not None:
                         for link, pg in done:
                             if link is None:
                                 continue
-                            if type(pg) is _Later:
-                                if shared:  # into a leaf
-                                    (queue if len(queue) < _MAX_QUEUED else mine).append((link, pg))
-                                    continue
-                                pg = pg()
+                            if type(pg) is _Later:  # into a leaf
+                                (queue if len(queue) < max_queued else mine).append((link, pg))
+                                continue
                             q, rank = link
                             if rank != nxt[q]:
                                 parked[link] = pg
@@ -884,33 +880,28 @@ class _Walk:
                                     break
                             nxt[q] = rank
                         done = pg = have = None
-                        if shared:
-                            if not mine:
-                                self.running -= 1
-                            if self.waiting:
-                                self.wake.notify_all()
+                        if not mine:
+                            self.running -= 1
+                        if self.waiting:
+                            wake.notify_all()
                     if mine:
                         later, mine = mine, []
                     else:
-                        take_node = bool(ready)
-                        if shared:
-                            # wait while another thread runs, nothing is queued
-                            # and no node is ready or too many are parked
-                            while not self.stopped and self.running and not queue and not (
-                                    ready and len(parked) <= _MAX_PARKED):
-                                self.waiting += 1
-                                self.wake.wait()
-                                self.waiting -= 1
-                            if self.stopped:
-                                return
-                            take_node = ready and (len(parked) <= _MAX_PARKED or not self.running)
-                            if not (take_node or queue):  # every node has run
-                                if self.waiting:
-                                    self.wake.notify_all()
-                                return
-                            self.running += 1
-                        elif not ready:
+                        # wait while another thread runs, nothing is queued and
+                        # no node is ready or too many are parked
+                        while not self.stopped and self.running and not queue and not (
+                                ready and len(parked) <= _MAX_PARKED):
+                            self.waiting += 1
+                            wake.wait()
+                            self.waiting -= 1
+                        if self.stopped:
                             return
+                        take_node = ready and (len(parked) <= _MAX_PARKED or not self.running)
+                        if not (take_node or queue):  # every node has run
+                            if self.waiting:
+                                wake.notify_all()
+                            return
+                        self.running += 1
                         if take_node:
                             k = -heappop(ready)
                             node, g = order[k], cot[k]
@@ -919,9 +910,6 @@ class _Walk:
                                 cot[k] = None
                         else:
                             later = [queue.popleft()]
-                finally:
-                    if shared:
-                        lock.release()
                 if later is not None:
                     done = [(link, pg()) for link, pg in later]
                     later = None
@@ -932,10 +920,9 @@ class _Walk:
                 else:
                     if not create_graph:
                         node._vjp, node._parents = _consumed, ()
-                    done = zip_longest(links[k], vjp(g))
-                    if shared:  # the contributions into interior nodes, now
-                        done = [(link, pg() if type(pg) is _Later and not leaf[link[0]] else pg)
-                                for link, pg in done]
+                    # the contributions into interior nodes, now
+                    done = [(link, pg() if type(pg) is _Later and not leaf[link[0]] else pg)
+                            for link, pg in zip_longest(links[k], vjp(g))]
                 g = node = vjp = pg = None
         except BaseException as err:
             self.stop(err)
@@ -947,8 +934,7 @@ class _Walk:
             self.stopped = True
             if self.error is None:
                 self.error = err
-            if self.wake is not None:
-                self.wake.notify_all()
+            self.wake.notify_all()
 
     def help(self) -> None:
         """A helper thread's loop. It records graph nodes as the caller does,
@@ -1035,8 +1021,7 @@ def grad(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> l
     helpers = 0
     if walk.mean_elements >= _HELPER_MIN_MEAN_ELEMENTS and not _GradMode.in_map:
         helpers = WORKERS - 1
-    if helpers > 0:
-        walk.share()
+    walk.max_queued = _MAX_QUEUED if helpers > 0 else 0
     prev = _GradMode.enabled
     _GradMode.enabled = bool(create_graph)
     try:

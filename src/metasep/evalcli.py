@@ -318,12 +318,14 @@ def cmd_synth_corpus(args) -> dict:
 
 def cmd_build_tasks(args) -> dict:
     cfg = _load_json_config(args.config)
-    corpus = taskgen.ingest(args.manifest)
+    counts = cfg.get("split_counts")
+    if "split_counts" in cfg and not (isinstance(counts, list) and len(counts) == 3):
+        raise EvalError(f"config split_counts is {json.dumps(counts)}, "
+                        f"not a list of three accent counts")
     flags = (args.train_accents, args.dev_accents, args.test_accents)
-    counts = None
-    if any(n is not None for n in flags) or cfg.get("split_counts"):
-        counts = tuple(n if n is not None else c
-                       for n, c in zip(flags, cfg.get("split_counts") or (0, 0, 0)))
+    if counts is not None or any(n is not None for n in flags):
+        counts = tuple(n if n is not None else c for n, c in zip(flags, counts or (0, 0, 0)))
+    corpus = taskgen.ingest(args.manifest)
     accents = corpus.accents()
     split = taskgen.split_accents(accents, seed=args.seed, counts=counts)
     if not split.train or not split.test:

@@ -219,21 +219,16 @@ def upit_loss(estimates: Sequence[Tensor], sources) -> tuple[Tensor, tuple[int, 
         if float(np.dot(s, s)) <= 0.0:
             raise dsp.ZeroSignalError("uPIT source has zero energy")
     snr = [[dsp.si_snr_graph(srcs[c], estimates[e]) for e in range(2)] for c in range(2)]
-    loss_id = ad.scalar_mul(-0.5, ad.add(snr[0][0], snr[1][1]))
-    loss_swap = ad.scalar_mul(-0.5, ad.add(snr[0][1], snr[1][0]))
-    if loss_id.item() <= loss_swap.item():
-        return loss_id, (0, 1)
-    return loss_swap, (1, 0)
+    perm = _upit_pick([[x.item() for x in row] for row in snr])
+    return ad.scalar_mul(-0.5, ad.add(snr[0][perm[0]], snr[1][perm[1]])), perm
 
 
-def _upit_pick(snr) -> tuple[float, tuple[int, int]]:
-    """uPIT's (loss, permutation) over the Si-SNR floats snr[source][estimate],
-    by upit_loss's rule."""
-    loss_id = -0.5 * (snr[0][0] + snr[1][1])
-    loss_swap = -0.5 * (snr[0][1] + snr[1][0])
-    if loss_id <= loss_swap:
-        return loss_id, (0, 1)
-    return loss_swap, (1, 0)
+def _upit_pick(snr) -> tuple[int, int]:
+    """uPIT's rule: the permutation whose loss over the Si-SNR floats
+    snr[source][estimate] is lower, the identity on a tie."""
+    if -0.5 * (snr[0][0] + snr[1][1]) <= -0.5 * (snr[0][1] + snr[1][0]):
+        return (0, 1)
+    return (1, 0)
 
 
 def mixture_loss_tensors(pair: dsp.MixturePair, p: Mapping[str, Tensor],
@@ -250,7 +245,7 @@ def evaluate_si_snri(pair: dsp.MixturePair, params: ParamVector,
     scores that choose the assignment are the scores it reports."""
     estimates = forward_separate(pair.mixture, params, config)
     snr = [[dsp.si_snr(s, e) for e in estimates] for s in pair.sources]
-    _, perm = _upit_pick(snr)
+    perm = _upit_pick(snr)
     return dsp.si_snr_gain(pair, [snr[c][perm[c]] for c in range(2)])
 
 

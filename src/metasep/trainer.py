@@ -81,15 +81,19 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("inner_lr", "outer_lr", "weight_decay"):
             dsp.require_finite(name, getattr(self, name))
+        for name in ("inner_lr", "outer_lr"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be at least 0, got {self.weight_decay}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode != "joint" and self.inner_lr <= 0:
-            raise ValueError("meta modes need a positive inner learning rate")
         if self.outer_optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown outer optimizer {self.outer_optimizer!r}")
-        for name, least in (("epochs", 1), ("meta_batch", 1), ("dev_eval_tasks", 0)):
+        if not isinstance(self.noise, bool):
+            raise ValueError(f"noise must be true or false, got {self.noise!r}")
+        for name, least in (("epochs", 1), ("meta_batch", 1), ("dev_eval_tasks", 0),
+                            ("seed", 0)):
             dsp.require_int(name, getattr(self, name), least)
 
     def to_dict(self) -> dict:

@@ -1019,9 +1019,10 @@ def test_create_graph_helper_records_nodes_with_unique_ids(monkeypatch):
 @pytest.mark.parametrize("cap", [0, 1, None])
 @pytest.mark.parametrize("create_graph", [False, True])
 def test_queued_leaf_contributions_stay_under_their_cap(cap, create_graph, monkeypatch):
-    """A probe on the queue of leaf contributions sees it hold at most
-    _MAX_QUEUED of them, and at any cap (0 sends every one to the thread
-    that made it) the gradients have the bits of one thread."""
+    """A probe on the queue of leaf contributions sees a walk with a helper
+    hold at most _MAX_QUEUED of them and a walk with none queue nothing, and
+    at any cap (0 sends every one to the thread that made it) the gradients
+    have the bits of one thread."""
     monkeypatch.setattr(ad, "_HELPER_MIN_MEAN_ELEMENTS", 0)
     if cap is not None:
         monkeypatch.setattr(ad, "_MAX_QUEUED", cap)
@@ -1033,16 +1034,20 @@ def test_queued_leaf_contributions_stay_under_their_cap(cap, create_graph, monke
             lengths.append(len(self))
 
     monkeypatch.setattr(ad, "deque", Probe)
-    runs = []
+    runs, queued = [], []
     for workers in (1, 2):
         monkeypatch.setattr(ad, "WORKERS", workers)
         leaves, loss = _micro_loss(54)
         with _switching_fast():
             runs.append(ad.grad(loss, list(leaves.values()), create_graph=create_graph))
+        queued.append(lengths[:])
+        lengths.clear()
     for one, two in zip(*runs):
         assert np.array_equal(one.data, two.data)
-    assert max(lengths, default=0) <= ad._MAX_QUEUED
-    assert bool(lengths) == (ad._MAX_QUEUED > 0)
+    alone, helped = queued
+    assert alone == []
+    assert max(helped, default=0) <= ad._MAX_QUEUED
+    assert bool(helped) == (ad._MAX_QUEUED > 0)
 
 
 @pytest.mark.parametrize("create_graph", [False, True])

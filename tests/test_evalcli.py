@@ -369,22 +369,28 @@ def test_cli_train_refuses_degenerate_counts(tmp_path, capsys, argv, config):
     assert not (tmp_path / "run" / "checkpoint.msep").exists()
 
 
-@pytest.mark.parametrize("config,field", [
-    ({"model": {"kernel": 2}}, "kernel"),
-    ({"model": {"kernel": 3.0}}, "kernel"),
-    ({"model": {"enc_channels": 2.5}}, "enc_channels"),
-    ({"model": {"stacks": True}}, "stacks"),
-    ({"train": {"weight_decay": -5}}, "weight_decay"),
-    ({"train": {"outer_lr": "0.01"}}, "outer_lr"),
+@pytest.mark.parametrize("config,field,flags", [
+    ({"model": {"kernel": 2}}, "kernel", []),
+    ({"model": {"kernel": 3.0}}, "kernel", []),
+    ({"model": {"enc_channels": 2.5}}, "enc_channels", []),
+    ({"model": {"stacks": True}}, "stacks", []),
+    ({"train": {"weight_decay": -5}}, "weight_decay", []),
+    ({"train": {"outer_lr": "0.01"}}, "outer_lr", []),
+    ({"train": {"outer_lr": 0.0}}, "outer_lr", []),
+    ({"train": {"inner_lr": -1.0}}, "inner_lr", []),
+    ({"train": {"noise": "no"}}, "noise", []),
+    ({}, "seed", ["--seed", "-1"]),
 ], ids=["kernel-even", "kernel-float", "enc-channels-float", "stacks-bool",
-        "weight-decay-negative", "outer-lr-string"])
-def test_cli_train_refuses_a_degenerate_config_value(tmp_path, capsys, config, field):
-    """A bad model or train value exits 1 with a JSON error naming the
-    field, before any task is read: no traceback and no checkpoint."""
+        "weight-decay-negative", "outer-lr-string", "outer-lr-zero", "inner-lr-negative",
+        "noise-string", "seed-negative"])
+def test_cli_train_refuses_a_degenerate_config_value(tmp_path, capsys, config, field, flags):
+    """A bad model or train value, in the config or a global flag, exits 1
+    with a JSON error naming the field, before any task is read: no
+    traceback and no checkpoint."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    code = evalcli.main(["--config", str(path), "--out", str(tmp_path / "run"), "train",
-                         "--tasks", str(tmp_path / "tasks"), "--mode", "joint"])
+    code = evalcli.main(["--config", str(path), *flags, "--out", str(tmp_path / "run"),
+                         "train", "--tasks", str(tmp_path / "tasks"), "--mode", "joint"])
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     err = json.loads(err)["error"]
@@ -509,8 +515,13 @@ def test_build_tasks_rejects_degenerate_split(tmp_path, capsys, n_accents, count
     ([], {"split_counts": [2.5, 1, 1]}),
     ([], {"split_counts": [2, 1]}),
     (["--dev-accents", 1], {"split_counts": [True, 0, 1]}),
+    ([], {"split_counts": 5}),
+    ([], {"split_counts": [2, 1, 1, 9]}),
 ])
 def test_build_tasks_refuses_bad_split_counts(tmp_path, capsys, counts, config):
+    """Counts that are not non-negative integers are refused by the split;
+    a config split_counts that is not a list of three, before the manifest
+    is read."""
     assert evalcli.main(["--seed", "3", "--out", str(tmp_path / "corpus"), "synth-corpus",
                          "--accents", "4", "--speakers", "2"]) == 0
     capsys.readouterr()
@@ -523,8 +534,15 @@ def test_build_tasks_refuses_bad_split_counts(tmp_path, capsys, counts, config):
                          str(tmp_path / "corpus" / "manifest.jsonl"), *map(str, counts)])
     assert code == 1
     err = json.loads(capsys.readouterr().err)["error"]
-    assert err["type"] == "TaskGenError" and "traceback" not in err
-    assert "split counts (" in err["message"] and "non-negative integers" in err["message"]
+    assert "traceback" not in err
+    entered = config["split_counts"] if config else [0, 0, 0]
+    if isinstance(entered, list) and len(entered) == 3:
+        assert err["type"] == "TaskGenError"
+        assert "split counts (" in err["message"] and "non-negative integers" in err["message"]
+    else:
+        assert err["type"] == "EvalError"
+        assert err["message"] == (f"config split_counts is {json.dumps(entered)}, "
+                                  f"not a list of three accent counts")
     assert not (tmp_path / "tasks" / "tasks.json").exists()
 
 

@@ -432,10 +432,10 @@ def test_prepare_adapt_support_walk_takes_one_helper(monkeypatch):
 def test_walks_of_a_two_thread_map_take_no_helper(monkeypatch):
     """With WORKERS 2, the query passes of a two-thread map walk each graph
     on the thread that built it. Terms meet in pairs at a barrier, so the
-    caller and the map's helper walk two each."""
+    caller and the map's helper walk two each, and no walk starts a helper."""
     monkeypatch.setattr(ad, "_HELPER_MIN_MEAN_ELEMENTS", 0)
     monkeypatch.setattr(ad, "WORKERS", 2)
-    monkeypatch.setattr(ad._Walk, "share", lambda walk: pytest.fail("a query walk shared"))
+    helped = _counted_walk_helpers(monkeypatch)
     walkers, real_run = [], ad._Walk.run
 
     def named_run(walk):
@@ -448,6 +448,7 @@ def test_walks_of_a_two_thread_map_take_no_helper(monkeypatch):
     pair_in = threading.Barrier(2, timeout=30)
     terms = [lambda p, f=f: (pair_in.wait(), f(p))[1] for f in sep.query_terms()]
     trainer._mean_gradient(theta, sep, terms, "query", 2)
+    assert helped == []
     assert sorted(walkers) == ["MainThread"] * 2 + ["metasep-term"] * 2
 
 
@@ -730,8 +731,10 @@ def test_train_rejects_empty_task_sets():
 def test_config_rejects_bad_mode_and_lr():
     with pytest.raises(ValueError):
         TrainConfig(mode="magic")
-    with pytest.raises(ValueError):
-        TrainConfig(mode="maml", inner_lr=0.0)
+    for mode in trainer.MODES:  # one rule for every mode, joint included
+        for value in (0.0, -1.0):
+            with pytest.raises(ValueError, match=f"^inner_lr must be positive, got {value}$"):
+                TrainConfig(mode=mode, inner_lr=value)
 
 
 @pytest.mark.parametrize("name,value", [("meta_batch", 0), ("meta_batch", -1), ("meta_batch", 1.5),
@@ -760,11 +763,17 @@ def test_config_rejects_non_finite_rates(name, value):
     ("inner_lr", True, "inner_lr must be a finite number, got True"),
     ("meta_batch", True, "meta_batch must be an integer of at least 1, got True"),
     ("epochs", 2.0, "epochs must be an integer of at least 1, got 2.0"),
+    ("outer_lr", 0.0, "outer_lr must be positive, got 0.0"),
+    ("inner_lr", -1.0, "inner_lr must be positive, got -1.0"),
+    ("noise", "no", "noise must be true or false, got 'no'"),
+    ("noise", 1, "noise must be true or false, got 1"),
+    ("seed", -1, "seed must be an integer of at least 0, got -1"),
+    ("seed", 1.5, "seed must be an integer of at least 0, got 1.5"),
 ])
 def test_config_refuses_degenerate_values(name, value, refusal):
     """A negative weight decay would grow the parameters at every step, so it
-    is refused; so are rates that are not numbers and counts that are bools
-    or floats."""
+    is refused; so are rates that are not positive numbers, counts that are
+    bools or floats, a negative seed and a noise flag that is not a bool."""
     with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
         TrainConfig(mode="fomaml", **{name: value})
 
