@@ -38,7 +38,14 @@ Design constraints honored throughout:
   made any other one runs it next. A contribution that comes early waits
   for those before it, so the bits are those of one thread on any number
   of threads. A first-order walk adds the third and later contributions in
-  place into a buffer of its own, never into an array a VJP returned.
+  place into a buffer of its own, never into an array a VJP returned,
+* a create-graph walk records each sum of two contributions as an ``add``
+  node whose VJP passes its cotangent through, so no backward reads the
+  operands' arrays again. Right after that add it releases each operand's
+  array (its ``data`` becomes a NaN view of the same shape that owns no
+  memory) when the walk made the operand, no VJP passed it through as its
+  own cotangent, and nothing holds a weak reference to it (the VJPs that
+  read their own output do so through one).
 """
 
 from __future__ import annotations
@@ -743,6 +750,7 @@ _MAX_PARKED = 2
 # runs it next itself.
 _MAX_QUEUED = 2
 _MISSING = object()
+_NAN = np.float64(np.nan)
 
 
 class _Walk:
@@ -774,6 +782,17 @@ class _Walk:
     adds any further ones into it in place. It never writes into an array
     that a VJP returned: VJPs pass their cotangent through (add, sub,
     add_constant) or return read-only views.
+
+    A create-graph walk records each sum as an ``add`` node, whose VJP reads
+    neither operand, and at once replaces the ``data`` of each operand with
+    a NaN view of its shape that owns no memory, if all three hold: the
+    operand was made during this walk (its id is at least that of the
+    walk's first cotangent), no VJP returned it as the very cotangent it
+    was given (marked when the VJP returns), and nothing refers to it weakly
+    (div, sigmoid, sqrt, _gln_input_grad and _gln_inv read their own output
+    through a weakref). This relies on a VJP's contributions being distinct
+    objects that no other node of that VJP takes as a parent. The shapes,
+    and so ``mean_elements`` of a later walk, stay as they were.
     """
 
     def __init__(self, output: Tensor, wrt: Sequence[Tensor], create_graph: bool):
@@ -816,6 +835,8 @@ class _Walk:
         self.at = [pos.get(w._id) for w in wrt]
         self.cot: list = [None] * n
         self.cot[-1] = Tensor(1.0)
+        self.first = self.cot[-1]._id  # tensors with a lower id predate the walk
+        self.passed: set = set()  # ids of cotangents a VJP passed through unchanged
         self.owned = [False] * n  # cot[k] is a buffer this walk made
         self.next = [0] * n       # rank of node k's next contribution to sum
         self.parked: dict = {}    # (position, rank) -> contribution that came early
@@ -839,6 +860,7 @@ class _Walk:
                                              self.parked, self.owned)
         queue, max_queued, leaf, create_graph = (self.queue, self.max_queued, self.leaf,
                                                  self.create_graph)
+        first, passed = self.first, self.passed
         # (link, contribution) pairs to hand over, once this thread has run
         # something, and the leaf contributions it runs next itself
         done, mine, later = None, [], None
@@ -863,6 +885,12 @@ class _Walk:
                                         cot[q] = pg
                                     elif create_graph:
                                         cot[q] = add(have, pg)
+                                        # add's VJP passes its cotangent through, so
+                                        # no VJP reads the operands' arrays again
+                                        for t in (have, pg):
+                                            if (t._id >= first and t._id not in passed
+                                                    and not weakref.getweakrefcount(t)):
+                                                t.data = np.broadcast_to(_NAN, t.data.shape)
                                     else:
                                         if have.data.shape != pg.data.shape:
                                             _same_shape("add", have, pg)
@@ -923,6 +951,8 @@ class _Walk:
                     # the contributions into interior nodes, now
                     done = [(link, pg() if type(pg) is _Later and not leaf[link[0]] else pg)
                             for link, pg in zip_longest(links[k], vjp(g))]
+                    if create_graph and any(pg is g for _, pg in done):
+                        passed.add(g._id)
                 g = node = vjp = pg = None
         except BaseException as err:
             self.stop(err)

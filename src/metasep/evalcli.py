@@ -353,8 +353,11 @@ def cmd_train(args) -> dict:
     cfg = _load_json_config(args.config)
     model_config = SeparatorConfig(**_config_section(cfg, "model", SeparatorConfig))
     train_kwargs = _config_section(cfg, "train", TrainConfig)
-    train_kwargs["mode"] = args.mode
-    train_kwargs["seed"] = args.seed
+    if train_kwargs.setdefault("mode", args.mode) != args.mode:
+        raise ValueError(f"mode must be --mode's {args.mode!r}, "
+                         f"got {train_kwargs['mode']!r} in the config's train section")
+    if args.seed is not None:
+        train_kwargs["seed"] = args.seed
     for key in ("epochs", "meta_batch", "inner_lr", "outer_lr"):
         val = getattr(args, key)
         if val is not None:
@@ -431,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="metasep",
         description="Meta-learned speech separation: corpus synthesis, task "
                     "construction, training, adaptation, and evaluation.")
-    parser.add_argument("--seed", type=int, default=0, help="run seed (global)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="run seed (global; default: train's config train.seed, else 0)")
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON config file ({'model': {...}, 'train': {...}})")
     parser.add_argument("--out", type=Path, default=Path("out"),
@@ -492,6 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed is None and args.fn is not cmd_train:  # train reads its config's seed
+        args.seed = 0
     try:
         result = args.fn(args)
     except Exception as err:  # surfaced as a machine-readable object

@@ -5,9 +5,10 @@ tensors and each input's shape and domain. ``check_first_order`` compares
 the gradient of a smooth readout of the op against central differences;
 ``check_second_order`` does the same for the squared norm of the op's own
 create-graph gradient, so a VJP that is right in value but built from
-untracked constants fails it. The unit tests and acceptance criterion 1 both
-run over this table, and a unit test fails when the model records an op
-string that has no entry here.
+untracked constants fails it; with two copies of the op it also runs
+through cotangents that the create-graph walk sums. The unit tests and
+acceptance criterion 1 both run over this table, and a unit test fails
+when the model records an op string that has no entry here.
 """
 
 import functools
@@ -129,8 +130,11 @@ def scalar_loss(t):
     return ad.sum_all(ad.mul(t, ad.sigmoid(t)))
 
 
-def _readout(op, ins):
-    return scalar_loss(CASES[op].build(*ins.values()))
+def _readout(op, ins, twice=False):
+    out = scalar_loss(CASES[op].build(*ins.values()))
+    if twice:
+        out = ad.add(out, ad.scalar_mul(0.5, scalar_loss(CASES[op].build(*ins.values()))))
+    return out
 
 
 def check_first_order(op, arg, seed, rtol=1e-5, vals=None):
@@ -148,15 +152,18 @@ def check_first_order(op, arg, seed, rtol=1e-5, vals=None):
     assert_fd_close(got.data, num, rtol=rtol, label=f"{op}.{arg}[seed={seed}]")
 
 
-def check_second_order(op, arg, seed, rtol=1e-5, vals=None):
+def check_second_order(op, arg, seed, rtol=1e-5, vals=None, twice=False):
     """Gradient with respect to input `arg` of the squared norm of the op's
     own create-graph gradient with respect to every input, against central
-    differences. `vals`, when given, replaces the case's seeded inputs."""
+    differences. `vals`, when given, replaces the case's seeded inputs.
+    With `twice`, every input feeds two copies of the op, read out as
+    readout + 0.5 readout, so each input's cotangent is a create-graph sum
+    of two VJP outputs: the sum whose operands the walk releases."""
     vals = case_inputs(op, seed) if vals is None else vals
 
     def grad_norm(v):
         ins = {n: ad.tensor(v if n == arg else x, requires_grad=True) for n, x in vals.items()}
-        grads = ad.grad(_readout(op, ins), list(ins.values()), create_graph=True)
+        grads = ad.grad(_readout(op, ins, twice), list(ins.values()), create_graph=True)
         return functools.reduce(ad.add, (ad.dot(g, g) for g in grads)), ins[arg]
 
     out, leaf = grad_norm(vals[arg])

@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import dataclasses
 import functools
 import gc
 import sys
@@ -162,6 +163,38 @@ def test_dot_second_order(side, seed):
 @pytest.mark.parametrize("seed", range(2))
 def test_fused_primitive_second_order(op, arg, seed):
     check_second_order(op, arg, seed)
+
+
+ALL_INPUTS = [(op, arg) for op, c in CASES.items() for arg in c.inputs]
+
+
+@pytest.mark.parametrize("op,arg", ALL_INPUTS, ids=[f"{op}.{arg}" for op, arg in ALL_INPUTS])
+def test_second_order_through_summed_cotangents(op, arg):
+    """Each input feeds two copies of the op, so a create-graph walk sums two
+    VJP outputs into its cotangent and releases their arrays; the Hessian-
+    vector product through those sums still matches differences."""
+    check_second_order(op, arg, 0, twice=True)
+
+
+@pytest.mark.parametrize("op", sorted(CASES))
+def test_vjp_contributions_are_distinct_and_feed_no_node_of_their_vjp(op, monkeypatch):
+    """What the release of summed operands relies on: a VJP's contributions,
+    other than a cotangent it passes through, are distinct objects, and no
+    node the VJP records, deferred contributions included, reads one."""
+    vals = case_inputs(op, 0)
+    out = CASES[op].build(*(ad.tensor(v, requires_grad=True) for v in vals.values()))
+    g = ad.tensor(RNG(1).normal(size=out.shape), requires_grad=True)
+    recorded, node = [], ad._node
+
+    def recording_node(*args):
+        recorded.append(node(*args))
+        return recorded[-1]
+
+    monkeypatch.setattr(ad, "_node", recording_node)
+    contribs = [c() if type(c) is ad._Later else c for c in out._vjp(g)]
+    fresh = {id(c) for c in contribs if c is not None and c is not g}
+    assert len(fresh) == sum(c is not None and c is not g for c in contribs)
+    assert not any(id(p) in fresh for t in recorded for p in t._parents)
 
 
 @pytest.mark.parametrize("op", ["div", "sigmoid", "sqrt", "gln_inv", "gln_input_grad"])
@@ -748,6 +781,32 @@ def test_create_graph_backward_leaves_the_graph_whole():
             assert np.array_equal(a.data, b.data)
 
 
+def test_create_graph_walk_releases_only_summed_arrays_it_made():
+    """A create-graph sum keeps its operands as graph parents but not their
+    arrays: each operand the walk made reads NaN afterwards and owns no
+    memory, while a tensor made before the walk that a VJP hands back keeps
+    its array."""
+    x = ad.tensor(RNG(2).normal(size=(3, 4)), requires_grad=True)
+    made_before = ad.tensor(RNG(3).normal(size=(3, 4)))
+    kept = made_before.data
+    handed_back = ad._node("handed_back", x.data.copy(), (x,), lambda g: (made_before,))
+    loss = ad.add(ad.sum_all(handed_back), ad.sum_all(ad.mul(x, x)))
+    (gx,) = ad.grad(loss, [x], create_graph=True)
+    np.testing.assert_allclose(gx.data, kept + 2.0 * x.data, rtol=1e-15)
+    operands, stack = [], list(gx._parents)
+    while stack:
+        t = stack.pop()
+        operands.append(t)
+        if t.op == "add":
+            stack.extend(t._parents)
+    assert sorted(t.op for t in operands) == ["add", "leaf", "mul", "mul"]
+    for t in operands:
+        if t is made_before:
+            assert t.data is kept
+        else:
+            assert t.data.shape == (3, 4) and np.isnan(t.data).all() and t.data.strides == (0, 0)
+
+
 def test_first_order_grad_frees_the_nodes_it_walks():
     """Once a first-order grad returns, no interior node of the walked graph
     is alive, though the caller still holds the output."""
@@ -853,17 +912,24 @@ def test_a_walk_that_runs_alone_takes_a_helper_on_any_thread(monkeypatch):
 
 def test_walks_on_more_threads_than_cores_keep_their_bits(monkeypatch):
     """Stress: four walk threads on 2 CPUs, switching every microsecond, over
-    model losses; a lost update of the walk's shared state would lose or
-    reorder a contribution, or hang the walk."""
+    model losses, first-order and create-graph with a backward through it;
+    a lost update of the walk's shared state would lose or reorder a
+    contribution, release a cotangent a VJP passed through, or hang the
+    walk."""
     monkeypatch.setattr(ad, "_HELPER_MIN_MEAN_ELEMENTS", 0)
     results, previous = {}, sys.getswitchinterval()
+    # two blocks, so a residual sum passes its cotangent through to two parents
+    config = dataclasses.replace(MICRO, blocks_per_stack=2)
 
     def walk_all():
         for seed in range(46, 52):
             for workers in (1, 4):
                 monkeypatch.setattr(ad, "WORKERS", workers)
-                leaves, loss = _micro_loss(seed)
-                results[seed, workers] = ad.grad(loss, list(leaves.values()))
+                leaves = model.init_params(config, seed=seed).to_leaves()
+                loss = trainer.SeparationTask(make_task(seed), config).support_loss(leaves)
+                grads = ad.grad(loss, list(leaves.values()), create_graph=True)
+                norm = functools.reduce(ad.add, (ad.dot(g, g) for g in grads))
+                results[seed, workers] = grads + ad.grad(norm, list(leaves.values()))
 
     sys.setswitchinterval(1e-6)
     try:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import platform
@@ -380,9 +381,11 @@ def test_cli_train_refuses_degenerate_counts(tmp_path, capsys, argv, config):
     ({"train": {"inner_lr": -1.0}}, "inner_lr", []),
     ({"train": {"noise": "no"}}, "noise", []),
     ({}, "seed", ["--seed", "-1"]),
+    ({"train": {"seed": -1}}, "seed", []),
+    ({"train": {"mode": "maml"}}, "mode", []),
 ], ids=["kernel-even", "kernel-float", "enc-channels-float", "stacks-bool",
         "weight-decay-negative", "outer-lr-string", "outer-lr-zero", "inner-lr-negative",
-        "noise-string", "seed-negative"])
+        "noise-string", "seed-negative", "config-seed-negative", "config-mode-differs"])
 def test_cli_train_refuses_a_degenerate_config_value(tmp_path, capsys, config, field, flags):
     """A bad model or train value, in the config or a global flag, exits 1
     with a JSON error naming the field, before any task is read: no
@@ -397,6 +400,30 @@ def test_cli_train_refuses_a_degenerate_config_value(tmp_path, capsys, config, f
     assert err["type"] == "ValueError" and "traceback" not in err
     assert err["message"].startswith(f"{field} must be ")
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("train,flags,seed", [
+    ({"seed": 7}, [], 7),
+    ({"seed": 7}, ["--seed", "3"], 3),
+    ({"mode": "joint"}, [], 0),
+    ({}, ["--seed", "5"], 5),
+], ids=["config-seed", "flag-over-config", "config-mode-agrees", "flag-only"])
+def test_cli_train_takes_the_config_seed_unless_the_flag_is_given(tmp_path, train, flags, seed):
+    """train runs with --seed when it is given, else with the config's
+    train.seed, else with 0, and a config mode equal to --mode is accepted;
+    train_config.json records the seed and mode it ran with."""
+    sets = make_task_sets(2, 1, seed0=300)
+    split = taskgen.SplitSpec(train=["acc00"], dev=[], test=["acc01"])
+    taskgen.write_task_archive(tmp_path / "tasks", sets, split, seed=0)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": dataclasses.asdict(MICRO),
+                                  "train": {"dev_eval_tasks": 0, **train}}))
+    code = evalcli.main(["--config", str(config), *flags, "--out", str(tmp_path / "run"),
+                         "train", "--tasks", str(tmp_path / "tasks"), "--mode", "joint",
+                         "--epochs", "1", "--meta-batch", "1"])
+    assert code == 0
+    resolved = json.loads((tmp_path / "run" / "train_config.json").read_text())["train"]
+    assert (resolved["seed"], resolved["mode"]) == (seed, "joint")
 
 
 @pytest.mark.parametrize("argv,config,field", [
