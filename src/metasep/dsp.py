@@ -83,8 +83,6 @@ class MixturePair:
 
     mixture: Waveform
     sources: tuple[Waveform, Waveform]
-    snr_db: float
-    noise_snr_db: float | None = None
 
 
 def _as_samples(x) -> np.ndarray:
@@ -125,7 +123,6 @@ def mix_at_snr(s1: Waveform, s2: Waveform, snr_db: float) -> MixturePair:
     return MixturePair(
         mixture=Waveform(a + scaled),
         sources=(Waveform(a.copy()), Waveform(scaled)),
-        snr_db=float(snr_db),
     )
 
 
@@ -142,12 +139,7 @@ def add_noise(pair: MixturePair, noise_snr_db: float, seed: int) -> MixturePair:
     noise = rng.standard_normal(mix.size)
     target = float(np.dot(mix, mix)) / (10.0 ** (noise_snr_db / 10.0))
     noise *= math.sqrt(target / float(np.dot(noise, noise)))
-    return MixturePair(
-        mixture=Waveform(mix + noise),
-        sources=pair.sources,
-        snr_db=pair.snr_db,
-        noise_snr_db=float(noise_snr_db),
-    )
+    return MixturePair(mixture=Waveform(mix + noise), sources=pair.sources)
 
 
 def si_snr_graph(s, s_hat: Tensor) -> Tensor:
@@ -225,16 +217,28 @@ def write_wav(path, wav: Waveform) -> None:
 
 
 def read_wav(path) -> Waveform:
-    """Read mono 16-bit PCM, normalizing to [-1, 1)."""
-    with wave.open(str(path), "rb") as f:
-        if f.getnchannels() != 1:
-            raise ValueError(f"{path}: expected mono audio, got {f.getnchannels()} channels")
-        if f.getsampwidth() != 2:
-            raise ValueError(f"{path}: expected 16-bit PCM, got {8 * f.getsampwidth()}-bit")
-        rate = f.getframerate()
-        if rate != SAMPLE_RATE:
-            raise ValueError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate}")
-        pcm = np.frombuffer(f.readframes(f.getnframes()), dtype="<i2")
+    """Read mono 16-bit PCM, normalizing to [-1, 1). Every refusal, a file
+    that is not a WAV included, is a ValueError that names the path."""
+    try:
+        with wave.open(str(path), "rb") as f:
+            if f.getnchannels() != 1:
+                raise ValueError(f"{path}: expected mono audio, got {f.getnchannels()} channels")
+            if f.getsampwidth() != 2:
+                raise ValueError(f"{path}: expected 16-bit PCM, got {8 * f.getsampwidth()}-bit")
+            rate = f.getframerate()
+            if rate != SAMPLE_RATE:
+                raise ValueError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate}")
+            n = f.getnframes()
+            frames = f.readframes(n)
+            if len(frames) != 2 * n:
+                raise ValueError(f"{path}: header promises {n} samples ({2 * n} bytes), "
+                                 f"file has {len(frames)} bytes of audio")
+    except (wave.Error, EOFError, RuntimeError) as err:
+        # wave's EOFError and RuntimeError carry no message: the file ends
+        # inside its header, or a chunk claims more bytes than it holds
+        reason = str(err) or "cut short or a bad chunk size"
+        raise ValueError(f"{path}: not a WAV file ({reason})") from None
+    pcm = np.frombuffer(frames, dtype="<i2")
     return Waveform(pcm.astype(np.float64) / 32768.0)
 
 

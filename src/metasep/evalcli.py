@@ -40,7 +40,7 @@ BETA_GRID = (1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1)
 META_BETA_DEFAULT = 0.01
 
 CSV_COLUMNS = ("accent", "condition", "phase", "mean_si_snri_db", "n_tasks")
-CONFIG_KEYS = ("model", "split_counts", "train", "utterance_seconds")
+CONFIG_KEYS = ("model", "train")
 
 
 class EvalError(ValueError):
@@ -270,7 +270,8 @@ def _write_resolved_config(out_dir, command: str, resolved: dict) -> None:
 
 def _load_json_config(path) -> dict:
     """The config file's object ({} without a file), refusing a top-level key
-    that no command reads. One file may serve every command."""
+    other than `model` and `train`. Only `train` reads them; `synth-corpus` and
+    `build-tasks` check the file too, so one file serves all three."""
     cfg = {} if path is None else json.loads(Path(path).read_text())
     if not isinstance(cfg, dict):
         raise EvalError(f"config file {path} is {json.dumps(cfg)}, not an object")
@@ -303,28 +304,21 @@ def _split_sets(archive_dir):
 
 
 def cmd_synth_corpus(args) -> dict:
-    cfg = _load_json_config(args.config)
-    spec = taskgen.SynthSpec(
-        n_accents=args.accents, speakers_per_accent=args.speakers,
-        utterance_seconds=cfg.get("utterance_seconds", 12.5))
+    _load_json_config(args.config)
+    spec = taskgen.SynthSpec(n_accents=args.accents, speakers_per_accent=args.speakers)
     manifest = taskgen.synth_corpus(spec, seed=args.seed, out_dir=args.out)
     resolved = {"command": "synth-corpus", "seed": args.seed,
                 "accents": args.accents, "speakers": args.speakers,
-                "utterance_seconds": spec.utterance_seconds,
                 "manifest": str(manifest)}
     _write_resolved_config(args.out, "synth_corpus", resolved)
     return {"manifest": str(manifest), "entries": args.accents * args.speakers}
 
 
 def cmd_build_tasks(args) -> dict:
-    cfg = _load_json_config(args.config)
-    counts = cfg.get("split_counts")
-    if "split_counts" in cfg and not (isinstance(counts, list) and len(counts) == 3):
-        raise EvalError(f"config split_counts is {json.dumps(counts)}, "
-                        f"not a list of three accent counts")
-    flags = (args.train_accents, args.dev_accents, args.test_accents)
-    if counts is not None or any(n is not None for n in flags):
-        counts = tuple(n if n is not None else c for n, c in zip(flags, counts or (0, 0, 0)))
+    _load_json_config(args.config)
+    counts = (args.train_accents, args.dev_accents, args.test_accents)
+    counts = None if counts == (None, None, None) else tuple(
+        0 if n is None else n for n in counts)
     corpus = taskgen.ingest(args.manifest)
     accents = corpus.accents()
     split = taskgen.split_accents(accents, seed=args.seed, counts=counts)
@@ -333,11 +327,6 @@ def cmd_build_tasks(args) -> dict:
             f"accent split train={len(split.train)}, dev={len(split.dev)}, "
             f"test={len(split.test)} of {len(accents)} accents needs at least one "
             f"train and one test accent")
-    left_out = sorted(set(accents) - set(split.all_accents()))
-    if counts is not None and left_out:
-        raise EvalError(f"split counts train={counts[0]}, dev={counts[1]}, test={counts[2]} "
-                        f"leave out {len(left_out)} of {len(accents)} accents: "
-                        f"{', '.join(left_out)}")
     task_sets = taskgen.build_accent_task_sets(corpus, split, seed=args.seed)
     index = taskgen.write_task_archive(args.out, task_sets, split, seed=args.seed)
     resolved = {"command": "build-tasks", "seed": args.seed,
@@ -383,8 +372,8 @@ def cmd_finetune(args) -> dict:
     params, model_config, extra = model_mod.load_checkpoint(args.checkpoint)
     sets = _split_sets(args.tasks)
     test_sets = sets["test"]
-    wanted = [ts for ts in test_sets if ts.accent == args.accent] if args.accent \
-        else test_sets
+    wanted = test_sets if args.accent is None else [
+        ts for ts in test_sets if ts.accent == args.accent]
     if not wanted:
         raise EvalError(f"no test accent {args.accent!r} in the archive")
     tasks = wanted[0].tasks
@@ -418,7 +407,10 @@ def cmd_evaluate(args) -> dict:
 def cmd_sweep_beta(args) -> dict:
     params, model_config, extra = model_mod.load_checkpoint(args.checkpoint)
     sets = _split_sets(args.tasks)
-    grid = tuple(float(x) for x in args.grid.split(",")) if args.grid else BETA_GRID
+    try:
+        grid = BETA_GRID if args.grid is None else tuple(float(x) for x in args.grid.split(","))
+    except ValueError:
+        raise EvalError(f"grid {args.grid!r} is not a comma-separated list of rates") from None
     result = beta_sweep(params, model_config, extra, sets["test"], grid=grid,
                         noisy=args.noise, force=args.force)
     paths = emit_sweep(result, args.out)

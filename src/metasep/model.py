@@ -171,10 +171,6 @@ def separate_mask_tensors(x_enc: Tensor, p: Mapping[str, Tensor],
             for c in range(2)]
 
 
-def apply_mask_tensors(x_enc: Tensor, masks: Sequence[Tensor]) -> list[Tensor]:
-    return [ad.mul(x_enc, m) for m in masks]
-
-
 def decode_tensors(d: Tensor, p: Mapping[str, Tensor], config: SeparatorConfig) -> Tensor:
     t_frames = d.data.shape[1]
     out_len = (t_frames - 1) * config.enc_stride + config.enc_kernel
@@ -186,9 +182,8 @@ def decode_tensors(d: Tensor, p: Mapping[str, Tensor], config: SeparatorConfig) 
 def forward_separate_tensors(x: Tensor, p: Mapping[str, Tensor],
                              config: SeparatorConfig) -> list[Tensor]:
     x_enc = encode_tensors(x, p, config)
-    masks = separate_mask_tensors(x_enc, p, config)
-    return [decode_tensors(d, p, config)
-            for d in apply_mask_tensors(x_enc, masks)]
+    masked = [ad.mul(x_enc, m) for m in separate_mask_tensors(x_enc, p, config)]
+    return [decode_tensors(d, p, config) for d in masked]
 
 
 def forward_separate(x, params: ParamVector,

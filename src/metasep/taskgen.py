@@ -29,6 +29,7 @@ SEGMENTS_PER_SPEAKER = 3
 MIX_SNR_RANGE_DB = (0.0, 5.0)
 GRID = SEGMENTS_PER_SPEAKER * SEGMENTS_PER_SPEAKER
 SYNTH_PEAK = 0.45               # peak amplitude of each synthetic utterance
+SYNTH_UTTERANCE_SECONDS = 12.5  # 3 segments per speaker, the tail dropped
 
 
 class TaskGenError(ValueError):
@@ -53,18 +54,28 @@ def write_manifest(path, entries) -> None:
 
 
 def read_manifest(path) -> list[dict]:
-    entries = []
+    """The manifest's entries, one JSON object per non-blank line with string
+    "accent", "speaker_id" and "path". A malformed line or a repeated
+    (accent, speaker) pair is refused with the manifest and its 1-based line."""
+    entries, seen = [], set()
     with open(path) as f:
-        for line in f:
+        for n, line in enumerate(f, 1):
             line = line.strip()
-            if line:
-                entries.append(json.loads(line))
-    seen = set()
-    for e in entries:
-        key = (e["accent"], e["speaker_id"])
-        if key in seen:
-            raise TaskGenError(f"duplicate (accent, speaker) pair in manifest: {key}")
-        seen.add(key)
+            if not line:
+                continue
+            try:
+                e = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise TaskGenError(f"{path} line {n}: not JSON ({err.msg})") from None
+            if not isinstance(e, dict) or not all(
+                    isinstance(e.get(k), str) for k in ("accent", "speaker_id", "path")):
+                raise TaskGenError(f"{path} line {n}: {line} is not an object with string "
+                                   f"accent, speaker_id and path")
+            key = (e["accent"], e["speaker_id"])
+            if key in seen:
+                raise TaskGenError(f"{path} line {n}: duplicate (accent, speaker) pair {key}")
+            seen.add(key)
+            entries.append(e)
     return entries
 
 
@@ -86,9 +97,10 @@ class Corpus:
 def ingest(manifest_path) -> Corpus:
     """Load, validate, and segment every manifest utterance.
 
-    Problem files (missing, wrong rate, shorter than one segment) and
-    speakers with fewer than 3 segments are dropped, each with a reason in
-    ``corpus.issues``. An empty result is an error.
+    Problem files (missing, not a readable WAV, not 8 kHz mono 16-bit,
+    shorter than one segment) and speakers with fewer than 3 segments are
+    dropped, each with a reason in ``corpus.issues``. An empty result is an
+    error.
     """
     manifest_path = Path(manifest_path)
     entries = read_manifest(manifest_path)
@@ -99,15 +111,11 @@ def ingest(manifest_path) -> Corpus:
         if not path.is_absolute():
             path = manifest_path.parent / path
         tag = f"{e['accent']}/{e['speaker_id']}"
-        if not path.exists():
+        if not path.is_file():
             issues.append(f"{tag}: missing file {path}")
             continue
         try:
-            if path.suffix == ".f64":
-                wav = dsp.read_raw(path)
-            else:
-                wav = dsp.read_wav(path)
-            segments = dsp.segment(wav)
+            segments = dsp.segment(dsp.read_wav(path))
         except ValueError as err:
             issues.append(f"{tag}: {err}")
             continue
@@ -210,22 +218,23 @@ DEFAULT_SPLIT_COUNTS = (85, 19, 19)
 def split_accents(accents, seed: int, counts: tuple[int, int, int] | None = None) -> SplitSpec:
     """Seeded random accent split. Without counts every accent is placed: the
     paper's 85/19/19 on 123 accents, any further accents going to train.
-    Given counts must be three non-negative ints (train, dev, test)."""
+    Given counts must be three non-negative ints (train, dev, test) that
+    place every accent."""
     accents = sorted(accents)
-    if counts is not None and (len(counts) != 3 or not all(
-            dsp.is_int_at_least(c, 0) for c in counts)):
-        raise TaskGenError(f"split counts {tuple(counts)} must be three non-negative "
-                           f"integers (train, dev, test)")
     if counts is None:
         if len(accents) >= sum(DEFAULT_SPLIT_COUNTS):
             _, n_dev, n_test = DEFAULT_SPLIT_COUNTS
         else:
             n_dev = n_test = max(1, len(accents) // 6)
         counts = (len(accents) - n_dev - n_test, n_dev, n_test)
-    if sum(counts) > len(accents):
-        raise TaskGenError(f"split counts {counts} exceed the {len(accents)} accents available")
+    elif len(counts) != 3 or not all(dsp.is_int_at_least(c, 0) for c in counts):
+        raise TaskGenError(f"split counts {tuple(counts)} must be three non-negative "
+                           f"integers (train, dev, test)")
+    elif sum(counts) != len(accents):
+        raise TaskGenError(f"split counts {tuple(counts)} must place all {len(accents)} "
+                           f"accents, but place {sum(counts)}")
     order = _child_rng(seed, "split").permutation(len(accents))
-    picked = [accents[i] for i in order[:sum(counts)]]
+    picked = [accents[i] for i in order]
     n_train, n_dev, _ = counts
     return SplitSpec(train=sorted(picked[:n_train]),
                      dev=sorted(picked[n_train:n_train + n_dev]),
@@ -305,16 +314,10 @@ def sample_task_batch(task_sets, b: int, seed: int) -> list[MetaTask]:
 class SynthSpec:
     n_accents: int
     speakers_per_accent: int
-    utterance_seconds: float = 12.5
 
     def __post_init__(self):
         dsp.require_int("n_accents", self.n_accents, 1, TaskGenError)
         dsp.require_int("speakers_per_accent", self.speakers_per_accent, 2, TaskGenError)
-        dsp.require_finite("utterance_seconds", self.utterance_seconds, TaskGenError)
-        if self.utterance_seconds < SEGMENTS_PER_SPEAKER * dsp.SEGMENT_SECONDS:
-            raise TaskGenError(f"utterance_seconds must be at least "
-                               f"{SEGMENTS_PER_SPEAKER * dsp.SEGMENT_SECONDS} to yield "
-                               f"{SEGMENTS_PER_SPEAKER} segments, got {self.utterance_seconds}")
 
 
 def _accent_family(k: int) -> dict:
@@ -358,7 +361,7 @@ def synth_corpus(spec: SynthSpec, seed: int, out_dir) -> Path:
     manifest path. Same spec and seed always produce identical bytes."""
     out_dir = Path(out_dir)
     (out_dir / "audio").mkdir(parents=True, exist_ok=True)
-    n_samples = int(spec.utterance_seconds * dsp.SAMPLE_RATE)
+    n_samples = int(SYNTH_UTTERANCE_SECONDS * dsp.SAMPLE_RATE)
     entries = []
     for k in range(spec.n_accents):
         accent = f"synth{k:02d}"

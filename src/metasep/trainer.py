@@ -202,14 +202,6 @@ class AdaptedParams:
         return like.flatten_named({n: t.data for n, t in self.prime.items()})
 
 
-def _inner_step(leaves: Mapping[str, Tensor], loss: Tensor, alpha: float,
-                create_graph: bool) -> "OrderedDict[str, Tensor]":
-    """theta' = theta - alpha * grad(loss), per named leaf."""
-    grads = ad.grad(loss, list(leaves.values()), create_graph=create_graph)
-    return OrderedDict((n, ad.sub(leaf, ad.scalar_mul(alpha, g)))
-                       for (n, leaf), g in zip(leaves.items(), grads))
-
-
 def inner_adapt(theta: ParamVector, task: TaskLoss, alpha: float,
                 create_graph: bool = True) -> AdaptedParams:
     """One support gradient step; the result stays differentiable in theta,
@@ -218,8 +210,10 @@ def inner_adapt(theta: ParamVector, task: TaskLoss, alpha: float,
     leaves = theta.to_leaves()
     loss = task.support_loss(leaves)
     _check_finite(loss, task, "support")
-    return AdaptedParams(prime=_inner_step(leaves, loss, alpha, create_graph),
-                         leaves=leaves, support_loss=loss.item())
+    grads = ad.grad(loss, list(leaves.values()), create_graph=create_graph)
+    prime = OrderedDict((n, ad.sub(leaf, ad.scalar_mul(alpha, g)))  # theta - alpha * g
+                        for (n, leaf), g in zip(leaves.items(), grads))
+    return AdaptedParams(prime=prime, leaves=leaves, support_loss=loss.item())
 
 
 def _flat_grad(theta: ParamVector, output: Tensor, leaves: Mapping[str, Tensor]) -> np.ndarray:

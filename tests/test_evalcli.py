@@ -16,6 +16,7 @@ import metasep
 from metasep import autodiff as ad
 from metasep import dsp, evalcli, model, taskgen, trainer
 from metasep.model import SeparatorConfig
+from test_taskgen import MALFORMED_MANIFEST_LINES, write_malformed_manifest
 from test_trainer import MICRO, make_task_sets
 
 CKPT_EXTRA = {"mode": "fomaml", "train_accents": ["train00", "train01"],
@@ -426,24 +427,15 @@ def test_cli_train_takes_the_config_seed_unless_the_flag_is_given(tmp_path, trai
     assert (resolved["seed"], resolved["mode"]) == (seed, "joint")
 
 
-@pytest.mark.parametrize("argv,config,field", [
-    (["--accents", "0"], None, "n_accents"),
-    (["--accents", "-1"], None, "n_accents"),
-    (["--speakers", "1"], None, "speakers_per_accent"),
-    ([], '{"utterance_seconds": "12"}', "utterance_seconds"),
-    ([], '{"utterance_seconds": 1e400}', "utterance_seconds"),
-    ([], '{"utterance_seconds": 4}', "utterance_seconds"),
-], ids=["accents-0", "accents-negative", "speakers-1", "seconds-string", "seconds-overflow",
-        "seconds-short"])
-def test_cli_synth_corpus_refuses_bad_input_before_writing(tmp_path, capsys, argv, config,
-                                                           field):
-    extra = []
-    if config is not None:
-        (tmp_path / "config.json").write_text(config)
-        extra = ["--config", str(tmp_path / "config.json")]
+@pytest.mark.parametrize("argv,field", [
+    (["--accents", "0"], "n_accents"),
+    (["--accents", "-1"], "n_accents"),
+    (["--speakers", "1"], "speakers_per_accent"),
+], ids=["accents-0", "accents-negative", "speakers-1"])
+def test_cli_synth_corpus_refuses_bad_input_before_writing(tmp_path, capsys, argv, field):
     flags = {"--accents": "2", "--speakers": "2"}
     flags.update(zip(argv[::2], argv[1::2]))
-    code = evalcli.main([*extra, "--out", str(tmp_path / "corpus"), "synth-corpus",
+    code = evalcli.main(["--out", str(tmp_path / "corpus"), "synth-corpus",
                          *[x for kv in flags.items() for x in kv]])
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
@@ -458,8 +450,16 @@ def test_cli_synth_corpus_refuses_bad_input_before_writing(tmp_path, capsys, arg
     ("build-tasks", {"modle": {"kernel": 3}}, "modle"),
     ("synth-corpus", {"utterance_secs": 20}, "utterance_secs"),
     ("train", {"splt": 1, "model": {}}, "splt"),
+    ("build-tasks", {"split_counts": [2, 0, 1]}, "split_counts"),
+    ("synth-corpus", {"utterance_seconds": 12.5}, "utterance_seconds"),
+    ("synth-corpus", {"split_counts": [2, 0, 1]}, "split_counts"),
+    ("train", {"model": {}, "split_counts": [2, 0, 1], "utterance_seconds": 12.5},
+     "split_counts, utterance_seconds"),
 ])
 def test_cli_refuses_config_keys_no_command_reads(tmp_path, capsys, command, config, key):
+    """Any top-level key but model and train, the split_counts and
+    utterance_seconds of older files included, exits 1 with a JSON error
+    that names it, before anything is read or written."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     argv = {"build-tasks": ["--manifest", str(tmp_path / "manifest.jsonl")],
@@ -470,8 +470,7 @@ def test_cli_refuses_config_keys_no_command_reads(tmp_path, capsys, command, con
     assert code == 1 and out == ""
     err = json.loads(err)["error"]
     assert err["type"] == "EvalError" and "traceback" not in err
-    assert err["message"] == (f"unknown top-level config keys: {key} "
-                              f"(known: model, split_counts, train, utterance_seconds)")
+    assert err["message"] == f"unknown top-level config keys: {key} (known: model, train)"
     assert not (tmp_path / "out").exists()
 
 
@@ -482,21 +481,18 @@ def test_one_config_file_serves_every_command(tmp_path, capsys):
                   "bottleneck_channels": 2, "conv_channels": 4, "kernel": 3,
                   "blocks_per_stack": 1, "stacks": 1},
         "train": {"dev_eval_tasks": 0},
-        "split_counts": [2, 0, 1],
-        "utterance_seconds": 12.0,
     }))
     common = ["--seed", "3", "--config", str(config)]
     assert evalcli.main([*common, "--out", str(tmp_path / "corpus"), "synth-corpus",
                          "--accents", "3", "--speakers", "2"]) == 0
     assert evalcli.main([*common, "--out", str(tmp_path / "tasks"), "build-tasks",
-                         "--manifest", str(tmp_path / "corpus" / "manifest.jsonl")]) == 0
+                         "--manifest", str(tmp_path / "corpus" / "manifest.jsonl"),
+                         "--train-accents", "2", "--test-accents", "1"]) == 0
     assert evalcli.main([*common, "--out", str(tmp_path / "run"), "train", "--tasks",
                          str(tmp_path / "tasks"), "--mode", "joint", "--epochs", "1"]) == 0
     capsys.readouterr()
     resolved = json.loads((tmp_path / "tasks" / "build_tasks_config.json").read_text())
     assert [len(resolved["split"][k]) for k in ("train", "dev", "test")] == [2, 0, 1]
-    resolved = json.loads((tmp_path / "corpus" / "synth_corpus_config.json").read_text())
-    assert resolved["utterance_seconds"] == 12.0
     assert (tmp_path / "run" / "checkpoint.msep").is_file()
 
 
@@ -518,12 +514,12 @@ def test_train_config_section_must_be_an_object(tmp_path, capsys, section, value
 
 @pytest.mark.parametrize("n_accents,counts,resolved", [
     (2, [], "train=0, dev=1, test=1 of 2 accents"),
-    (4, ["--train-accents", 3], "train=3, dev=0, test=0 of 4 accents"),
-    (4, ["--train-accents", 2, "--test-accents", 1],
-     "train=2, dev=0, test=1 leave out 1 of 4 accents: synth03"),
-    (4, ["--test-accents", 1], "train=0, dev=0, test=1 of 4 accents"),
+    (4, ["--train-accents", 4], "train=4, dev=0, test=0 of 4 accents"),
+    (4, ["--dev-accents", 1, "--test-accents", 3], "train=0, dev=1, test=3 of 4 accents"),
 ])
 def test_build_tasks_rejects_degenerate_split(tmp_path, capsys, n_accents, counts, resolved):
+    """A split that places every accent but has no train or no test accent
+    is refused by build-tasks; the split itself allows it."""
     assert evalcli.main(["--seed", "3", "--out", str(tmp_path / "corpus"), "synth-corpus",
                          "--accents", str(n_accents), "--speakers", "2"]) == 0
     capsys.readouterr()
@@ -536,56 +532,87 @@ def test_build_tasks_rejects_degenerate_split(tmp_path, capsys, n_accents, count
     assert not (tmp_path / "tasks" / "tasks.json").exists()
 
 
-@pytest.mark.parametrize("counts,config", [
-    (["--train-accents", -1, "--dev-accents", 2, "--test-accents", 3], None),
-    (["--test-accents", -2], None),
-    ([], {"split_counts": [2.5, 1, 1]}),
-    ([], {"split_counts": [2, 1]}),
-    (["--dev-accents", 1], {"split_counts": [True, 0, 1]}),
-    ([], {"split_counts": 5}),
-    ([], {"split_counts": [2, 1, 1, 9]}),
-])
-def test_build_tasks_refuses_bad_split_counts(tmp_path, capsys, counts, config):
-    """Counts that are not non-negative integers are refused by the split;
-    a config split_counts that is not a list of three, before the manifest
-    is read."""
+@pytest.mark.parametrize("counts,refusal", [
+    (["--train-accents", -1, "--dev-accents", 2, "--test-accents", 3],
+     "(-1, 2, 3) must be three non-negative integers (train, dev, test)"),
+    (["--test-accents", -2], "(0, 0, -2) must be three non-negative integers (train, dev, test)"),
+    (["--train-accents", 3], "(3, 0, 0) must place all 4 accents, but place 3"),
+    (["--train-accents", 2, "--test-accents", 1],
+     "(2, 0, 1) must place all 4 accents, but place 3"),
+    (["--test-accents", 1], "(0, 0, 1) must place all 4 accents, but place 1"),
+    (["--train-accents", 4, "--test-accents", 1],
+     "(4, 0, 1) must place all 4 accents, but place 5"),
+], ids=["train-negative", "test-negative", "train-3-of-4", "one-left-out", "test-only",
+        "one-too-many"])
+def test_build_tasks_refuses_bad_split_counts(tmp_path, capsys, counts, refusal):
+    """Flag counts are refused by the split when they are not non-negative
+    integers or do not place every accent; a flag not given counts 0."""
     assert evalcli.main(["--seed", "3", "--out", str(tmp_path / "corpus"), "synth-corpus",
                          "--accents", "4", "--speakers", "2"]) == 0
     capsys.readouterr()
-    extra = []
-    if config is not None:
-        (tmp_path / "config.json").write_text(json.dumps(config))
-        extra = ["--config", str(tmp_path / "config.json")]
-    code = evalcli.main(["--seed", "3", *extra, "--out", str(tmp_path / "tasks"),
-                         "build-tasks", "--manifest",
-                         str(tmp_path / "corpus" / "manifest.jsonl"), *map(str, counts)])
+    code = evalcli.main(["--seed", "3", "--out", str(tmp_path / "tasks"), "build-tasks",
+                         "--manifest", str(tmp_path / "corpus" / "manifest.jsonl"),
+                         *map(str, counts)])
     assert code == 1
     err = json.loads(capsys.readouterr().err)["error"]
-    assert "traceback" not in err
-    entered = config["split_counts"] if config else [0, 0, 0]
-    if isinstance(entered, list) and len(entered) == 3:
-        assert err["type"] == "TaskGenError"
-        assert "split counts (" in err["message"] and "non-negative integers" in err["message"]
-    else:
-        assert err["type"] == "EvalError"
-        assert err["message"] == (f"config split_counts is {json.dumps(entered)}, "
-                                  f"not a list of three accent counts")
-    assert not (tmp_path / "tasks" / "tasks.json").exists()
+    assert err["type"] == "TaskGenError" and "traceback" not in err
+    assert err["message"] == f"split counts {refusal}"
+    assert not (tmp_path / "tasks").exists()
 
 
-@pytest.mark.parametrize("index", [-1, 2])
-def test_finetune_rejects_task_index_out_of_range(params, test_sets, tmp_path, capsys, index):
+def test_build_tasks_lists_an_unreadable_wav_as_an_issue(tmp_path, capsys):
+    """A manifest entry whose file is not a WAV is dropped with its reason,
+    and build-tasks still builds the archive from the rest."""
+    assert evalcli.main(["--seed", "3", "--out", str(tmp_path / "corpus"), "synth-corpus",
+                         "--accents", "2", "--speakers", "2"]) == 0
+    manifest = tmp_path / "corpus" / "manifest.jsonl"
+    capsys.readouterr()
+    (tmp_path / "corpus" / "audio" / "bad.wav").write_bytes(b"not a RIFF file")
+    with manifest.open("a") as f:
+        f.write(json.dumps({"accent": "synth01", "speaker_id": "bad",
+                            "path": "audio/bad.wav"}) + "\n")
+    assert evalcli.main(["--seed", "3", "--out", str(tmp_path / "tasks"), "build-tasks",
+                         "--manifest", str(manifest), "--train-accents", "1",
+                         "--test-accents", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["n_tasks"] == 2
+    resolved = json.loads((tmp_path / "tasks" / "build_tasks_config.json").read_text())
+    assert resolved["issues"] == [f"synth01/bad: {tmp_path / 'corpus' / 'audio' / 'bad.wav'}: "
+                                  f"not a WAV file (file does not start with RIFF id)"]
+    assert (tmp_path / "tasks" / "tasks.json").is_file()
+
+
+@pytest.mark.parametrize("kind", MALFORMED_MANIFEST_LINES)
+def test_build_tasks_refuses_a_malformed_manifest_line(tmp_path, capsys, kind):
+    manifest = tmp_path / "manifest.jsonl"
+    write_malformed_manifest(manifest, kind)
+    code = evalcli.main(["--out", str(tmp_path / "tasks"), "build-tasks",
+                         "--manifest", str(manifest)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    err = json.loads(err)["error"]
+    assert err["type"] == "TaskGenError" and "traceback" not in err
+    assert err["message"] == f"{manifest} {MALFORMED_MANIFEST_LINES[kind][1]}"
+    assert not (tmp_path / "tasks").exists()
+
+
+@pytest.mark.parametrize("argv,refusal", [
+    (["--task-index", "-1"], "task index -1 is out of range: accent acc00 has 2 tasks"),
+    (["--task-index", "2"], "task index 2 is out of range: accent acc00 has 2 tasks"),
+    (["--accent", ""], "no test accent '' in the archive"),
+], ids=["-1", "2", "accent-empty"])
+def test_finetune_rejects_task_index_out_of_range(params, test_sets, tmp_path, capsys, argv,
+                                                  refusal):
+    """An out-of-range task index, or an accent that names no test accent
+    (the empty string included), is refused."""
     split = taskgen.SplitSpec(train=[], dev=[], test=[ts.accent for ts in test_sets])
     taskgen.write_task_archive(tmp_path / "tasks", test_sets, split, seed=0)
     model.save_checkpoint(tmp_path / "ck.msep", params, MICRO, CKPT_EXTRA)
     code = evalcli.main(["--out", str(tmp_path / "ft"), "finetune",
                          "--checkpoint", str(tmp_path / "ck.msep"),
-                         "--tasks", str(tmp_path / "tasks"), "--task-index", str(index)])
+                         "--tasks", str(tmp_path / "tasks"), *argv])
     assert code == 1
     err = json.loads(capsys.readouterr().err)["error"]
-    assert err["type"] == "EvalError"
-    assert f"task index {index} is out of range" in err["message"]
-    assert f"{test_sets[0].accent} has 2 tasks" in err["message"]
+    assert err["type"] == "EvalError" and err["message"] == refusal
     assert not (tmp_path / "ft").exists()
 
 
@@ -607,6 +634,7 @@ def _run_on_joint_checkpoint(params, test_sets, tmp_path, command, argv) -> int:
     ("finetune", ["--beta", "inf"], "beta_ft must be finite, got inf"),
     ("sweep-beta", ["--grid", "nan,0.01"], "beta_ft must be finite, got nan"),
     ("train", ["--mode", "fomaml", "--inner-lr", "nan"], "inner_lr must be finite, got nan"),
+    ("sweep-beta", ["--grid", ""], "grid '' is not a comma-separated list of rates"),
 ])
 def test_cli_refuses_non_finite_rates(params, test_sets, tmp_path, capsys, work_counts,
                                       command, argv, refusal):

@@ -72,11 +72,6 @@ def test_synth_rejects_single_speaker():
     ({"n_accents": 2.0}, "n_accents must be an integer of at least 1, got 2.0"),
     ({"speakers_per_accent": True},
      "speakers_per_accent must be an integer of at least 2, got True"),
-    ({"utterance_seconds": "12"}, "utterance_seconds must be a finite number, got '12'"),
-    ({"utterance_seconds": math.inf}, "utterance_seconds must be finite, got inf"),
-    ({"utterance_seconds": math.nan}, "utterance_seconds must be finite, got nan"),
-    ({"utterance_seconds": 11.5}, "utterance_seconds must be at least 12.0 to yield 3 "
-                                  "segments, got 11.5"),
 ])
 def test_synth_spec_refuses_degenerate_values(kwargs, refusal):
     spec = {"n_accents": 2, "speakers_per_accent": 2, **kwargs}
@@ -112,33 +107,87 @@ def test_ingest_drops_short_speaker_with_reason(tmp_path):
 
 
 def test_ingest_reports_missing_file(tmp_path):
+    """A path with no file behind it, a directory included, is dropped."""
     manifest = taskgen.synth_corpus(SynthSpec(1, 2), seed=8, out_dir=tmp_path)
     entries = taskgen.read_manifest(manifest)
     entries.append({"accent": "synth00", "speaker_id": "ghost",
                     "path": "audio/ghost.wav", "samples": 0})
+    entries.append({"accent": "synth00", "speaker_id": "folder", "path": "audio", "samples": 0})
     taskgen.write_manifest(manifest, entries)
     corpus = taskgen.ingest(manifest)
-    assert any("ghost" in i and "missing" in i for i in corpus.issues)
+    assert corpus.issues == [f"synth00/ghost: missing file {tmp_path / 'audio' / 'ghost.wav'}",
+                             f"synth00/folder: missing file {tmp_path / 'audio'}"]
 
 
-def test_ingest_reports_empty_raw_file(tmp_path):
+def _write_bad_audio(root, name: str) -> str:
+    """Writes the unreadable audio file `name` under root/audio; returns its
+    manifest path."""
+    good = root / "audio" / "synth00_spk00.wav"
+    wav = good.read_bytes()
+    data = {"empty.wav": b"", "truncated.wav": wav[:20],
+            "not-riff.wav": b"ID3 an mp3 tag, not a RIFF header",
+            # the fmt chunk's size field claims 2 GiB
+            "bad-chunk.wav": wav[:16] + b"\xff\xff\xff\x7f" + wav[20:],
+            "cut-in-audio.wav": wav[:len(wav) // 2]}.get(name)
+    if data is None:  # a raw float64 file, the task archive's segment format
+        dsp.write_raw(root / "audio" / name, dsp.read_wav(good))
+    else:
+        (root / "audio" / name).write_bytes(data)
+    return f"audio/{name}"
+
+
+@pytest.mark.parametrize("name,reason", [
+    ("empty.wav", "not a WAV file (cut short or a bad chunk size)"),
+    ("truncated.wav", "not a WAV file (cut short or a bad chunk size)"),
+    ("not-riff.wav", "not a WAV file (file does not start with RIFF id)"),
+    ("bad-chunk.wav", "not a WAV file (cut short or a bad chunk size)"),
+    ("raw.f64", "not a WAV file (file does not start with RIFF id)"),
+    ("cut-in-audio.wav", "header promises 100000 samples (200000 bytes), file has 99978 "
+                         "bytes of audio"),
+], ids=["empty", "truncated", "not-riff", "bad-chunk", "raw-f64", "cut-in-audio"])
+def test_ingest_drops_an_unreadable_file_with_its_reason(tmp_path, name, reason):
     manifest = taskgen.synth_corpus(SynthSpec(1, 2), seed=8, out_dir=tmp_path)
-    (tmp_path / "audio" / "empty.f64").write_bytes(b"")
+    rel = _write_bad_audio(tmp_path, name)
     entries = taskgen.read_manifest(manifest)
-    entries.append({"accent": "synth00", "speaker_id": "hollow",
-                    "path": "audio/empty.f64", "samples": 0})
+    entries.append({"accent": "synth00", "speaker_id": "hollow", "path": rel, "samples": 0})
     taskgen.write_manifest(manifest, entries)
     corpus = taskgen.ingest(manifest)
-    assert "hollow" not in corpus.speakers["synth00"]
-    assert any(i.startswith("synth00/hollow: ") and "empty.f64: 0 bytes" in i
-               for i in corpus.issues)
+    assert sorted(corpus.speakers["synth00"]) == ["synth00_spk00", "synth00_spk01"]
+    assert corpus.issues == [f"synth00/hollow: {tmp_path / rel}: {reason}"]
+
+
+# one malformed line, the third of a manifest whose second is blank
+MALFORMED_MANIFEST_LINES = {
+    "list": ("[1, 2]", "line 3: [1, 2] is not an object with string accent, speaker_id "
+                       "and path"),
+    "no-speaker": ('{"accent": "a"}', 'line 3: {"accent": "a"} is not an object with '
+                                      'string accent, speaker_id and path'),
+    "path-number": ('{"accent": "a", "speaker_id": "s", "path": 5}',
+                    'line 3: {"accent": "a", "speaker_id": "s", "path": 5} is not an '
+                    'object with string accent, speaker_id and path'),
+    "not-json": ("not json", "line 3: not JSON (Expecting value)"),
+}
+
+
+def write_malformed_manifest(path, kind: str) -> None:
+    good = {"accent": "a", "speaker_id": "s0", "path": "audio/s0.wav"}
+    path.write_text(json.dumps(good) + "\n\n" + MALFORMED_MANIFEST_LINES[kind][0] + "\n")
+
+
+@pytest.mark.parametrize("kind", MALFORMED_MANIFEST_LINES)
+def test_read_manifest_refuses_a_malformed_line_by_number(tmp_path, kind):
+    manifest = tmp_path / "manifest.jsonl"
+    write_malformed_manifest(manifest, kind)
+    refusal = f"{manifest} {MALFORMED_MANIFEST_LINES[kind][1]}"
+    with pytest.raises(taskgen.TaskGenError, match=f"^{re.escape(refusal)}$"):
+        taskgen.ingest(manifest)
 
 
 def test_ingest_rejects_duplicate_speaker_rows(tmp_path):
     manifest = taskgen.synth_corpus(SynthSpec(1, 2), seed=9, out_dir=tmp_path)
     entries = taskgen.read_manifest(manifest)
     taskgen.write_manifest(manifest, entries + [entries[0]])
-    with pytest.raises(taskgen.TaskGenError, match="duplicate"):
+    with pytest.raises(taskgen.TaskGenError, match=r"line 3: duplicate \(accent, speaker\)"):
         taskgen.ingest(manifest)
 
 
@@ -231,7 +280,8 @@ def test_noisy_mixture_is_deterministic(small_corpus):
     assert np.array_equal(a.mixture.samples, b.mixture.samples)
     clean = task.mixture(task.support_index)
     assert not np.array_equal(a.mixture.samples, clean.mixture.samples)
-    assert dsp.NOISE_SNR_RANGE_DB[0] <= a.noise_snr_db <= dsp.NOISE_SNR_RANGE_DB[1]
+    noise_snr_db = measured_snr_db(clean.mixture, a.mixture.samples - clean.mixture.samples)
+    assert dsp.NOISE_SNR_RANGE_DB[0] <= noise_snr_db <= dsp.NOISE_SNR_RANGE_DB[1]
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +319,7 @@ def test_split_rejects_overlap():
 
 
 def test_split_rejects_oversized_counts():
-    with pytest.raises(taskgen.TaskGenError):
+    with pytest.raises(taskgen.TaskGenError, match=r"must place all 2 accents, but place 4$"):
         taskgen.split_accents(["a", "b"], seed=0, counts=(2, 1, 1))
 
 
