@@ -268,20 +268,6 @@ def _write_resolved_config(out_dir, command: str, resolved: dict) -> None:
                     json.dumps(resolved, indent=1, sort_keys=True))
 
 
-def _load_json_config(path) -> dict:
-    """The config file's object ({} without a file), refusing a top-level key
-    other than `model` and `train`. Only `train` reads them; `synth-corpus` and
-    `build-tasks` check the file too, so one file serves all three."""
-    cfg = {} if path is None else json.loads(Path(path).read_text())
-    if not isinstance(cfg, dict):
-        raise EvalError(f"config file {path} is {json.dumps(cfg)}, not an object")
-    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
-    if unknown:
-        raise EvalError(f"unknown top-level config keys: {', '.join(unknown)} "
-                        f"(known: {', '.join(CONFIG_KEYS)})")
-    return cfg
-
-
 def _config_section(cfg: dict, section: str, cls) -> dict:
     """The config file's `section` object ({} when absent), refusing a value
     that is not an object and keys that are not fields of the dataclass `cls`."""
@@ -294,6 +280,28 @@ def _config_section(cfg: dict, section: str, cls) -> dict:
     return dict(values)
 
 
+def load_config(path) -> tuple[SeparatorConfig, dict]:
+    """The checked config file ({} without one): its model section as a
+    SeparatorConfig and its train section as TrainConfig keywords. `main`
+    loads it for every command, so each command refuses a file that `train`
+    refuses, with the same message."""
+    try:
+        cfg = {} if path is None else json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as err:  # not UTF-8, not JSON, or nested too deep
+        raise EvalError(f"config file {path} is not UTF-8 JSON ({err})") from None
+    if not isinstance(cfg, dict):
+        raise EvalError(f"config file {path} is {json.dumps(cfg)}, not an object")
+    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
+    if unknown:
+        raise EvalError(f"unknown top-level config keys: {', '.join(unknown)} "
+                        f"(known: {', '.join(CONFIG_KEYS)})")
+    model_config = SeparatorConfig(**_config_section(cfg, "model", SeparatorConfig))
+    model_config.frames(dsp.SEGMENT_SAMPLES)  # the length of every archive segment
+    train_section = _config_section(cfg, "train", TrainConfig)
+    TrainConfig(**train_section)
+    return model_config, train_section
+
+
 def _split_sets(archive_dir):
     task_sets, split, _ = taskgen.load_task_archive(archive_dir)
     return {
@@ -304,7 +312,6 @@ def _split_sets(archive_dir):
 
 
 def cmd_synth_corpus(args) -> dict:
-    _load_json_config(args.config)
     spec = taskgen.SynthSpec(n_accents=args.accents, speakers_per_accent=args.speakers)
     manifest = taskgen.synth_corpus(spec, seed=args.seed, out_dir=args.out)
     resolved = {"command": "synth-corpus", "seed": args.seed,
@@ -315,7 +322,6 @@ def cmd_synth_corpus(args) -> dict:
 
 
 def cmd_build_tasks(args) -> dict:
-    _load_json_config(args.config)
     counts = (args.train_accents, args.dev_accents, args.test_accents)
     counts = None if counts == (None, None, None) else tuple(
         0 if n is None else n for n in counts)
@@ -325,8 +331,8 @@ def cmd_build_tasks(args) -> dict:
     if not split.train or not split.test:
         raise EvalError(
             f"accent split train={len(split.train)}, dev={len(split.dev)}, "
-            f"test={len(split.test)} of {len(accents)} accents needs at least one "
-            f"train and one test accent")
+            f"test={len(split.test)} of {len(accents)} accents in {args.manifest} needs "
+            f"at least one train and one test accent")
     task_sets = taskgen.build_accent_task_sets(corpus, split, seed=args.seed)
     index = taskgen.write_task_archive(args.out, task_sets, split, seed=args.seed)
     resolved = {"command": "build-tasks", "seed": args.seed,
@@ -339,9 +345,7 @@ def cmd_build_tasks(args) -> dict:
 
 
 def cmd_train(args) -> dict:
-    cfg = _load_json_config(args.config)
-    model_config = SeparatorConfig(**_config_section(cfg, "model", SeparatorConfig))
-    train_kwargs = _config_section(cfg, "train", TrainConfig)
+    train_kwargs = args.train_section
     if train_kwargs.setdefault("mode", args.mode) != args.mode:
         raise ValueError(f"mode must be --mode's {args.mode!r}, "
                          f"got {train_kwargs['mode']!r} in the config's train section")
@@ -356,10 +360,10 @@ def cmd_train(args) -> dict:
     train_config = TrainConfig(**train_kwargs)
 
     sets = _split_sets(args.tasks)
-    result = trainer.train(sets["train"], train_config, model_config,
+    result = trainer.train(sets["train"], train_config, args.model_config,
                            dev_sets=sets["dev"], out_dir=args.out)
     resolved = {"command": "train", "tasks": str(args.tasks),
-                "model": model_config.to_dict(), "train": train_config.to_dict()}
+                "model": args.model_config.to_dict(), "train": train_config.to_dict()}
     _write_resolved_config(args.out, "train", resolved)
     out = {"checkpoint": str(result.checkpoint_path),
            "epochs_run": len(result.log), "aborted": result.aborted}
@@ -421,8 +425,13 @@ def cmd_sweep_beta(args) -> dict:
     return {"sweep_csv": str(paths["csv"]), "best": result.best(condition)}
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a refused flag gets main's JSON error, not a usage exit
+        raise EvalError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="metasep",
         description="Meta-learned speech separation: corpus synthesis, task "
                     "construction, training, adaptation, and evaluation.")
@@ -486,16 +495,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.seed is None and args.fn is not cmd_train:  # train reads its config's seed
-        args.seed = 0
     try:
+        args = build_parser().parse_args(argv)
+        if args.seed is None and args.fn is not cmd_train:  # train reads its config's seed
+            args.seed = 0
+        args.model_config, args.train_section = load_config(args.config)
         result = args.fn(args)
     except Exception as err:  # surfaced as a machine-readable object
         payload = {"error": {"type": err.__class__.__name__, "message": str(err)}}
-        if not isinstance(err, (EvalError, ValueError, FileNotFoundError,
-                                taskgen.TaskGenError, trainer.TrainingDiverged)):
+        if not isinstance(err, (ValueError, OSError, trainer.TrainingDiverged)):
             payload["error"]["traceback"] = traceback.format_exc()
         print(json.dumps(payload), file=sys.stderr)
         return 1

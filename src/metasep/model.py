@@ -66,8 +66,8 @@ class SeparatorConfig:
                              f"{self.enc_kernel}-sample encoder kernel")
         if (n_samples - self.enc_kernel) % self.enc_stride != 0:
             raise ValueError(
-                f"input length {n_samples} does not align with kernel "
-                f"{self.enc_kernel} / stride {self.enc_stride}; the decoder could "
+                f"input length {n_samples} does not align with enc_kernel "
+                f"{self.enc_kernel} / enc_stride {self.enc_stride}; the decoder could "
                 f"not reproduce the full length")
         return (n_samples - self.enc_kernel) // self.enc_stride + 1
 

@@ -58,24 +58,27 @@ def read_manifest(path) -> list[dict]:
     "accent", "speaker_id" and "path". A malformed line or a repeated
     (accent, speaker) pair is refused with the manifest and its 1-based line."""
     entries, seen = [], set()
-    with open(path) as f:
-        for n, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                e = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise TaskGenError(f"{path} line {n}: not JSON ({err.msg})") from None
-            if not isinstance(e, dict) or not all(
-                    isinstance(e.get(k), str) for k in ("accent", "speaker_id", "path")):
-                raise TaskGenError(f"{path} line {n}: {line} is not an object with string "
-                                   f"accent, speaker_id and path")
-            key = (e["accent"], e["speaker_id"])
-            if key in seen:
-                raise TaskGenError(f"{path} line {n}: duplicate (accent, speaker) pair {key}")
-            seen.add(key)
-            entries.append(e)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise TaskGenError(f"{path}: not UTF-8 text ({err})") from None
+    for n, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            e = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise TaskGenError(f"{path} line {n}: not JSON ({err.msg})") from None
+        if not isinstance(e, dict) or not all(
+                isinstance(e.get(k), str) for k in ("accent", "speaker_id", "path")):
+            raise TaskGenError(f"{path} line {n}: {line} is not an object with string "
+                               f"accent, speaker_id and path")
+        key = (e["accent"], e["speaker_id"])
+        if key in seen:
+            raise TaskGenError(f"{path} line {n}: duplicate (accent, speaker) pair {key}")
+        seen.add(key)
+        entries.append(e)
     return entries
 
 
@@ -430,10 +433,10 @@ def write_task_archive(out_dir, task_sets, split: SplitSpec, seed: int) -> Path:
 
 
 def load_task_archive(archive_dir) -> tuple[list[AccentTaskSet], SplitSpec, dict]:
+    """The archive's task sets, split and seed. A tasks.json that is not the
+    index `write_task_archive` writes is refused with a TaskGenError naming
+    the archive; a missing file keeps its OSError."""
     archive_dir = Path(archive_dir)
-    index = json.loads((archive_dir / "tasks.json").read_text())
-    if index.get("format") != "metasep-tasks-v1":
-        raise TaskGenError(f"{archive_dir}: not a metasep task archive")
     cache: dict[str, np.ndarray] = {}
 
     def load_seg(name: str) -> np.ndarray:
@@ -442,28 +445,34 @@ def load_task_archive(archive_dir) -> tuple[list[AccentTaskSet], SplitSpec, dict
             cache[name].flags.writeable = False
         return cache[name]
 
-    task_sets = []
-    for acc in index["accents"]:
-        tasks = []
-        for t in acc["tasks"]:
-            task = MetaTask(
-                accent=acc["accent"],
-                speakers=tuple(t["speakers"]),
-                segments_a=tuple(load_seg(n) for n in t["seg_files_a"]),
-                segments_b=tuple(load_seg(n) for n in t["seg_files_b"]),
-                seg_indices_a=tuple(t["seg_indices_a"]),
-                seg_indices_b=tuple(t["seg_indices_b"]),
-                snr_grid=np.array(t["snr_db"]),
-                support_index=t["support"],
-                noise_seed=t["noise_seed"],
-            )
-            # the query set follows from the support index; an archive that
-            # says otherwise was edited or written by something else
-            if tuple(t["query"]) != task.query_indices:
-                raise TaskGenError(
-                    f"{archive_dir}: query indices {t['query']} must be the segment-disjoint "
-                    f"mixtures {list(task.query_indices)} for support {task.support_index}")
-            tasks.append(task)
-        task_sets.append(AccentTaskSet(accent=acc["accent"], tasks=tasks))
-    split = SplitSpec(**index["split"])
-    return task_sets, split, {"seed": index["seed"]}
+    try:
+        index = json.loads((archive_dir / "tasks.json").read_text(encoding="utf-8"))
+        if not isinstance(index, dict) or index.get("format") != "metasep-tasks-v1":
+            raise ValueError("its tasks.json is not a metasep-tasks-v1 index")
+        task_sets = []
+        for acc in index["accents"]:
+            tasks = []
+            for t in acc["tasks"]:
+                task = MetaTask(
+                    accent=acc["accent"],
+                    speakers=tuple(t["speakers"]),
+                    segments_a=tuple(load_seg(n) for n in t["seg_files_a"]),
+                    segments_b=tuple(load_seg(n) for n in t["seg_files_b"]),
+                    seg_indices_a=tuple(t["seg_indices_a"]),
+                    seg_indices_b=tuple(t["seg_indices_b"]),
+                    snr_grid=np.array(t["snr_db"]),
+                    support_index=t["support"],
+                    noise_seed=t["noise_seed"],
+                )
+                # the query set follows from the support index; an archive that
+                # says otherwise was edited or written by something else
+                if tuple(t["query"]) != task.query_indices:
+                    raise ValueError(
+                        f"query indices {t['query']} must be the segment-disjoint mixtures "
+                        f"{list(task.query_indices)} for support {task.support_index}")
+                tasks.append(task)
+            task_sets.append(AccentTaskSet(accent=acc["accent"], tasks=tasks))
+        return task_sets, SplitSpec(**index["split"]), {"seed": index["seed"]}
+    except (ValueError, LookupError, TypeError, AttributeError, RecursionError) as err:
+        reason = f"no key {err}" if isinstance(err, KeyError) else err
+        raise TaskGenError(f"{archive_dir}: not a metasep task archive ({reason})") from None

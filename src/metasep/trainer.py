@@ -89,7 +89,7 @@ class TrainConfig:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.outer_optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown outer optimizer {self.outer_optimizer!r}")
+            raise ValueError(f"outer_optimizer must be adam or sgd, got {self.outer_optimizer!r}")
         if not isinstance(self.noise, bool):
             raise ValueError(f"noise must be true or false, got {self.noise!r}")
         for name, least in (("epochs", 1), ("meta_batch", 1), ("dev_eval_tasks", 0),

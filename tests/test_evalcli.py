@@ -1,8 +1,13 @@
+import contextlib
+import copy
 import csv
 import dataclasses
+import io
 import json
+import math
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import threading
@@ -11,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import metasep
 from metasep import autodiff as ad
@@ -270,70 +277,234 @@ def test_evaluate_is_side_effect_free_on_checkpoint(params, test_sets, tmp_path)
 
 
 # ---------------------------------------------------------------------------
-# CLI end to end (micro sizes so the whole flow stays fast)
+# the CLI input contract: a command exits 0 with one JSON object on stdout, or
+# exits 1 with empty stdout and one JSON error on stderr that names the input
+# it refuses, carries no traceback and leaves nothing written under --out
 
 
-def test_cli_full_pipeline(tmp_path, capsys):
-    def run_cli(*argv):
+def _contract(argv, out: Path) -> tuple[int, dict]:
+    """Runs main on argv, whose --out is out, checks the contract and returns
+    the exit code with the result or the error object."""
+    before = out.read_bytes() if out.is_file() else None
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = evalcli.main([str(a) for a in argv])
-        captured = capsys.readouterr()
-        assert code == 0, captured.err
-        return json.loads(captured.out)
-
-    corpus_dir = tmp_path / "corpus"
-    tasks_dir = tmp_path / "tasks"
-    run_dir = tmp_path / "run"
-
-    run_cli("--seed", 3, "--out", corpus_dir, "synth-corpus",
-            "--accents", 4, "--speakers", 2)
-    manifest = corpus_dir / "manifest.jsonl"
-    assert manifest.exists()
-    assert (corpus_dir / "synth_corpus_config.json").exists()
-
-    out = run_cli("--seed", 3, "--out", tasks_dir, "build-tasks",
-                  "--manifest", manifest, "--train-accents", 2,
-                  "--dev-accents", 1, "--test-accents", 1)
-    assert out["n_tasks"] == 4
-
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "model": {"enc_channels": 4, "enc_kernel": 32, "enc_stride": 16,
-                  "bottleneck_channels": 2, "conv_channels": 4, "kernel": 3,
-                  "blocks_per_stack": 1, "stacks": 1},
-        "train": {"dev_eval_tasks": 1},
-    }))
-    out = run_cli("--seed", 3, "--config", config, "--out", run_dir, "train",
-                  "--tasks", tasks_dir, "--mode", "joint", "--epochs", 1,
-                  "--meta-batch", 2)
-    assert not out["aborted"]
-    ckpt = run_dir / "checkpoint.msep"
-    assert ckpt.exists()
-    assert (run_dir / "train_config.json").exists()
-
-    eval_dir = tmp_path / "eval"
-    out = run_cli("--seed", 3, "--out", eval_dir, "evaluate",
-                  "--checkpoint", ckpt, "--tasks", tasks_dir, "--beta", 1e-3)
-    assert (eval_dir / "report.csv").exists()
-    assert "clean/after" in out["summary"]
-
-    out = run_cli("--seed", 3, "--out", tmp_path / "ft", "finetune",
-                  "--checkpoint", ckpt, "--tasks", tasks_dir, "--beta", 1e-3)
-    assert {"query_si_snri_pre", "query_si_snri_post"} <= set(out)
-
-    sweep_dir = tmp_path / "sweep"
-    out = run_cli("--seed", 3, "--out", sweep_dir, "sweep-beta",
-                  "--checkpoint", ckpt, "--tasks", tasks_dir,
-                  "--grid", "1e-3,1e-2")
-    assert (sweep_dir / "sweep.csv").exists()
-    assert out["best"]["beta_ft"] in (1e-3, 1e-2)
+    stdout, stderr = stdout.getvalue(), stderr.getvalue()
+    if code == 0:
+        assert stderr == "" and stdout.startswith("{"), stderr
+        return 0, json.loads(stdout)
+    error = json.loads(stderr)
+    assert code == 1 and stdout == "" and list(error) == ["error"], (code, stdout)
+    assert sorted(error["error"]) == ["message", "type"], stderr  # no traceback
+    assert out.read_bytes() == before if before is not None else not out.exists()
+    return 1, error["error"]
 
 
-def test_cli_error_is_machine_readable(tmp_path, capsys):
-    code = evalcli.main(["--out", str(tmp_path), "evaluate", "--checkpoint",
-                         str(tmp_path / "missing.msep"), "--tasks", str(tmp_path)])
-    assert code == 1
-    err = json.loads(capsys.readouterr().err)
-    assert "error" in err and err["error"]["type"]
+CLI_CONFIG = {"model": dataclasses.asdict(MICRO), "train": {"dev_eval_tasks": 0, "epochs": 1}}
+ARCHIVES = {"nope": "nope", "format": '{"format": "metasep-tasks-v1"}', "list": "[]"}
+
+
+@pytest.fixture(scope="module")
+def cli(tmp_path_factory) -> dict:
+    """What a run names with "@": 4 x 2 and 2 x 2 synthetic corpora, a 2/0/2
+    archive and a joint MICRO checkpoint, all written through main, and broken
+    inputs: a missing path, an empty directory, a manifest with a malformed
+    line, four malformed archives and an existing file for --out."""
+    root = tmp_path_factory.mktemp("cli")
+    cli = {name: root / path for name, path in [
+        ("root", ""), ("fresh", "out"), ("config", "config.json"), ("missing", "missing"),
+        ("manifest", "corpus/manifest.jsonl"), ("manifest-2", "corpus-2/manifest.jsonl"),
+        ("tasks", "tasks"), ("index", "tasks/tasks.json"), ("checkpoint", "run/checkpoint.msep"),
+        ("empty", "empty"), ("bad-manifest", "bad.jsonl"), ("out-file", "out-file"),
+        *[(name, name) for name in [*ARCHIVES, "no-seg-files-a"]]]}
+    cli["config"].write_text(json.dumps(CLI_CONFIG))
+    for out, argv in [("corpus", ["synth-corpus", "--accents", 4, "--speakers", 2]),
+                      ("corpus-2", ["synth-corpus", "--accents", 2, "--speakers", 2]),
+                      ("tasks", ["build-tasks", "--manifest", cli["manifest"],
+                                 "--train-accents", 2, "--test-accents", 2]),
+                      ("run", ["--config", cli["config"], "train", "--tasks", cli["tasks"],
+                               "--mode", "joint"])]:
+        assert _contract(["--seed", 3, "--out", root / out, *argv], root / out)[0] == 0
+    cli["empty"].mkdir()
+    cli["out-file"].write_text("kept as it is")
+    write_malformed_manifest(cli["bad-manifest"], "list")
+    lacking = json.loads(cli["index"].read_text())
+    del lacking["accents"][0]["tasks"][0]["seg_files_a"]
+    for name, text in {**ARCHIVES, "no-seg-files-a": json.dumps(lacking)}.items():
+        cli[name].mkdir()
+        (cli[name] / "tasks.json").write_text(text)
+    return cli
+
+
+BAD = ("0", "-1", "1.5", "nan", "inf", "1e300", "", "text")
+RATE = (None, "1e-3", *BAD)
+BROKEN = (None, "@missing", "@empty")  # a required path left out, missing, or a directory
+# flag -> (its value unless drawn, None leaving it out; the values drawn; the
+# words besides the flag and the path that a refusal of a drawn value may name)
+GLOBAL_FLAGS = {"--seed": (None, ("3", *BAD), ("seed",)), "--out": ("@fresh", ("@out-file",), ())}
+ARCHIVE = {"--noise": (None, (True,), ()),
+           "--tasks": ("@tasks", (*BROKEN, "@checkpoint", "@no-seg-files-a",
+                                  *[f"@{name}" for name in ARCHIVES]), ())}
+CHECKPOINT = {"--checkpoint": ("@checkpoint", (*BROKEN, "@index"), ()), **ARCHIVE}
+BETA = {"--beta": (None, RATE, ("beta_ft", "rate"))}
+FLAGS = {
+    "synth-corpus": {"--accents": ("2", ("3", "4", *BAD), ("accents",)),
+                     "--speakers": ("2", ("3", *BAD), ("speakers",))},
+    "build-tasks": {"--manifest": ("@manifest", (*BROKEN, "@checkpoint", "@bad-manifest"), ()),
+                    **{f"--{s}-accents": (None, ("1", "2", "4", *BAD), ("split",))
+                       for s in ("train", "dev", "test")}},
+    "train": {**ARCHIVE, "--mode": ("joint", (None, "fomaml", "maml", "text"), ()),
+              "--epochs": ("1", (None, *BAD), ("epochs",)),
+              "--meta-batch": (None, ("2", *BAD), ("meta_batch",)),
+              "--inner-lr": (None, RATE, ("inner_lr",)), "--outer-lr": (None, RATE, ("outer_lr",))},
+    "evaluate": {**CHECKPOINT, **BETA},
+    "finetune": {**CHECKPOINT, **BETA, "--task-index": (None, ("1", *BAD), ("task index",)),
+                 "--accent": (None, ("synth00", "synth01", "synth02", "synth03", "", "text"),
+                              ("accent",))},
+    "sweep-beta": {**CHECKPOINT, "--force": (None, (True,), ()),
+                   "--grid": (None, ("1e-3,0.01", "0.01,,1", *BAD), ("grid", "beta_ft", "rate"))},
+}
+NO_CONFIG = (None, ())
+JSON_VALUES = (0, 1, 2, 3, 5, 8, -1, 1.5, 1e300, math.nan, math.inf, True, None, "", "text",
+               "joint", "sgd", [1])
+DRAWN_KEYS = {"model": [f.name for f in dataclasses.fields(SeparatorConfig)] + ["norm"],
+               "train": [f.name for f in dataclasses.fields(trainer.TrainConfig)] + ["adam_beta1"],
+               None: ["model", "train", "split_counts", "utterance_seconds"]}
+
+
+def _config(content, *words) -> tuple[bytes, tuple]:
+    """A config file of content's JSON, whose refusal may name one of words
+    ("@config" stands for the file's path)."""
+    return json.dumps(content).encode(), words
+
+
+@st.composite
+def _config_files(draw) -> tuple:
+    """A directory ("@empty"), a file that is no JSON object, or the valid
+    config with one JSON value set at a key of model, train or the top level."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(["@empty", b"5", b"[1]", b"null", b'"text"', b"",
+                                     b"not json", b"\xff\xfe{}", b'{"model": '])), ("@config",)
+    section = draw(st.sampled_from(list(DRAWN_KEYS)))
+    key, value = draw(st.sampled_from(DRAWN_KEYS[section])), draw(st.sampled_from(JSON_VALUES))
+    config = copy.deepcopy(CLI_CONFIG)
+    (config if section is None else config[section])[key] = value
+    return _config(config, key)
+
+
+@st.composite
+def _cli_runs(draw) -> tuple:
+    """(command, config file, {flag: value} for up to two flags drawn from
+    FLAGS); one run in four has a drawn config file."""
+    command = draw(st.sampled_from(list(FLAGS)))
+    flags = {**GLOBAL_FLAGS, **FLAGS[command]}
+    config = draw(_config_files() if draw(st.integers(0, 3)) == 0
+                  else st.sampled_from([NO_CONFIG, _config(CLI_CONFIG)]))
+    drawn = draw(st.lists(st.sampled_from(list(flags)), max_size=2, unique=True))
+    return command, config, {flag: draw(st.sampled_from(flags[flag][1])) for flag in drawn}
+
+
+def _check_run(cli: dict, run) -> tuple[int, dict]:
+    """Runs (command, config file, {flag: value}) under the contract, other
+    flags at their FLAGS value. A refusal names a given flag, one of its words
+    or its path, or one of the config's words. A run given a path that FLAGS
+    draws, or a config file that is not a JSON object, is refused."""
+    command, (content, words), given = run
+    config = cli["empty"] if content == "@empty" else cli["root"] / "config-under-test.json"
+    if content is None and command == "train":  # train would build the default separator
+        content = json.dumps(CLI_CONFIG).encode()
+    if isinstance(content, bytes):
+        config.write_bytes(content)
+    names = [str(config) if word == "@config" else word for word in words]
+    refuse, head, tail = "@config" in words, [], []
+    for flag, (default, drawn, flag_words) in {**GLOBAL_FLAGS, **FLAGS[command]}.items():
+        value = given.get(flag, default)
+        if isinstance(value, str) and value.startswith("@"):
+            refuse = refuse or value in drawn  # every path FLAGS draws is a broken one
+            value = cli[value[1:]]
+        if flag in given:
+            names += [flag, *flag_words, *([str(value)] if isinstance(value, Path) else [])]
+        if value is not None:
+            argv = head if flag in GLOBAL_FLAGS else tail
+            argv += [flag] if value is True else [flag, value]
+    config_flag = [] if content is None else ["--config", config]
+    try:
+        code, obj = _contract([*config_flag, *head, command, *tail],
+                              cli[given.get("--out", "@fresh")[1:]])
+    finally:
+        shutil.rmtree(cli["fresh"], ignore_errors=True)
+    assert code == 1 or not refuse, obj
+    assert code == 0 or any(name in obj["message"] for name in names), (names, obj)
+    return code, obj
+
+
+@settings(max_examples=150)
+@example(run=("train", NO_CONFIG, {"--tasks": "@nope"}))
+@example(run=("train", NO_CONFIG, {"--tasks": "@format"}))
+@example(run=("train", NO_CONFIG, {"--tasks": "@list"}))
+@example(run=("train", NO_CONFIG, {"--tasks": "@no-seg-files-a"}))
+@example(run=("build-tasks", NO_CONFIG, {"--manifest": "@empty"}))
+@example(run=("evaluate", NO_CONFIG, {"--checkpoint": "@empty"}))
+@example(run=("build-tasks", NO_CONFIG, {"--manifest": "@checkpoint"}))
+@example(run=("synth-corpus", NO_CONFIG, {"--out": "@out-file"}))
+@example(run=("train", NO_CONFIG, {"--epochs": "1.5"}))
+@example(run=("evaluate", NO_CONFIG, {"--checkpoint": None}))
+@given(run=_cli_runs())
+def test_every_cli_input_is_run_or_refused_by_name(cli, run):
+    _check_run(cli, run)
+
+
+@settings(max_examples=30)
+@example(config=_config({"model": {"bogus": 1}}, "bogus"))
+@example(config=_config({"model": {"stacks": 0}}, "stacks"))
+@example(config=_config({"train": {"inner_lr": -1}}, "inner_lr"))
+@example(config=_config({"train": {"outer_optimizer": 5}}, "outer_optimizer"))
+@example(config=_config({"model": {"enc_kernel": 3}}, "enc_kernel"))
+@example(config=(b"not json", ("@config",)))
+@example(config=(b"[" * 10**5 + b"]" * 10**5, ("@config",)))
+@example(config=("@empty", ("@config",)))
+@given(config=_config_files().filter(lambda c: c[0] == "@empty" or b'"mode"' not in c[0]))
+def test_every_command_refuses_a_config_that_train_refuses(cli, config):
+    """Every command refuses the file with train's message. No mode is drawn:
+    train alone also compares the config's mode with --mode."""
+    code, error = _check_run(cli, ("train", config, {}))
+    for command in FLAGS if code == 1 else ():
+        assert _check_run(cli, (command, config, {})) == (1, error), command
+
+
+def test_cli_full_pipeline(cli, tmp_path):
+    """On the corpus, archive and checkpoint that the fixture wrote through
+    main, evaluate, finetune and sweep-beta write their reports."""
+    assert (cli["root"] / "run" / "train_config.json").is_file()
+    scored = ["--checkpoint", cli["checkpoint"], "--tasks", cli["tasks"]]
+    out = {command: _contract(["--out", tmp_path / command, command, *scored, *argv],
+                              tmp_path / command)
+           for command, argv in [("evaluate", ["--beta", 1e-3]), ("finetune", ["--beta", 1e-3]),
+                                 ("sweep-beta", ["--grid", "1e-3,1e-2"])]}
+    assert "clean/after" in out["evaluate"][1]["summary"]
+    assert {"query_si_snri_pre", "query_si_snri_post"} <= set(out["finetune"][1])
+    assert out["sweep-beta"][1]["best"]["beta_ft"] in (1e-3, 1e-2)
+    assert all((tmp_path / c / f).is_file() for c, f in [("evaluate", "report.csv"),
+                                                         ("sweep-beta", "sweep.csv")])
+
+
+def _refused(cli, command, config=NO_CONFIG, argv=()) -> dict:
+    """The error object of a run (argv: flags and their values) that is refused."""
+    values = [v if isinstance(v, Path) else str(v) for v in argv[1::2]]
+    code, error = _check_run(cli, (command, config, dict(zip(argv[::2], values))))
+    assert code == 1, error
+    return error
+
+
+def test_cli_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exited:
+        evalcli.main(["train", "--help"])
+    assert exited.value.code == 0 and "usage: metasep train" in capsys.readouterr().out
+
+
+def test_cli_error_is_machine_readable(cli):
+    error = _refused(cli, "evaluate", argv=["--checkpoint", "@missing"])
+    assert error["type"] == "FileNotFoundError"
 
 
 @pytest.mark.parametrize("section,key,value", [
@@ -341,15 +512,9 @@ def test_cli_error_is_machine_readable(tmp_path, capsys):
     ("model", "norm", "gln"),
     ("model", "num_sources", 2),
 ])
-def test_train_config_rejects_unknown_keys(tmp_path, capsys, section, key, value):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({section: {key: value}}))
-    code = evalcli.main(["--config", str(config), "--out", str(tmp_path / "run"), "train",
-                         "--tasks", str(tmp_path / "tasks"), "--mode", "joint"])
-    assert code == 1
-    err = json.loads(capsys.readouterr().err)["error"]
-    assert err["type"] == "EvalError" and "traceback" not in err
-    assert key in err["message"] and repr(section) in err["message"]
+def test_train_config_rejects_unknown_keys(cli, section, key, value):
+    error = _refused(cli, "train", _config({section: {key: value}}, key))
+    assert error["type"] == "EvalError" and repr(section) in error["message"]
 
 
 @pytest.mark.parametrize("argv,config", [
@@ -358,17 +523,9 @@ def test_train_config_rejects_unknown_keys(tmp_path, capsys, section, key, value
     ([], {"train": {"dev_eval_tasks": -1}}),
     ([], {"train": {"meta_batch": 1.5}}),
 ], ids=["meta-batch-0", "epochs-negative", "dev-eval-tasks-negative", "meta-batch-fraction"])
-def test_cli_train_refuses_degenerate_counts(tmp_path, capsys, argv, config):
-    """train exits 1 with a JSON error and no traceback, and trains nothing."""
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    code = evalcli.main(["--config", str(path), "--out", str(tmp_path / "run"), "train",
-                         "--tasks", str(tmp_path / "tasks"), "--mode", "joint", *argv])
-    assert code == 1
-    err = json.loads(capsys.readouterr().err)["error"]
-    assert err["type"] == "ValueError" and "traceback" not in err
-    assert "must be an integer of at least" in err["message"]
-    assert not (tmp_path / "run" / "checkpoint.msep").exists()
+def test_cli_train_refuses_degenerate_counts(cli, argv, config):
+    error = _refused(cli, "train", _config(config, *config.get("train", ())), argv)
+    assert error["type"] == "ValueError" and "must be an integer of at least" in error["message"]
 
 
 @pytest.mark.parametrize("config,field,flags", [
@@ -387,44 +544,9 @@ def test_cli_train_refuses_degenerate_counts(tmp_path, capsys, argv, config):
 ], ids=["kernel-even", "kernel-float", "enc-channels-float", "stacks-bool",
         "weight-decay-negative", "outer-lr-string", "outer-lr-zero", "inner-lr-negative",
         "noise-string", "seed-negative", "config-seed-negative", "config-mode-differs"])
-def test_cli_train_refuses_a_degenerate_config_value(tmp_path, capsys, config, field, flags):
-    """A bad model or train value, in the config or a global flag, exits 1
-    with a JSON error naming the field, before any task is read: no
-    traceback and no checkpoint."""
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    code = evalcli.main(["--config", str(path), *flags, "--out", str(tmp_path / "run"),
-                         "train", "--tasks", str(tmp_path / "tasks"), "--mode", "joint"])
-    out, err = capsys.readouterr()
-    assert code == 1 and out == ""
-    err = json.loads(err)["error"]
-    assert err["type"] == "ValueError" and "traceback" not in err
-    assert err["message"].startswith(f"{field} must be ")
-    assert not (tmp_path / "run").exists()
-
-
-@pytest.mark.parametrize("train,flags,seed", [
-    ({"seed": 7}, [], 7),
-    ({"seed": 7}, ["--seed", "3"], 3),
-    ({"mode": "joint"}, [], 0),
-    ({}, ["--seed", "5"], 5),
-], ids=["config-seed", "flag-over-config", "config-mode-agrees", "flag-only"])
-def test_cli_train_takes_the_config_seed_unless_the_flag_is_given(tmp_path, train, flags, seed):
-    """train runs with --seed when it is given, else with the config's
-    train.seed, else with 0, and a config mode equal to --mode is accepted;
-    train_config.json records the seed and mode it ran with."""
-    sets = make_task_sets(2, 1, seed0=300)
-    split = taskgen.SplitSpec(train=["acc00"], dev=[], test=["acc01"])
-    taskgen.write_task_archive(tmp_path / "tasks", sets, split, seed=0)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"model": dataclasses.asdict(MICRO),
-                                  "train": {"dev_eval_tasks": 0, **train}}))
-    code = evalcli.main(["--config", str(config), *flags, "--out", str(tmp_path / "run"),
-                         "train", "--tasks", str(tmp_path / "tasks"), "--mode", "joint",
-                         "--epochs", "1", "--meta-batch", "1"])
-    assert code == 0
-    resolved = json.loads((tmp_path / "run" / "train_config.json").read_text())["train"]
-    assert (resolved["seed"], resolved["mode"]) == (seed, "joint")
+def test_cli_train_refuses_a_degenerate_config_value(cli, config, field, flags):
+    error = _refused(cli, "train", _config(config, field), flags)
+    assert error["type"] == "ValueError" and error["message"].startswith(f"{field} must be ")
 
 
 @pytest.mark.parametrize("argv,field", [
@@ -432,17 +554,9 @@ def test_cli_train_takes_the_config_seed_unless_the_flag_is_given(tmp_path, trai
     (["--accents", "-1"], "n_accents"),
     (["--speakers", "1"], "speakers_per_accent"),
 ], ids=["accents-0", "accents-negative", "speakers-1"])
-def test_cli_synth_corpus_refuses_bad_input_before_writing(tmp_path, capsys, argv, field):
-    flags = {"--accents": "2", "--speakers": "2"}
-    flags.update(zip(argv[::2], argv[1::2]))
-    code = evalcli.main(["--out", str(tmp_path / "corpus"), "synth-corpus",
-                         *[x for kv in flags.items() for x in kv]])
-    out, err = capsys.readouterr()
-    assert code == 1 and out == ""
-    err = json.loads(err)["error"]
-    assert err["type"] == "TaskGenError" and "traceback" not in err
-    assert err["message"].startswith(f"{field} must be ")
-    assert not (tmp_path / "corpus").exists()
+def test_cli_synth_corpus_refuses_bad_input_before_writing(cli, argv, field):
+    error = _refused(cli, "synth-corpus", argv=argv)
+    assert error["type"] == "TaskGenError" and error["message"].startswith(f"{field} must be ")
 
 
 @pytest.mark.parametrize("command,config,key", [
@@ -456,60 +570,18 @@ def test_cli_synth_corpus_refuses_bad_input_before_writing(tmp_path, capsys, arg
     ("train", {"model": {}, "split_counts": [2, 0, 1], "utterance_seconds": 12.5},
      "split_counts, utterance_seconds"),
 ])
-def test_cli_refuses_config_keys_no_command_reads(tmp_path, capsys, command, config, key):
-    """Any top-level key but model and train, the split_counts and
-    utterance_seconds of older files included, exits 1 with a JSON error
-    that names it, before anything is read or written."""
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    argv = {"build-tasks": ["--manifest", str(tmp_path / "manifest.jsonl")],
-            "synth-corpus": ["--accents", "2", "--speakers", "2"],
-            "train": ["--tasks", str(tmp_path / "tasks"), "--mode", "joint"]}[command]
-    code = evalcli.main(["--config", str(path), "--out", str(tmp_path / "out"), command, *argv])
-    out, err = capsys.readouterr()
-    assert code == 1 and out == ""
-    err = json.loads(err)["error"]
-    assert err["type"] == "EvalError" and "traceback" not in err
-    assert err["message"] == f"unknown top-level config keys: {key} (known: model, train)"
-    assert not (tmp_path / "out").exists()
-
-
-def test_one_config_file_serves_every_command(tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "model": {"enc_channels": 4, "enc_kernel": 32, "enc_stride": 16,
-                  "bottleneck_channels": 2, "conv_channels": 4, "kernel": 3,
-                  "blocks_per_stack": 1, "stacks": 1},
-        "train": {"dev_eval_tasks": 0},
-    }))
-    common = ["--seed", "3", "--config", str(config)]
-    assert evalcli.main([*common, "--out", str(tmp_path / "corpus"), "synth-corpus",
-                         "--accents", "3", "--speakers", "2"]) == 0
-    assert evalcli.main([*common, "--out", str(tmp_path / "tasks"), "build-tasks",
-                         "--manifest", str(tmp_path / "corpus" / "manifest.jsonl"),
-                         "--train-accents", "2", "--test-accents", "1"]) == 0
-    assert evalcli.main([*common, "--out", str(tmp_path / "run"), "train", "--tasks",
-                         str(tmp_path / "tasks"), "--mode", "joint", "--epochs", "1"]) == 0
-    capsys.readouterr()
-    resolved = json.loads((tmp_path / "tasks" / "build_tasks_config.json").read_text())
-    assert [len(resolved["split"][k]) for k in ("train", "dev", "test")] == [2, 0, 1]
-    assert (tmp_path / "run" / "checkpoint.msep").is_file()
+def test_cli_refuses_config_keys_no_command_reads(cli, command, config, key):
+    refusal = f"unknown top-level config keys: {key} (known: model, train)"
+    assert _refused(cli, command, _config(config, key)) == {"type": "EvalError", "message": refusal}
 
 
 @pytest.mark.parametrize("value", [5, [1], 0, None], ids=["5", "list", "0", "null"])
 @pytest.mark.parametrize("section", ["model", "train", None])
-def test_train_config_section_must_be_an_object(tmp_path, capsys, section, value):
-    """A "model" or "train" value, or the whole file (section None), that is
-    not a JSON object is refused by name."""
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(value if section is None else {section: value}))
-    code = evalcli.main(["--config", str(config), "--out", str(tmp_path / "run"), "train",
-                         "--tasks", str(tmp_path / "tasks"), "--mode", "joint"])
-    assert code == 1
-    err = json.loads(capsys.readouterr().err)["error"]
-    assert err["type"] == "EvalError" and "traceback" not in err
-    where = str(config) if section is None else repr(section)
-    assert where in err["message"] and "not an object" in err["message"]
+def test_train_config_section_must_be_an_object(cli, section, value):
+    config = _config(value, "@config") if section is None else _config({section: value},
+                                                                        repr(section))
+    error = _refused(cli, "train", config)
+    assert error["type"] == "EvalError" and "not an object" in error["message"]
 
 
 @pytest.mark.parametrize("n_accents,counts,resolved", [
@@ -517,19 +589,10 @@ def test_train_config_section_must_be_an_object(tmp_path, capsys, section, value
     (4, ["--train-accents", 4], "train=4, dev=0, test=0 of 4 accents"),
     (4, ["--dev-accents", 1, "--test-accents", 3], "train=0, dev=1, test=3 of 4 accents"),
 ])
-def test_build_tasks_rejects_degenerate_split(tmp_path, capsys, n_accents, counts, resolved):
-    """A split that places every accent but has no train or no test accent
-    is refused by build-tasks; the split itself allows it."""
-    assert evalcli.main(["--seed", "3", "--out", str(tmp_path / "corpus"), "synth-corpus",
-                         "--accents", str(n_accents), "--speakers", "2"]) == 0
-    capsys.readouterr()
-    code = evalcli.main(["--seed", "3", "--out", str(tmp_path / "tasks"), "build-tasks",
-                         "--manifest", str(tmp_path / "corpus" / "manifest.jsonl"),
-                         *map(str, counts)])
-    assert code == 1
-    err = json.loads(capsys.readouterr().err)["error"]
-    assert err["type"] == "EvalError" and resolved in err["message"]
-    assert not (tmp_path / "tasks" / "tasks.json").exists()
+def test_build_tasks_rejects_degenerate_split(cli, n_accents, counts, resolved):
+    manifest = ["--manifest", "@manifest-2"] if n_accents == 2 else []
+    error = _refused(cli, "build-tasks", argv=[*manifest, *counts])
+    assert error["type"] == "EvalError" and resolved in error["message"]
 
 
 @pytest.mark.parametrize("counts,refusal", [
@@ -544,89 +607,101 @@ def test_build_tasks_rejects_degenerate_split(tmp_path, capsys, n_accents, count
      "(4, 0, 1) must place all 4 accents, but place 5"),
 ], ids=["train-negative", "test-negative", "train-3-of-4", "one-left-out", "test-only",
         "one-too-many"])
-def test_build_tasks_refuses_bad_split_counts(tmp_path, capsys, counts, refusal):
-    """Flag counts are refused by the split when they are not non-negative
-    integers or do not place every accent; a flag not given counts 0."""
-    assert evalcli.main(["--seed", "3", "--out", str(tmp_path / "corpus"), "synth-corpus",
-                         "--accents", "4", "--speakers", "2"]) == 0
-    capsys.readouterr()
-    code = evalcli.main(["--seed", "3", "--out", str(tmp_path / "tasks"), "build-tasks",
-                         "--manifest", str(tmp_path / "corpus" / "manifest.jsonl"),
-                         *map(str, counts)])
-    assert code == 1
-    err = json.loads(capsys.readouterr().err)["error"]
-    assert err["type"] == "TaskGenError" and "traceback" not in err
-    assert err["message"] == f"split counts {refusal}"
-    assert not (tmp_path / "tasks").exists()
+def test_build_tasks_refuses_bad_split_counts(cli, counts, refusal):
+    assert _refused(cli, "build-tasks", argv=counts) == {
+        "type": "TaskGenError", "message": f"split counts {refusal}"}
 
 
-def test_build_tasks_lists_an_unreadable_wav_as_an_issue(tmp_path, capsys):
+@pytest.mark.parametrize("kind", MALFORMED_MANIFEST_LINES)
+def test_build_tasks_refuses_a_malformed_manifest_line(cli, tmp_path, kind):
+    manifest = tmp_path / "manifest.jsonl"
+    write_malformed_manifest(manifest, kind)
+    assert _refused(cli, "build-tasks", argv=["--manifest", manifest]) == {
+        "type": "TaskGenError", "message": f"{manifest} {MALFORMED_MANIFEST_LINES[kind][1]}"}
+
+
+@pytest.mark.parametrize("argv,refusal", [
+    (["--task-index", "-1"], "task index -1 is out of range: accent acc01 has 2 tasks"),
+    (["--task-index", "2"], "task index 2 is out of range: accent acc01 has 2 tasks"),
+    (["--accent", ""], "no test accent '' in the archive"),
+], ids=["-1", "2", "accent-empty"])
+def test_finetune_rejects_task_index_out_of_range(params, test_sets, tmp_path, argv, refusal):
+    assert _run_on_joint_checkpoint(params, test_sets, tmp_path, "finetune", argv) == (1, {
+        "type": "EvalError", "message": refusal})
+
+
+@pytest.mark.parametrize("train,flags,seed", [
+    ({"seed": 7}, [], 7),
+    ({"seed": 7}, ["--seed", "3"], 3),
+    ({"mode": "joint"}, [], 0),
+    ({}, ["--seed", "5"], 5),
+], ids=["config-seed", "flag-over-config", "config-mode-agrees", "flag-only"])
+def test_cli_train_takes_the_config_seed_unless_the_flag_is_given(cli, tmp_path, train, flags,
+                                                                 seed):
+    """train runs with --seed when it is given, else with the config's
+    train.seed, else with 0, and a config mode equal to --mode is accepted;
+    train_config.json records the seed and mode it ran with."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": dataclasses.asdict(MICRO),
+                                  "train": {"dev_eval_tasks": 0, **train}}))
+    assert _contract(["--config", config, *flags, "--out", tmp_path / "run", "train", "--tasks",
+                      cli["tasks"], "--mode", "joint", "--epochs", 1], tmp_path / "run")[0] == 0
+    resolved = json.loads((tmp_path / "run" / "train_config.json").read_text())["train"]
+    assert (resolved["seed"], resolved["mode"]) == (seed, "joint")
+
+
+def test_one_config_file_serves_every_command(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "model": {"enc_channels": 4, "enc_kernel": 32, "enc_stride": 16,
+                  "bottleneck_channels": 2, "conv_channels": 4, "kernel": 3,
+                  "blocks_per_stack": 1, "stacks": 1},
+        "train": {"dev_eval_tasks": 0},
+    }))
+    tasks, checkpoint = ["--tasks", tmp_path / "tasks"], tmp_path / "run" / "checkpoint.msep"
+    for out, argv in [("corpus", ["synth-corpus", "--accents", 3, "--speakers", 2]),
+                      ("tasks", ["build-tasks", "--train-accents", 2, "--test-accents", 1,
+                                 "--manifest", tmp_path / "corpus" / "manifest.jsonl"]),
+                      ("run", ["train", *tasks, "--mode", "joint", "--epochs", 1]),
+                      ("eval", ["evaluate", *tasks, "--checkpoint", checkpoint])]:
+        assert _contract(["--seed", 3, "--config", config, "--out", tmp_path / out, *argv],
+                         tmp_path / out)[0] == 0
+    resolved = json.loads((tmp_path / "tasks" / "build_tasks_config.json").read_text())
+    assert [len(resolved["split"][k]) for k in ("train", "dev", "test")] == [2, 0, 1]
+    assert (tmp_path / "run" / "checkpoint.msep").is_file()
+
+
+def test_build_tasks_lists_an_unreadable_wav_as_an_issue(tmp_path):
     """A manifest entry whose file is not a WAV is dropped with its reason,
     and build-tasks still builds the archive from the rest."""
-    assert evalcli.main(["--seed", "3", "--out", str(tmp_path / "corpus"), "synth-corpus",
-                         "--accents", "2", "--speakers", "2"]) == 0
+    assert _contract(["--seed", 3, "--out", tmp_path / "corpus", "synth-corpus", "--accents", 2,
+                      "--speakers", 2], tmp_path / "corpus")[0] == 0
     manifest = tmp_path / "corpus" / "manifest.jsonl"
-    capsys.readouterr()
     (tmp_path / "corpus" / "audio" / "bad.wav").write_bytes(b"not a RIFF file")
     with manifest.open("a") as f:
         f.write(json.dumps({"accent": "synth01", "speaker_id": "bad",
                             "path": "audio/bad.wav"}) + "\n")
-    assert evalcli.main(["--seed", "3", "--out", str(tmp_path / "tasks"), "build-tasks",
-                         "--manifest", str(manifest), "--train-accents", "1",
-                         "--test-accents", "1"]) == 0
-    assert json.loads(capsys.readouterr().out)["n_tasks"] == 2
+    assert _contract(["--seed", 3, "--out", tmp_path / "tasks", "build-tasks", "--manifest",
+                      manifest, "--train-accents", 1, "--test-accents", 1],
+                     tmp_path / "tasks")[1]["n_tasks"] == 2
     resolved = json.loads((tmp_path / "tasks" / "build_tasks_config.json").read_text())
     assert resolved["issues"] == [f"synth01/bad: {tmp_path / 'corpus' / 'audio' / 'bad.wav'}: "
                                   f"not a WAV file (file does not start with RIFF id)"]
     assert (tmp_path / "tasks" / "tasks.json").is_file()
 
 
-@pytest.mark.parametrize("kind", MALFORMED_MANIFEST_LINES)
-def test_build_tasks_refuses_a_malformed_manifest_line(tmp_path, capsys, kind):
-    manifest = tmp_path / "manifest.jsonl"
-    write_malformed_manifest(manifest, kind)
-    code = evalcli.main(["--out", str(tmp_path / "tasks"), "build-tasks",
-                         "--manifest", str(manifest)])
-    out, err = capsys.readouterr()
-    assert code == 1 and out == ""
-    err = json.loads(err)["error"]
-    assert err["type"] == "TaskGenError" and "traceback" not in err
-    assert err["message"] == f"{manifest} {MALFORMED_MANIFEST_LINES[kind][1]}"
-    assert not (tmp_path / "tasks").exists()
-
-
-@pytest.mark.parametrize("argv,refusal", [
-    (["--task-index", "-1"], "task index -1 is out of range: accent acc00 has 2 tasks"),
-    (["--task-index", "2"], "task index 2 is out of range: accent acc00 has 2 tasks"),
-    (["--accent", ""], "no test accent '' in the archive"),
-], ids=["-1", "2", "accent-empty"])
-def test_finetune_rejects_task_index_out_of_range(params, test_sets, tmp_path, capsys, argv,
-                                                  refusal):
-    """An out-of-range task index, or an accent that names no test accent
-    (the empty string included), is refused."""
-    split = taskgen.SplitSpec(train=[], dev=[], test=[ts.accent for ts in test_sets])
-    taskgen.write_task_archive(tmp_path / "tasks", test_sets, split, seed=0)
-    model.save_checkpoint(tmp_path / "ck.msep", params, MICRO, CKPT_EXTRA)
-    code = evalcli.main(["--out", str(tmp_path / "ft"), "finetune",
-                         "--checkpoint", str(tmp_path / "ck.msep"),
-                         "--tasks", str(tmp_path / "tasks"), *argv])
-    assert code == 1
-    err = json.loads(capsys.readouterr().err)["error"]
-    assert err["type"] == "EvalError" and err["message"] == refusal
-    assert not (tmp_path / "ft").exists()
-
-
-def _run_on_joint_checkpoint(params, test_sets, tmp_path, command, argv) -> int:
-    """Runs `command` on an archive of test_sets (the first accent for
-    training) and a joint checkpoint of params, with output into tmp_path/out."""
+def _run_on_joint_checkpoint(params, test_sets, tmp_path, command, argv) -> tuple[int, dict]:
+    """Runs `command` under the CLI contract on an archive of test_sets (the
+    first accent for training) and a joint checkpoint of params, with output
+    into tmp_path/out."""
     accents = [ts.accent for ts in test_sets]
     split = taskgen.SplitSpec(train=accents[:1], dev=[], test=accents[1:])
     taskgen.write_task_archive(tmp_path / "tasks", test_sets, split, seed=0)
     model.save_checkpoint(tmp_path / "ck.msep", params, MICRO,
                           {"mode": "joint", "train_accents": accents[:1]})
-    checkpoint = [] if command == "train" else ["--checkpoint", str(tmp_path / "ck.msep")]
-    return evalcli.main(["--out", str(tmp_path / "out"), command, *checkpoint,
-                         "--tasks", str(tmp_path / "tasks"), *argv])
+    checkpoint = [] if command == "train" else ["--checkpoint", tmp_path / "ck.msep"]
+    return _contract(["--out", tmp_path / "out", command, *checkpoint, "--tasks",
+                      tmp_path / "tasks", *argv], tmp_path / "out")
 
 
 @pytest.mark.parametrize("command,argv,refusal", [
@@ -636,13 +711,11 @@ def _run_on_joint_checkpoint(params, test_sets, tmp_path, command, argv) -> int:
     ("train", ["--mode", "fomaml", "--inner-lr", "nan"], "inner_lr must be finite, got nan"),
     ("sweep-beta", ["--grid", ""], "grid '' is not a comma-separated list of rates"),
 ])
-def test_cli_refuses_non_finite_rates(params, test_sets, tmp_path, capsys, work_counts,
-                                      command, argv, refusal):
-    assert _run_on_joint_checkpoint(params, test_sets, tmp_path, command, argv) == 1
-    err = json.loads(capsys.readouterr().err)["error"]
-    assert err["message"] == refusal and "traceback" not in err
+def test_cli_refuses_non_finite_rates(params, test_sets, tmp_path, work_counts, command, argv,
+                                      refusal):
+    code, error = _run_on_joint_checkpoint(params, test_sets, tmp_path, command, argv)
+    assert code == 1 and error["message"] == refusal
     assert work_counts["grad"] == 0 and not work_counts["mixtures"]
-    assert not (tmp_path / "out").exists()
 
 
 def _overflow_refusal(task: str, command: str) -> str:
@@ -661,13 +734,9 @@ def _refuses_overflow_quietly(api, command: str):
     assert str(refused.value) == _overflow_refusal("acc00/s200a+s200b", command)
 
 
-def _cli_refuses_overflow(params, test_sets, tmp_path, capsys, command, argv):
-    code = _run_on_joint_checkpoint(params, test_sets, tmp_path, command, argv)
-    out, err = capsys.readouterr()
-    assert code == 1 and out == ""
-    assert json.loads(err)["error"] == {
-        "type": "ValueError", "message": _overflow_refusal("acc01/s202a+s202b", command)}
-    assert not (tmp_path / "out").exists()
+def _cli_refuses_overflow(params, test_sets, tmp_path, command, argv):
+    assert _run_on_joint_checkpoint(params, test_sets, tmp_path, command, argv) == (1, {
+        "type": "ValueError", "message": _overflow_refusal("acc01/s202a+s202b", command)})
 
 
 def test_overflowing_rate_aborts_meta_test_and_sweep(params, test_sets):
@@ -686,8 +755,8 @@ def test_overflowing_rate_aborts_meta_test_and_sweep(params, test_sets):
     ("evaluate", ["--beta", "1e300"]),
     ("sweep-beta", ["--grid", "1e300,0.01"]),
 ])
-def test_cli_refuses_an_overflowing_rate(params, test_sets, tmp_path, capsys, command, argv):
-    _cli_refuses_overflow(params, test_sets, tmp_path, capsys, command, argv)
+def test_cli_refuses_an_overflowing_rate(params, test_sets, tmp_path, command, argv):
+    _cli_refuses_overflow(params, test_sets, tmp_path, command, argv)
 
 
 def test_overflowing_rate_aborts_finetune(params, test_sets):
@@ -698,8 +767,8 @@ def test_overflowing_rate_aborts_finetune(params, test_sets):
                                        noisy=True), "finetune")
 
 
-def test_cli_finetune_refuses_an_overflowing_rate(params, test_sets, tmp_path, capsys):
-    _cli_refuses_overflow(params, test_sets, tmp_path, capsys, "finetune", ["--beta", "1e300"])
+def test_cli_finetune_refuses_an_overflowing_rate(params, test_sets, tmp_path):
+    _cli_refuses_overflow(params, test_sets, tmp_path, "finetune", ["--beta", "1e300"])
 
 
 # ---------------------------------------------------------------------------

@@ -464,3 +464,25 @@ def test_task_archive_rejects_foreign_dir(tmp_path):
     (tmp_path / "tasks.json").write_text(json.dumps({"format": "other"}))
     with pytest.raises(taskgen.TaskGenError):
         taskgen.load_task_archive(tmp_path)
+
+
+@pytest.mark.parametrize("index,reason", [
+    ("nope", "Expecting value: line 1 column 1 (char 0)"),
+    ('{"format": "metasep-tasks-v1"}', "no key 'accents'"),
+    ("[]", "its tasks.json is not a metasep-tasks-v1 index"),
+    (None, "no key 'seg_files_a'"),
+], ids=["not-json", "no-accents", "list", "task-without-seg-files-a"])
+def test_task_archive_refuses_a_malformed_index_by_name(tmp_path, index, reason):
+    """A tasks.json that is not JSON, not an object or lacks a key (None: the
+    written index without its first task's seg_files_a) is refused with a
+    TaskGenError that names the archive."""
+    split = taskgen.SplitSpec(train=["acc"], dev=[], test=[])
+    path = taskgen.write_task_archive(tmp_path, _fake_sets({"acc": 1}), split, seed=0)
+    if index is None:
+        index = json.loads(path.read_text())
+        del index["accents"][0]["tasks"][0]["seg_files_a"]
+        index = json.dumps(index)
+    path.write_text(index)
+    refusal = f"{tmp_path}: not a metasep task archive ({reason})"
+    with pytest.raises(taskgen.TaskGenError, match=f"^{re.escape(refusal)}$"):
+        taskgen.load_task_archive(tmp_path)
