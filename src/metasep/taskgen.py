@@ -68,8 +68,8 @@ def read_manifest(path) -> list[dict]:
             continue
         try:
             e = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise TaskGenError(f"{path} line {n}: not JSON ({err.msg})") from None
+        except (json.JSONDecodeError, RecursionError) as err:  # not JSON, or nested too deep
+            raise TaskGenError(f"{path} line {n}: not JSON ({getattr(err, 'msg', err)})") from None
         if not isinstance(e, dict) or not all(
                 isinstance(e.get(k), str) for k in ("accent", "speaker_id", "path")):
             raise TaskGenError(f"{path} line {n}: {line} is not an object with string "
@@ -432,10 +432,13 @@ def write_task_archive(out_dir, task_sets, split: SplitSpec, seed: int) -> Path:
     return path
 
 
+TASK_KEYS = ("speakers", "seg_files_a", "seg_files_b", "seg_indices_a", "seg_indices_b",
+             "snr_db", "support", "noise_seed", "query")
+
+
 def load_task_archive(archive_dir) -> tuple[list[AccentTaskSet], SplitSpec, dict]:
     """The archive's task sets, split and seed. A tasks.json that is not the
-    index `write_task_archive` writes is refused with a TaskGenError naming
-    the archive; a missing file keeps its OSError."""
+    index `write_task_archive` writes is a TaskGenError naming the archive."""
     archive_dir = Path(archive_dir)
     cache: dict[str, np.ndarray] = {}
 
@@ -449,30 +452,29 @@ def load_task_archive(archive_dir) -> tuple[list[AccentTaskSet], SplitSpec, dict
         index = json.loads((archive_dir / "tasks.json").read_text(encoding="utf-8"))
         if not isinstance(index, dict) or index.get("format") != "metasep-tasks-v1":
             raise ValueError("its tasks.json is not a metasep-tasks-v1 index")
-        task_sets = []
-        for acc in index["accents"]:
-            tasks = []
-            for t in acc["tasks"]:
-                task = MetaTask(
-                    accent=acc["accent"],
-                    speakers=tuple(t["speakers"]),
-                    segments_a=tuple(load_seg(n) for n in t["seg_files_a"]),
-                    segments_b=tuple(load_seg(n) for n in t["seg_files_b"]),
-                    seg_indices_a=tuple(t["seg_indices_a"]),
-                    seg_indices_b=tuple(t["seg_indices_b"]),
-                    snr_grid=np.array(t["snr_db"]),
-                    support_index=t["support"],
-                    noise_seed=t["noise_seed"],
-                )
-                # the query set follows from the support index; an archive that
-                # says otherwise was edited or written by something else
-                if tuple(t["query"]) != task.query_indices:
-                    raise ValueError(
-                        f"query indices {t['query']} must be the segment-disjoint mixtures "
-                        f"{list(task.query_indices)} for support {task.support_index}")
-                tasks.append(task)
-            task_sets.append(AccentTaskSet(accent=acc["accent"], tasks=tasks))
-        return task_sets, SplitSpec(**index["split"]), {"seed": index["seed"]}
-    except (ValueError, LookupError, TypeError, AttributeError, RecursionError) as err:
+        accents = [(acc["accent"], [{k: t[k] for k in TASK_KEYS} for t in acc["tasks"]])
+                   for acc in index["accents"]]
+        split, seed = SplitSpec(**index["split"]), index["seed"]
+    except (ValueError, LookupError, TypeError, RecursionError) as err:
         reason = f"no key {err}" if isinstance(err, KeyError) else err
         raise TaskGenError(f"{archive_dir}: not a metasep task archive ({reason})") from None
+    task_sets = []
+    for accent, entries in accents:
+        tasks = []
+        for t in entries:
+            task = MetaTask(
+                accent=accent, speakers=tuple(t["speakers"]),
+                segments_a=tuple(load_seg(n) for n in t["seg_files_a"]),
+                segments_b=tuple(load_seg(n) for n in t["seg_files_b"]),
+                seg_indices_a=tuple(t["seg_indices_a"]), seg_indices_b=tuple(t["seg_indices_b"]),
+                snr_grid=np.array(t["snr_db"]), support_index=t["support"],
+                noise_seed=t["noise_seed"])
+            # the query set follows from the support index; an archive that
+            # says otherwise was edited or written by something else
+            if tuple(t["query"]) != task.query_indices:
+                raise TaskGenError(f"{archive_dir}: not a metasep task archive (query indices "
+                                   f"{t['query']} must be the segment-disjoint mixtures "
+                                   f"{list(task.query_indices)} for support {task.support_index})")
+            tasks.append(task)
+        task_sets.append(AccentTaskSet(accent=accent, tasks=tasks))
+    return task_sets, split, {"seed": seed}

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -300,16 +301,17 @@ def _contract(argv, out: Path) -> tuple[int, dict]:
     return 1, error["error"]
 
 
-CLI_CONFIG = {"model": dataclasses.asdict(MICRO), "train": {"dev_eval_tasks": 0, "epochs": 1}}
+CLI_CONFIG = {"model": dataclasses.asdict(MICRO), "train": {"dev_eval_tasks": 1, "epochs": 1}}
 ARCHIVES = {"nope": "nope", "format": '{"format": "metasep-tasks-v1"}', "list": "[]"}
 
 
 @pytest.fixture(scope="module")
 def cli(tmp_path_factory) -> dict:
-    """What a run names with "@": 4 x 2 and 2 x 2 synthetic corpora, a 2/0/2
-    archive and a joint MICRO checkpoint, all written through main, and broken
-    inputs: a missing path, an empty directory, a manifest with a malformed
-    line, four malformed archives and an existing file for --out."""
+    """What a run names with "@": 4 x 2 and 2 x 2 synthetic corpora, a 2/1/1
+    archive and a joint MICRO checkpoint trained with dev scoring, all written
+    through main (their outputs under "outputs"), and broken inputs: a missing
+    path, an empty directory, a manifest with a malformed line, four malformed
+    archives and an existing file for --out."""
     root = tmp_path_factory.mktemp("cli")
     cli = {name: root / path for name, path in [
         ("root", ""), ("fresh", "out"), ("config", "config.json"), ("missing", "missing"),
@@ -318,13 +320,16 @@ def cli(tmp_path_factory) -> dict:
         ("empty", "empty"), ("bad-manifest", "bad.jsonl"), ("out-file", "out-file"),
         *[(name, name) for name in [*ARCHIVES, "no-seg-files-a"]]]}
     cli["config"].write_text(json.dumps(CLI_CONFIG))
+    cli["outputs"] = {}
     for out, argv in [("corpus", ["synth-corpus", "--accents", 4, "--speakers", 2]),
                       ("corpus-2", ["synth-corpus", "--accents", 2, "--speakers", 2]),
-                      ("tasks", ["build-tasks", "--manifest", cli["manifest"],
-                                 "--train-accents", 2, "--test-accents", 2]),
+                      ("tasks", ["build-tasks", "--manifest", cli["manifest"], "--train-accents",
+                                 2, "--dev-accents", 1, "--test-accents", 1]),
                       ("run", ["--config", cli["config"], "train", "--tasks", cli["tasks"],
-                               "--mode", "joint"])]:
-        assert _contract(["--seed", 3, "--out", root / out, *argv], root / out)[0] == 0
+                               "--mode", "joint", "--meta-batch", 2])]:
+        code, result = _contract(["--seed", 3, "--out", root / out, *argv], root / out)
+        assert code == 0, result
+        cli["outputs"][out] = result
     cli["empty"].mkdir()
     cli["out-file"].write_text("kept as it is")
     write_malformed_manifest(cli["bad-manifest"], "list")
@@ -356,7 +361,8 @@ FLAGS = {
     "train": {**ARCHIVE, "--mode": ("joint", (None, "fomaml", "maml", "text"), ()),
               "--epochs": ("1", (None, *BAD), ("epochs",)),
               "--meta-batch": (None, ("2", *BAD), ("meta_batch",)),
-              "--inner-lr": (None, RATE, ("inner_lr",)), "--outer-lr": (None, RATE, ("outer_lr",))},
+              "--inner-lr": (None, RATE, ("inner_lr",)),
+              "--outer-lr": (None, RATE, ("outer_lr",))},
     "evaluate": {**CHECKPOINT, **BETA},
     "finetune": {**CHECKPOINT, **BETA, "--task-index": (None, ("1", *BAD), ("task index",)),
                  "--accent": (None, ("synth00", "synth01", "synth02", "synth03", "", "text"),
@@ -373,8 +379,12 @@ DRAWN_KEYS = {"model": [f.name for f in dataclasses.fields(SeparatorConfig)] + [
 
 
 def _config(content, *words) -> tuple[bytes, tuple]:
-    """A config file of content's JSON, whose refusal may name one of words
-    ("@config" stands for the file's path)."""
+    """A config file of content's JSON, whose refusal may name one of words:
+    by default its keys at both levels, or "@config" (the file's path) when
+    it is no object."""
+    if not words:
+        words = (*content, *(k for v in content.values() if isinstance(v, dict) for k in v)) \
+            if isinstance(content, dict) else ("@config",)
     return json.dumps(content).encode(), words
 
 
@@ -473,8 +483,12 @@ def test_every_command_refuses_a_config_that_train_refuses(cli, config):
 
 
 def test_cli_full_pipeline(cli, tmp_path):
-    """On the corpus, archive and checkpoint that the fixture wrote through
-    main, evaluate, finetune and sweep-beta write their reports."""
+    """The fixture's pipeline built 4 tasks, one per accent, and trained on its
+    2 train accents scoring its dev accent; evaluate, finetune and sweep-beta
+    score the test accent with the checkpoint."""
+    assert cli["outputs"]["tasks"]["n_tasks"] == 4 and not cli["outputs"]["run"]["aborted"]
+    (log,) = map(json.loads, (cli["root"] / "run" / "train_log.jsonl").read_text().splitlines())
+    assert math.isfinite(log["dev_si_snri"])
     assert (cli["root"] / "run" / "train_config.json").is_file()
     scored = ["--checkpoint", cli["checkpoint"], "--tasks", cli["tasks"]]
     out = {command: _contract(["--out", tmp_path / command, command, *scored, *argv],
@@ -489,8 +503,10 @@ def test_cli_full_pipeline(cli, tmp_path):
 
 
 def _refused(cli, command, config=NO_CONFIG, argv=()) -> dict:
-    """The error object of a run (argv: flags and their values) that is refused."""
+    """The error object of a run, with config the content of its config file
+    and argv its flags and their values, that is refused."""
     values = [v if isinstance(v, Path) else str(v) for v in argv[1::2]]
+    config = config if config is NO_CONFIG else _config(config)
     code, error = _check_run(cli, (command, config, dict(zip(argv[::2], values))))
     assert code == 1, error
     return error
@@ -500,6 +516,10 @@ def test_cli_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exited:
         evalcli.main(["train", "--help"])
     assert exited.value.code == 0 and "usage: metasep train" in capsys.readouterr().out
+
+
+# Each case below is one run of the property's contract, with its type and the
+# part of its message that no API test pins.
 
 
 def test_cli_error_is_machine_readable(cli):
@@ -513,8 +533,8 @@ def test_cli_error_is_machine_readable(cli):
     ("model", "num_sources", 2),
 ])
 def test_train_config_rejects_unknown_keys(cli, section, key, value):
-    error = _refused(cli, "train", _config({section: {key: value}}, key))
-    assert error["type"] == "EvalError" and repr(section) in error["message"]
+    assert _refused(cli, "train", {section: {key: value}}) == {
+        "type": "EvalError", "message": f"unknown {section!r} config keys: {key}"}
 
 
 @pytest.mark.parametrize("argv,config", [
@@ -524,39 +544,34 @@ def test_train_config_rejects_unknown_keys(cli, section, key, value):
     ([], {"train": {"meta_batch": 1.5}}),
 ], ids=["meta-batch-0", "epochs-negative", "dev-eval-tasks-negative", "meta-batch-fraction"])
 def test_cli_train_refuses_degenerate_counts(cli, argv, config):
-    error = _refused(cli, "train", _config(config, *config.get("train", ())), argv)
-    assert error["type"] == "ValueError" and "must be an integer of at least" in error["message"]
+    assert _refused(cli, "train", config, argv)["type"] == "ValueError"
 
 
-@pytest.mark.parametrize("config,field,flags", [
-    ({"model": {"kernel": 2}}, "kernel", []),
-    ({"model": {"kernel": 3.0}}, "kernel", []),
-    ({"model": {"enc_channels": 2.5}}, "enc_channels", []),
-    ({"model": {"stacks": True}}, "stacks", []),
-    ({"train": {"weight_decay": -5}}, "weight_decay", []),
-    ({"train": {"outer_lr": "0.01"}}, "outer_lr", []),
-    ({"train": {"outer_lr": 0.0}}, "outer_lr", []),
-    ({"train": {"inner_lr": -1.0}}, "inner_lr", []),
-    ({"train": {"noise": "no"}}, "noise", []),
-    ({}, "seed", ["--seed", "-1"]),
-    ({"train": {"seed": -1}}, "seed", []),
-    ({"train": {"mode": "maml"}}, "mode", []),
+@pytest.mark.parametrize("config,flags", [
+    ({"model": {"kernel": 2}}, []),
+    ({"model": {"kernel": 3.0}}, []),
+    ({"model": {"enc_channels": 2.5}}, []),
+    ({"model": {"stacks": True}}, []),
+    ({"train": {"weight_decay": -5}}, []),
+    ({"train": {"outer_lr": "0.01"}}, []),
+    ({"train": {"outer_lr": 0.0}}, []),
+    ({"train": {"inner_lr": -1.0}}, []),
+    ({"train": {"noise": "no"}}, []),
+    ({}, ["--seed", "-1"]),
+    ({"train": {"seed": -1}}, []),
+    ({"train": {"mode": "maml"}}, []),
 ], ids=["kernel-even", "kernel-float", "enc-channels-float", "stacks-bool",
         "weight-decay-negative", "outer-lr-string", "outer-lr-zero", "inner-lr-negative",
         "noise-string", "seed-negative", "config-seed-negative", "config-mode-differs"])
-def test_cli_train_refuses_a_degenerate_config_value(cli, config, field, flags):
-    error = _refused(cli, "train", _config(config, field), flags)
-    assert error["type"] == "ValueError" and error["message"].startswith(f"{field} must be ")
+def test_cli_train_refuses_a_degenerate_config_value(cli, config, flags):
+    error = _refused(cli, "train", config, flags)
+    assert error["type"] == "ValueError" and " must be " in error["message"]
 
 
-@pytest.mark.parametrize("argv,field", [
-    (["--accents", "0"], "n_accents"),
-    (["--accents", "-1"], "n_accents"),
-    (["--speakers", "1"], "speakers_per_accent"),
-], ids=["accents-0", "accents-negative", "speakers-1"])
-def test_cli_synth_corpus_refuses_bad_input_before_writing(cli, argv, field):
-    error = _refused(cli, "synth-corpus", argv=argv)
-    assert error["type"] == "TaskGenError" and error["message"].startswith(f"{field} must be ")
+@pytest.mark.parametrize("argv", [["--accents", "0"], ["--accents", "-1"], ["--speakers", "1"]],
+                         ids=["accents-0", "accents-negative", "speakers-1"])
+def test_cli_synth_corpus_refuses_bad_input_before_writing(cli, argv):
+    assert _refused(cli, "synth-corpus", argv=argv)["type"] == "TaskGenError"
 
 
 @pytest.mark.parametrize("command,config,key", [
@@ -572,15 +587,13 @@ def test_cli_synth_corpus_refuses_bad_input_before_writing(cli, argv, field):
 ])
 def test_cli_refuses_config_keys_no_command_reads(cli, command, config, key):
     refusal = f"unknown top-level config keys: {key} (known: model, train)"
-    assert _refused(cli, command, _config(config, key)) == {"type": "EvalError", "message": refusal}
+    assert _refused(cli, command, config) == {"type": "EvalError", "message": refusal}
 
 
 @pytest.mark.parametrize("value", [5, [1], 0, None], ids=["5", "list", "0", "null"])
 @pytest.mark.parametrize("section", ["model", "train", None])
 def test_train_config_section_must_be_an_object(cli, section, value):
-    config = _config(value, "@config") if section is None else _config({section: value},
-                                                                        repr(section))
-    error = _refused(cli, "train", config)
+    error = _refused(cli, "train", value if section is None else {section: value})
     assert error["type"] == "EvalError" and "not an object" in error["message"]
 
 
@@ -595,29 +608,26 @@ def test_build_tasks_rejects_degenerate_split(cli, n_accents, counts, resolved):
     assert error["type"] == "EvalError" and resolved in error["message"]
 
 
-@pytest.mark.parametrize("counts,refusal", [
-    (["--train-accents", -1, "--dev-accents", 2, "--test-accents", 3],
-     "(-1, 2, 3) must be three non-negative integers (train, dev, test)"),
-    (["--test-accents", -2], "(0, 0, -2) must be three non-negative integers (train, dev, test)"),
-    (["--train-accents", 3], "(3, 0, 0) must place all 4 accents, but place 3"),
-    (["--train-accents", 2, "--test-accents", 1],
-     "(2, 0, 1) must place all 4 accents, but place 3"),
-    (["--test-accents", 1], "(0, 0, 1) must place all 4 accents, but place 1"),
-    (["--train-accents", 4, "--test-accents", 1],
-     "(4, 0, 1) must place all 4 accents, but place 5"),
+@pytest.mark.parametrize("counts,resolved", [
+    (["--train-accents", -1, "--dev-accents", 2, "--test-accents", 3], "(-1, 2, 3)"),
+    (["--test-accents", -2], "(0, 0, -2)"),
+    (["--train-accents", 3], "(3, 0, 0)"),
+    (["--train-accents", 2, "--test-accents", 1], "(2, 0, 1)"),
+    (["--test-accents", 1], "(0, 0, 1)"),
+    (["--train-accents", 4, "--test-accents", 1], "(4, 0, 1)"),
 ], ids=["train-negative", "test-negative", "train-3-of-4", "one-left-out", "test-only",
         "one-too-many"])
-def test_build_tasks_refuses_bad_split_counts(cli, counts, refusal):
-    assert _refused(cli, "build-tasks", argv=counts) == {
-        "type": "TaskGenError", "message": f"split counts {refusal}"}
+def test_build_tasks_refuses_bad_split_counts(cli, counts, resolved):
+    error = _refused(cli, "build-tasks", argv=counts)
+    assert error["type"] == "TaskGenError"
+    assert error["message"].startswith(f"split counts {resolved} must ")
 
 
 @pytest.mark.parametrize("kind", MALFORMED_MANIFEST_LINES)
 def test_build_tasks_refuses_a_malformed_manifest_line(cli, tmp_path, kind):
-    manifest = tmp_path / "manifest.jsonl"
-    write_malformed_manifest(manifest, kind)
-    assert _refused(cli, "build-tasks", argv=["--manifest", manifest]) == {
-        "type": "TaskGenError", "message": f"{manifest} {MALFORMED_MANIFEST_LINES[kind][1]}"}
+    write_malformed_manifest(tmp_path / "manifest.jsonl", kind)
+    error = _refused(cli, "build-tasks", argv=["--manifest", tmp_path / "manifest.jsonl"])
+    assert error["type"] == "TaskGenError"
 
 
 @pytest.mark.parametrize("argv,refusal", [
@@ -650,25 +660,11 @@ def test_cli_train_takes_the_config_seed_unless_the_flag_is_given(cli, tmp_path,
     assert (resolved["seed"], resolved["mode"]) == (seed, "joint")
 
 
-def test_one_config_file_serves_every_command(tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "model": {"enc_channels": 4, "enc_kernel": 32, "enc_stride": 16,
-                  "bottleneck_channels": 2, "conv_channels": 4, "kernel": 3,
-                  "blocks_per_stack": 1, "stacks": 1},
-        "train": {"dev_eval_tasks": 0},
-    }))
-    tasks, checkpoint = ["--tasks", tmp_path / "tasks"], tmp_path / "run" / "checkpoint.msep"
-    for out, argv in [("corpus", ["synth-corpus", "--accents", 3, "--speakers", 2]),
-                      ("tasks", ["build-tasks", "--train-accents", 2, "--test-accents", 1,
-                                 "--manifest", tmp_path / "corpus" / "manifest.jsonl"]),
-                      ("run", ["train", *tasks, "--mode", "joint", "--epochs", 1]),
-                      ("eval", ["evaluate", *tasks, "--checkpoint", checkpoint])]:
-        assert _contract(["--seed", 3, "--config", config, "--out", tmp_path / out, *argv],
-                         tmp_path / out)[0] == 0
-    resolved = json.loads((tmp_path / "tasks" / "build_tasks_config.json").read_text())
-    assert [len(resolved["split"][k]) for k in ("train", "dev", "test")] == [2, 0, 1]
-    assert (tmp_path / "run" / "checkpoint.msep").is_file()
+def test_one_config_file_serves_every_command(cli):
+    """One file with a model and a train section, given to every command at
+    its fixture inputs and default flags, is accepted by each."""
+    for command in FLAGS:
+        assert _check_run(cli, (command, _config(CLI_CONFIG), {}))[0] == 0, command
 
 
 def test_build_tasks_lists_an_unreadable_wav_as_an_issue(tmp_path):
@@ -839,16 +835,22 @@ def test_failed_artifact_write_keeps_previous_file(params, test_sets, tmp_path,
     assert _snapshot(tmp_path) == previous  # byte-identical, no temporary left
 
 
+def _probe(code: str, preset=None, unset=r".*_NUM_THREADS", timeout=60):
+    """Runs code in a new interpreter that imports metasep from this source
+    tree, without the environment variables whose names match unset and
+    with preset's NAME=value pairs."""
+    env = {k: v for k, v in os.environ.items() if not (unset and re.fullmatch(unset, k))}
+    env["PYTHONPATH"] = str(Path(metasep.__file__).resolve().parents[1])
+    env.update(kv.split("=", 1) for kv in (preset or "").split())
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=timeout, check=True)
+
+
 @pytest.mark.parametrize("preset", [None, "2"])
 def test_import_pins_blas_threads_unless_set(preset):
-    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
-    env["PYTHONPATH"] = str(Path(metasep.__file__).resolve().parents[1])
-    if preset is not None:
-        env["OPENBLAS_NUM_THREADS"] = preset
-    out = subprocess.run(
-        [sys.executable, "-c", "import os, metasep; print(os.environ['OPENBLAS_NUM_THREADS'], "
-         "os.environ['OMP_NUM_THREADS'], os.environ['MKL_NUM_THREADS'])"],
-        env=env, capture_output=True, text=True, timeout=60, check=True).stdout.split()
+    out = _probe("import os, metasep; print(os.environ['OPENBLAS_NUM_THREADS'], "
+                 "os.environ['OMP_NUM_THREADS'], os.environ['MKL_NUM_THREADS'])",
+                 preset and f"OPENBLAS_NUM_THREADS={preset}").stdout.split()
     assert out == [preset or "1", "1", "1"]
 
 
@@ -858,11 +860,7 @@ def test_import_pins_blas_threads_unless_set(preset):
     ("metasep, numpy", None, False),
 ], ids=["numpy-first", "numpy-first-with-setting", "metasep-first"])
 def test_import_warns_when_the_blas_pin_cannot_take_effect(order, preset, warns):
-    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
-    env["PYTHONPATH"] = str(Path(metasep.__file__).resolve().parents[1])
-    env.update(kv.split("=", 1) for kv in (preset or "").split())
-    err = subprocess.run([sys.executable, "-c", f"import {order}"], env=env,
-                         capture_output=True, text=True, timeout=60, check=True).stderr
+    err = _probe(f"import {order}", preset).stderr
     assert ("RuntimeWarning: numpy was imported before metasep" in err) == warns, err
 
 
@@ -884,10 +882,8 @@ print("concurrent.futures" in sys.modules)
 def test_sweep_and_meta_gradient_leave_concurrent_futures_unloaded():
     """The two-thread map needs no thread pool, so neither concurrent.futures
     nor the logging it loads is imported."""
-    env = dict(os.environ, PYTHONPATH=str(Path(metasep.__file__).resolve().parents[1]))
     probe = _SWEEP_PROBE.format(tests=str(Path(__file__).resolve().parent))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, timeout=120, check=True).stdout.split()
+    out = _probe(probe, unset=None, timeout=120).stdout.split()
     assert out == ["False"]
 
 
@@ -911,12 +907,7 @@ print(*faults)
 def test_import_keeps_freed_pages_unless_set(preset):
     """After importing metasep, freeing and reallocating arrays of a few MB
     faults no page in again; an explicit allocator setting wins."""
-    env = {k: v for k, v in os.environ.items()
-           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
-    env["PYTHONPATH"] = str(Path(metasep.__file__).resolve().parents[1])
-    env.update(kv.split("=", 1) for kv in (preset or "").split())
-    out = subprocess.run([sys.executable, "-c", _REFAULT_PROBE], env=env, capture_output=True,
-                         text=True, timeout=60, check=True).stdout.split()
+    out = _probe(_REFAULT_PROBE, preset, unset=r"MALLOC_.*|GLIBC_TUNABLES").stdout.split()
     refaults = max(map(int, out[1:]))  # the first round faults its pages in once
     if preset is None:
         assert refaults < 100, out
@@ -946,12 +937,7 @@ def test_import_shares_one_arena_across_threads_unless_set(preset):
     """After importing metasep, the main thread reuses the pages that another
     thread's arrays freed instead of faulting in its own; an explicit arena
     setting wins."""
-    env = {k: v for k, v in os.environ.items()
-           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
-    env["PYTHONPATH"] = str(Path(metasep.__file__).resolve().parents[1])
-    env.update(kv.split("=", 1) for kv in (preset or "").split())
-    out = subprocess.run([sys.executable, "-c", _ARENA_PROBE], env=env, capture_output=True,
-                         text=True, timeout=60, check=True).stdout.split()
+    out = _probe(_ARENA_PROBE, preset, unset=r"MALLOC_.*|GLIBC_TUNABLES").stdout.split()
     faults = int(out[0])
     if preset is None:
         assert faults < 100, out

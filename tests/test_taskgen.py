@@ -166,6 +166,8 @@ MALFORMED_MANIFEST_LINES = {
                     'line 3: {"accent": "a", "speaker_id": "s", "path": 5} is not an '
                     'object with string accent, speaker_id and path'),
     "not-json": ("not json", "line 3: not JSON (Expecting value)"),
+    "nested": ("[" * 10**5, "line 3: not JSON (maximum recursion depth exceeded while decoding "
+                            "a JSON array from a unicode string)"),
 }
 
 
