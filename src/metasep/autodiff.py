@@ -19,7 +19,12 @@ Design constraints honored throughout:
 * convolution, its input-gradient (transposed convolution) and its
   weight-gradient form a closed triple: each one's VJP is expressed with the
   other two, so arbitrarily high derivative orders stay exact. conv1d adds
-  a channel bias into its fresh output, so no graph keeps a pre-bias array,
+  a channel bias and an addend (the separator's residual and skip sums)
+  into its fresh output, so no graph keeps a pre-bias or pre-sum array; the
+  addend is its first parent, and its VJP passes the cotangent through to
+  it, as add's does,
+* sigmoid's VJP is one ``sigmoid_grad`` node, whose VJP records one node
+  per input, with the bits of the four-node chain it stands for,
 * a first-order :func:`grad` (``create_graph=False``) consumes the graph it
   walks: each node drops its parents and its VJP as soon as the VJP has run,
   so an activation is freed once the backward has passed it, and a later
@@ -291,12 +296,50 @@ def sigmoid(a: Tensor) -> Tensor:
     y /= np.add(e, 1.0, out=e)
 
     def vjp(g):
-        y_out = ref()
-        return (mul(g, mul(y_out, add_constant(neg(y_out), 1.0))),)
+        return (_sigmoid_grad(g, ref()),)
 
     out = _node("sigmoid", y, (a,), vjp)
     ref = weakref.ref(out)
     return out
+
+
+def _sigmoid_grad(g: Tensor, y: Tensor) -> Tensor:
+    """g * (y * (1 - y)), sigmoid's VJP for a cotangent g of its output y, as
+    one node with the bits of mul(g, mul(y, add_constant(neg(y), 1)))."""
+    _same_shape("sigmoid_grad", g, y)
+    out = np.negative(y.data, out=np.empty(y.data.shape))  # an array even when 0-d
+    out += 1.0
+    out *= y.data
+    out *= g.data
+
+    def vjp(c):
+        return (_sigmoid_grad(c, y) if g.requires_grad else None,
+                _sigmoid_grad_y(c, g, y) if y.requires_grad else None)
+
+    return _node("sigmoid_grad", out, (g, y), vjp)
+
+
+def _sigmoid_grad_y(c: Tensor, g: Tensor, y: Tensor) -> Tensor:
+    """y's cotangent for a cotangent c of _sigmoid_grad(g, y), as one node:
+    (c g)(1 - y) + (-((c g) y)), the two terms and their sum with the bits of
+    a walk through mul(g, mul(y, add_constant(neg(y), 1))). It holds two
+    arrays of y's shape at once."""
+    _same_shape("sigmoid_grad_y", c, g)
+    _same_shape("sigmoid_grad_y", c, y)
+    cg = np.multiply(c.data, g.data, out=np.empty(y.data.shape))  # arrays even when 0-d
+    out = np.negative(y.data, out=np.empty(y.data.shape))
+    out += 1.0
+    out *= cg
+    cg *= y.data
+    out += np.negative(cg, out=cg)
+
+    def vjp(e):
+        h = mul(e, add_constant(scalar_mul(-2.0, y), 1.0))  # the value is c g (1 - 2 y)
+        return (mul(h, g) if c.requires_grad else None,
+                mul(h, c) if g.requires_grad else None,
+                scalar_mul(-2.0, mul(e, mul(c, g))) if y.requires_grad else None)
+
+    return _node("sigmoid_grad_y", out, (c, g, y), vjp)
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -393,8 +436,10 @@ def pad_channels(a: Tensor, lo: int, total: int) -> Tensor:
 #
 # Each contraction runs as one BLAS matmul over (channel, tap) pairs when
 # groups == 1. Grouped (depthwise) weights are too thin for BLAS, so those go
-# to np.einsum's direct loop, which reads the strided windows without a copy.
-# A depthwise input gradient sums nothing, so it is one broadcast product.
+# to np.einsum's direct loop, which reads the strided windows without a copy;
+# a depthwise conv at dilation 1 of up to 7 taps is shifted multiply-adds in
+# einsum's order instead, about twice as fast. A depthwise input gradient
+# sums nothing, so it is one broadcast product.
 
 
 def _windows(xp: np.ndarray, kernel: int, stride: int, dilation: int) -> np.ndarray:
@@ -425,9 +470,14 @@ def _conv_geometry(op, t, kernel, stride, dilation, pad):
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
-           dilation: int = 1, groups: int = 1, pad: int = 0) -> Tensor:
+           dilation: int = 1, groups: int = 1, pad: int = 0,
+           addend: Tensor | None = None) -> Tensor:
     """Grouped 1-dim convolution of x:(Cin, T) with w:(Cout, Cin/groups, K),
-    plus the channel bias b:(Cout,) at every time step when one is given."""
+    plus the channel bias b:(Cout,) at every time step when one is given,
+    plus `addend`, of the output's shape, when one is given. The addend is
+    the node's first parent, and its VJP passes the cotangent through to it,
+    as add's does: ((W * x) + b) + a has the bits of add(a, conv1d(x, w, b)),
+    and a walk numbers and sums the node's cotangents as it did that add's."""
     _check(x.data.ndim == 2, "conv1d", f"input must be (Cin, T), got {x.data.shape}")
     _check(w.data.ndim == 3, "conv1d", f"weight must be (Cout, Cin/groups, K), got {w.data.shape}")
     cin, t = x.data.shape
@@ -438,6 +488,8 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
     _check(b is None or b.data.shape == (cout,), "conv1d",
            f"bias must be ({cout},), got {None if b is None else b.data.shape}")
     t_out = _conv_geometry("conv1d", t, k, stride, dilation, pad)
+    _check(addend is None or addend.data.shape == (cout, t_out), "conv1d",
+           f"addend must be {(cout, t_out)}, got {None if addend is None else addend.data.shape}")
 
     wg = w.data.reshape(groups, cout // groups, cg, k)
     if (k, stride, pad, groups) == (1, 1, 0, 1):
@@ -447,19 +499,41 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
         win = _windows(_padded(x.data, pad), k, stride, dilation).reshape(groups, cg, t_out, k)
         if groups == 1:
             y = wg[0].reshape(cout, cg * k) @ win[0].transpose(0, 2, 1).reshape(cg * k, t_out)
+        elif cg == 1 and cout == groups and dilation == 1 and k <= 7:
+            y = _depthwise_taps(w.data.reshape(cout, k), win[:, 0])
         else:
             y = np.einsum("gitk,goik->got", win, wg).reshape(cout, t_out)
     if b is not None:
         y += b.data[:, None]  # y is fresh, so no pre-bias array outlives the call
+    if addend is not None:
+        y += addend.data
 
     def vjp(g):
         dx = conv1d_input_grad(g, w, stride=stride, dilation=dilation, groups=groups,
                                pad=pad, out_len=t) if x.requires_grad else None
         dw = _Later(conv1d_weight_grad, x, g, kernel=k, stride=stride, dilation=dilation,
                     groups=groups, pad=pad) if w.requires_grad else None
-        return (dx, dw) if b is None else (dx, dw, _Later(sum_time, g) if b.requires_grad else None)
+        db = _Later(sum_time, g) if b is not None and b.requires_grad else None
+        out = (dx, dw) if b is None else (dx, dw, db)
+        return out if addend is None else (g if addend.requires_grad else None, *out)
 
-    return _node("conv1d", y, (x, w) if b is None else (x, w, b), vjp)
+    parents = (x, w) if b is None else (x, w, b)
+    return _node("conv1d", y, parents if addend is None else (addend, *parents), vjp)
+
+
+def _depthwise_taps(w: np.ndarray, win: np.ndarray) -> np.ndarray:
+    """sum_j w[:, j] * win[:, :, j] for w:(C, K) and a (C, T', K) window view
+    at dilation 1, as shifted multiply-adds: the even taps summed, then the
+    odd taps, then the two sums added. Up to 7 taps that is the order of
+    np.einsum's loop over contiguous taps, so the bits are einsum's."""
+    def taps(first):
+        y = w[:, first, None] * win[:, :, first]
+        for j in range(first + 2, w.shape[1], 2):
+            y += w[:, j, None] * win[:, :, j]
+        return y
+
+    y = taps(0)
+    return y if w.shape[1] == 1 else np.add(y, taps(1), out=y)
 
 
 def conv1d_input_grad(g: Tensor, w: Tensor, *, stride: int = 1, dilation: int = 1,
@@ -556,12 +630,15 @@ def conv1d_weight_grad(x: Tensor, g: Tensor, *, kernel: int, stride: int = 1,
 # ---------------------------------------------------------------------------
 # fused layer primitives
 #
-# A PReLU and a global layer norm each record one node (a channel bias rides
-# in conv1d). Their VJPs are written in tracked primitives, so second order
-# stays exact. Their backwards record one node per cotangent as well, as MAML
-# keeps the create-graph support gradient alive: PReLU's slope gradient is
-# one masked dot over the forward's gate, and the gLN backward is one input-
-# gradient node and one gamma-gradient node. Both take x_hat from the
+# A PReLU and a global layer norm each record one node. A channel bias and
+# the residual and skip sums ride in conv1d instead, and sigmoid's backward
+# is one sigmoid_grad node. Their VJPs are written in tracked primitives, so
+# second order stays exact. Their backwards record one node per cotangent as
+# well, as MAML keeps the create-graph support gradient alive: PReLU's slope
+# gradient is one masked dot over the forward's gate, the gLN backward is one
+# input-gradient node and one gamma-gradient node, and sigmoid_grad's is one
+# node per input (its y node holds two arrays of its size at once, where
+# MAML's Hessian-vector product peaks). The gLN nodes take x_hat from the
 # forward's (mean, inv); gln's VJP computes it once for the two, and the input
 # gradient takes one of its means from gamma's gradient. The VJPs of
 # those need x_hat = (x - mean) * inv and inv = 1 / sqrt(var + eps) as
@@ -781,7 +858,7 @@ class _Walk:
     A first-order walk makes one buffer for a sum of two contributions and
     adds any further ones into it in place. It never writes into an array
     that a VJP returned: VJPs pass their cotangent through (add, sub,
-    add_constant) or return read-only views.
+    add_constant, conv1d to its addend) or return read-only views.
 
     A create-graph walk records each sum as an ``add`` node, whose VJP reads
     neither operand, and at once replaces the ``data`` of each operand with

@@ -499,6 +499,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.seed is None and args.fn is not cmd_train:  # train reads its config's seed
             args.seed = 0
+        if args.seed is not None:  # train's own check, for every command
+            dsp.require_int("seed", args.seed, 0)
+        if args.out.exists() and not args.out.is_dir():  # refused before any work
+            raise EvalError(f"--out {args.out} exists and is not a directory")
         args.model_config, args.train_section = load_config(args.config)
         result = args.fn(args)
     except Exception as err:  # surfaced as a machine-readable object

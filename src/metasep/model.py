@@ -156,13 +156,15 @@ def separate_mask_tensors(x_enc: Tensor, p: Mapping[str, Tensor],
             h = ad.prelu(h, p[pre + "depthwise.prelu"])
             h = ad.gln(h, p[pre + "depthwise.norm.gamma"], p[pre + "depthwise.norm.beta"],
                        GLN_EPS)
-            skip = ad.conv1d(h, p[pre + "skip.weight"], p[pre + "skip.bias"])
-            skip_sum = skip if skip_sum is None else ad.add(skip_sum, skip)
+            # the skip and residual convs add the running sums into their
+            # fresh outputs, so no graph keeps a block's own skip or residual
+            skip_sum = ad.conv1d(h, p[pre + "skip.weight"], p[pre + "skip.bias"],
+                                 addend=skip_sum)
             if (r, x) != (config.stacks - 1, config.blocks_per_stack - 1):
                 # the last block's residual output reaches nothing; its
                 # parameters get the zero gradient of an unreached leaf
-                feat = ad.add(feat, ad.conv1d(h, p[pre + "residual.weight"],
-                                              p[pre + "residual.bias"]))
+                feat = ad.conv1d(h, p[pre + "residual.weight"], p[pre + "residual.bias"],
+                                 addend=feat)
     head = ad.prelu(skip_sum, p["mask.prelu"])
     logits = ad.conv1d(head, p["mask.weight"], p["mask.bias"])
     stacked = ad.sigmoid(logits)

@@ -94,9 +94,16 @@ CASES = {
     "masked_dot": Case(lambda a, b: ad._masked_dot(a, b, _GATE), _two((4, 5))),
     "gln_gamma_grad": Case(lambda x, g: ad._gln_gamma_grad(x, g, gln_stats(x.data)),
                            _two((4, 6))),
+    "sigmoid_grad": Case(ad._sigmoid_grad, {"g": ((4, 5), None), "y": ((4, 5), None)}),
+    "sigmoid_grad_y": Case(ad._sigmoid_grad_y,
+                           {"c": ((4, 5), None), "g": ((4, 5), None), "y": ((4, 5), None)}),
     "scale": Case(ad.scale, {"a": ((3, 6), None), "s": ((), None)}),
     "conv1d": Case(lambda x, w, b: ad.conv1d(x, w, b, **CONV),
                    {"x": ((6, 21), None), "w": ((4, 3, 3), None), "b": ((4,), None)}),
+    # a conv that adds its addend into its output, as the residual and skip convs do
+    "conv1d_addend": Case(lambda a, x, w, b: ad.conv1d(x, w, b, addend=a, **CONV),
+                          {"a": ((4, 11), None), "x": ((6, 21), None), "w": ((4, 3, 3), None),
+                           "b": ((4,), None)}),
     "conv1d_input_grad": Case(lambda g, w: ad.conv1d_input_grad(g, w, out_len=21, **CONV),
                               {"g": ((4, 11), None), "w": ((4, 3, 3), None)}),
     "conv1d_weight_grad": Case(lambda x, g: ad.conv1d_weight_grad(x, g, kernel=3, **CONV),

@@ -118,10 +118,12 @@ def test_every_recorded_op_has_a_case(monkeypatch):
     model.evaluate_si_snri(task.support_pair(), theta, MICRO)
 
     assert not seen - set(CASES), f"ops without a case: {sorted(seen - set(CASES))}"
-    # these stay in the engine only because the benchmark's tracer wraps them;
-    # add_channel_bias is conv1d's bias add, checked on its own
-    assert set(CASES) - seen == {"relu", "sqrt", "sum_all", "expand_scalar",
-                                 "add_channel_bias"}
+    # these stay in the engine only because the benchmark's tracer wraps them,
+    # add_constant also for sigmoid_grad_y's VJP, a third derivative;
+    # add_channel_bias and conv1d_addend are conv1d's bias add and its addend,
+    # checked on their own
+    assert set(CASES) - seen == {"relu", "sqrt", "sum_all", "expand_scalar", "add_constant",
+                                 "add_channel_bias", "conv1d_addend"}
 
 
 @pytest.mark.parametrize("op", ONE_INPUT)
@@ -341,6 +343,27 @@ def test_sigmoid_forward_is_bit_exact():
         assert np.array_equal(_bits(got), _bits(_sigmoid_by_sign(x)))
 
 
+def _sigmoid_vjp_chain(g, y):
+    """sigmoid's former VJP, g * (y * ((-y) + 1)) as four nodes."""
+    return ad.mul(g, ad.mul(y, ad.add_constant(ad.neg(y), 1.0)))
+
+
+def test_sigmoid_grad_nodes_are_bit_exact():
+    """sigmoid_grad has the bits of the chain it replaced, and its VJP's two
+    outputs have the bits of a walk back through that chain."""
+    rng = RNG(991)
+    g, c = rng.normal(size=(2, 64, 301))
+    y = ad.sigmoid(ad.tensor(rng.normal(size=(64, 301)) * 4.0)).data
+    leaves = [ad.tensor(v, requires_grad=True) for v in (g, y)]
+    assert np.array_equal(_bits(ad._sigmoid_grad(*leaves).data),
+                          _bits(_sigmoid_vjp_chain(*leaves).data))
+    want = ad.grad(ad.dot(_sigmoid_vjp_chain(*leaves), ad.tensor(c)), leaves)
+    got = ad._sigmoid_grad(*leaves)._vjp(ad.tensor(c))
+    assert [t.op for t in got] == ["sigmoid_grad", "sigmoid_grad_y"]
+    for w, t in zip(want, got):
+        assert np.array_equal(_bits(t.data), _bits(w.data))
+
+
 def _tap_overlap_add(g, w, *, stride, dilation, groups, pad, out_len):
     """conv1d_input_grad's former forward: one strided add per kernel tap."""
     cout, t_out = g.shape
@@ -452,6 +475,8 @@ def _windowed_weight_grad(x, g, *, kernel, stride, dilation, groups, pad):
     (5, 6, 1, 1, 1, 1, 0),   # 1 tap: the weight matrix times the input
     (5, 6, 3, 1, 1, 1, 1),   # padded
     (6, 1, 3, 1, 2, 6, 2),   # padded depthwise, dilated
+    (6, 1, 3, 1, 1, 6, 1),   # padded depthwise at dilation 1: shifted multiply-adds
+    (6, 1, 5, 1, 1, 6, 2),   # the same with 5 taps, two of them odd
     (4, 3, 4, 2, 1, 2, 0),   # strided, grouped
 ])
 def test_conv1d_and_weight_grad_forwards_are_bit_exact(cout, cg, k, stride, dilation,
@@ -570,6 +595,7 @@ def test_fused_primitive_forwards_match_composed_layers():
     want = {
         "add_channel_bias": lambda x, b: x + b[:, None],
         "conv1d": lambda x, w, b: naive_conv1d(x, w, **CONV) + b[:, None],
+        "conv1d_addend": lambda a, x, w, b: naive_conv1d(x, w, **CONV) + b[:, None] + a,
         "prelu": lambda x, a: np.maximum(x, 0.0) - a * np.maximum(-x, 0.0),
         "gln": gln,
     }
@@ -666,6 +692,11 @@ def test_shape_mismatch_identifies_op():
         ad.add(ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros((3, 2))))
     with pytest.raises(ad.ShapeMismatchError, match="conv1d"):
         ad.conv1d(ad.tensor(np.zeros((3, 10))), ad.tensor(np.zeros((4, 2, 3))))
+    with pytest.raises(ad.ShapeMismatchError, match=r"conv1d: addend must be \(4, 8\)"):
+        ad.conv1d(ad.tensor(np.zeros((2, 10))), ad.tensor(np.zeros((4, 2, 3))),
+                  addend=ad.tensor(np.zeros((4, 10))))
+    with pytest.raises(ad.ShapeMismatchError, match="sigmoid_grad"):
+        ad._sigmoid_grad(ad.tensor(np.zeros(3)), ad.tensor(np.zeros(4)))
 
 
 def test_gradient_rejects_non_scalar():

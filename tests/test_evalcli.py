@@ -434,6 +434,8 @@ def _check_run(cli: dict, run) -> tuple[int, dict]:
             value = cli[value[1:]]
         if flag in given:
             names += [flag, *flag_words, *([str(value)] if isinstance(value, Path) else [])]
+            if flag == "--seed":  # every command refuses a seed that train refuses
+                refuse = refuse or not value.isdigit()
         if value is not None:
             argv = head if flag in GLOBAL_FLAGS else tail
             argv += [flag] if value is True else [flag, value]
@@ -449,6 +451,8 @@ def _check_run(cli: dict, run) -> tuple[int, dict]:
 
 
 @settings(max_examples=150)
+@example(run=("synth-corpus", NO_CONFIG, {"--seed": "-1"}))
+@example(run=("train", NO_CONFIG, {"--out": "@out-file"}))
 @example(run=("train", NO_CONFIG, {"--tasks": "@nope"}))
 @example(run=("train", NO_CONFIG, {"--tasks": "@format"}))
 @example(run=("train", NO_CONFIG, {"--tasks": "@list"}))
@@ -480,6 +484,19 @@ def test_every_command_refuses_a_config_that_train_refuses(cli, config):
     code, error = _check_run(cli, ("train", config, {}))
     for command in FLAGS if code == 1 else ():
         assert _check_run(cli, (command, config, {})) == (1, error), command
+
+
+@pytest.mark.parametrize("command", list(FLAGS))
+def test_every_command_refuses_a_negative_seed_and_an_out_file_before_any_work(
+        cli, work_counts, command):
+    """A negative --seed gets train's message from every command, and an --out
+    that is a file is refused before any work, where train used to run every
+    epoch and then fail on its first write."""
+    assert _check_run(cli, (command, NO_CONFIG, {"--seed": "-1"})) == (1, {
+        "type": "ValueError", "message": "seed must be an integer of at least 0, got -1"})
+    assert _check_run(cli, (command, NO_CONFIG, {"--out": "@out-file"})) == (1, {
+        "type": "EvalError", "message": f"--out {cli['out-file']} exists and is not a directory"})
+    assert work_counts["grad"] == 0 and not work_counts["mixtures"]
 
 
 def test_cli_full_pipeline(cli, tmp_path):

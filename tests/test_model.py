@@ -389,9 +389,11 @@ def _graph_nodes(roots):
 
 def test_mixture_graph_uses_fused_layers(monkeypatch):
     """Biased convs, PReLUs and gLNs are one node each: the loss graph has no
-    decomposed-layer node left, each bias is the third parent of its conv1d
-    node and nothing else reads it, and every conv the forward runs reaches
-    the loss (the last block's residual conv is not run)."""
+    decomposed-layer node left, each bias is the last parent of its conv1d
+    node (the third, or the fourth after an addend) and nothing else reads
+    it, the residual and skip sums ride in the convs as their first parents,
+    so no add joins blocks, and every conv the forward runs reaches the loss
+    (the last block's residual conv is not run)."""
     convs, real = [], ad.conv1d
 
     def recording_conv1d(*args, **kw):
@@ -408,11 +410,58 @@ def test_mixture_graph_uses_fused_layers(monkeypatch):
     biases = {id(t) for name, t in leaves.items() if name.endswith(".bias")}
     readers = [(node, i) for node in nodes for i, p in enumerate(node._parents)
                if id(p) in biases]
-    assert all(node.op == "conv1d" and i == 2 for node, i in readers)
+    assert all(node.op == "conv1d" and i == len(node._parents) - 1 for node, i in readers)
     unread = {id(leaves["tcn.0.1.residual.bias"])}
-    assert sorted(id(node._parents[2]) for node, _ in readers) == sorted(biases - unread)
+    assert sorted(id(node._parents[-1]) for node, _ in readers) == sorted(biases - unread)
+    # block 0's residual conv adds the bottleneck output, block 1's skip conv block 0's skip
+    fused = [node for node, _ in readers if len(node._parents) == 4]
+    assert sorted(id(node._parents[3]) for node in fused) == sorted(
+        id(leaves[f"tcn.0.{name}.bias"]) for name in ("0.residual", "1.skip"))
+    assert all(node._parents[0].op == "conv1d" for node in fused)
+    assert not any(node.op == "add" and "conv1d" in {p.op for p in node._parents}
+                   for node in nodes)
     # encoder, bottleneck, 2 x (expand, depthwise, skip), 1 residual, mask
     assert len(convs) == 10 and {id(c) for c in convs} <= {id(n) for n in nodes}
+
+
+def _unfused(monkeypatch):
+    """Has the model build the graphs it built before the residual and skip
+    sums rode in conv1d and sigmoid's VJP was one node: add(a, conv1d(...))
+    for a conv with an addend, and g * (y * ((-y) + 1)) as four nodes."""
+    conv1d = ad.conv1d
+
+    def conv1d_then_add(*args, addend=None, **kw):
+        out = conv1d(*args, **kw)
+        return out if addend is None else ad.add(addend, out)
+
+    monkeypatch.setattr(ad, "conv1d", conv1d_then_add)
+    monkeypatch.setattr(ad, "_sigmoid_grad",
+                        lambda g, y: ad.mul(g, ad.mul(y, ad.add_constant(ad.neg(y), 1.0))))
+
+
+def _loss_support_grad_hvp(cfg):
+    """The loss of one mixture, its create-graph gradient and the gradient of
+    that gradient's inner product with a fixed vector, as arrays."""
+    leaves = list(model.init_params(cfg, seed=37).to_leaves().values())
+    loss = model.mixture_loss_tensors(make_pair(n=240, seed=38), dict(zip(
+        model.param_shapes(cfg), leaves)), cfg)
+    grads = ad.grad(loss, leaves, create_graph=True)
+    rng = RNG(39)
+    inner = functools.reduce(ad.add, (ad.dot(g, ad.tensor(rng.normal(size=g.shape)))
+                                      for g in grads))
+    arrays = [loss.data.copy(), *(g.data.copy() for g in grads)]
+    return arrays + [h.data for h in ad.grad(inner, leaves)]
+
+
+def test_fused_sums_and_sigmoid_grad_keep_the_bits_of_the_graph_they_replace(monkeypatch):
+    """The loss, the create-graph support gradient and the Hessian-vector
+    product through it, at two stacks of two blocks, are bit for bit those of
+    the graph of separate add nodes and a four-node sigmoid VJP."""
+    cfg = dataclasses.replace(TINY, stacks=2)
+    fused = _loss_support_grad_hvp(cfg)
+    _unfused(monkeypatch)
+    for got, want in zip(fused, _loss_support_grad_hvp(cfg), strict=True):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_mask_halves_are_read_only_views_of_the_sigmoid_output():
@@ -441,26 +490,29 @@ def _graph_mib(roots):
 def test_default_separator_graphs_stay_under_their_byte_bounds():
     """One mixture's loss graph and the create-graph support graph, at the
     default separator and 4-second mixtures, each hold at most their pinned
-    bytes: a biased conv keeps only its biased output, the mask halves are
-    views of the sigmoid output, and the support graph's cotangent sums keep
-    no operand's array."""
+    bytes: a biased conv keeps only its biased output, the residual and skip
+    convs keep only the running sums they add into theirs, the mask halves
+    are views of the sigmoid output, and the support graph's cotangent sums
+    keep no operand's array."""
     cfg = SeparatorConfig()
     pair = make_pair(n=dsp.SEGMENT_SAMPLES, seed=61)
     theta = model.init_params(cfg, seed=61)
     loss = model.mixture_loss_tensors(pair, theta.to_leaves(), cfg)
-    assert _graph_mib([loss]) <= 141.0  # 140.3 MiB
+    assert _graph_mib([loss]) <= 128.0  # 126.7 MiB; 140.3 keeping each block's sums
     del loss
     task = types.SimpleNamespace(
         support_loss=functools.partial(model.mixture_loss_tensors, pair, config=cfg))
     adapted = trainer.inner_adapt(theta, task, 0.01, create_graph=True)
-    assert _graph_mib(adapted.prime.values()) <= 280.0  # 276.0 MiB; 329.3 with the operands
+    # 250.6 MiB; 276.0 keeping each block's sums, 329.3 with the sums' operands
+    assert _graph_mib(adapted.prime.values()) <= 252.0
 
 
 def test_maml_task_peak_stays_under_its_bound():
     """One MAML task at the default separator and 4-second mixtures keeps at
     most two query graphs alive at once, builds the support graph again only
     after them, keeps no operand array of its cotangent sums, and the
-    Hessian-vector product frees what it walks."""
+    Hessian-vector product frees what it walks and holds two (C, T) arrays
+    in the backward of a sigmoid backward."""
     cfg = SeparatorConfig()
     theta = model.init_params(cfg, seed=62)
     task = trainer.SeparationTask(make_task(62, n=dsp.SEGMENT_SAMPLES), cfg)
@@ -470,7 +522,9 @@ def test_maml_task_peak_stays_under_its_bound():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / 2 ** 20 <= 320.0  # 310.7 MiB; 349.7 keeping the sums' operands
+    # 285.4 MiB, in the Hessian-vector product; 310.7 keeping each block's sums
+    # and a four-node sigmoid backward, 349.7 also keeping the sums' operands
+    assert peak / 2 ** 20 <= 295.0
 
 
 # ru_maxrss of a process started from a large one (the test runner) carries
@@ -504,7 +558,9 @@ def test_maml_task_resident_peak_stays_under_its_bound():
     env["PYTHONPATH"] = str(Path(metasep.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", _MAML_RSS_PROBE], env=env, capture_output=True,
                          text=True, timeout=300, check=True).stdout.split()
-    assert int(out[-1]) / 1024 <= 400.0, out  # about 367 MB; about 404 with the sums' operands
+    # about 343-348 MB; about 364-367 keeping each block's sums and a four-node
+    # sigmoid backward, about 404 also keeping the sums' operands
+    assert int(out[-1]) / 1024 <= 360.0, out
 
 
 def _recording_vjp(node, log):
