@@ -50,7 +50,13 @@ Design constraints honored throughout:
   array (its ``data`` becomes a NaN view of the same shape that owns no
   memory) when the walk made the operand, no VJP passed it through as its
   own cotangent, and nothing holds a weak reference to it (the VJPs that
-  read their own output do so through one).
+  read their own output do so through one),
+* gln releases the array of a recorded PReLU output it normalizes, once its
+  forward has read it: its only reader left is gln's backward, and the
+  PReLU node keeps the input, slope and gate it came from. Each later read
+  of its ``data`` recomputes x * where(gate, 1, a) with the forward's bits,
+  and gln's backward builds x_hat from it in that one buffer; its shape,
+  and so any reader of the size alone, reads no data.
 """
 
 from __future__ import annotations
@@ -153,7 +159,8 @@ class no_grad:
 class Tensor:
     """A float64 array plus the graph edge that produced it."""
 
-    __slots__ = ("data", "requires_grad", "op", "_parents", "_vjp", "_id", "__weakref__")
+    __slots__ = ("data", "requires_grad", "op", "_parents", "_vjp", "_id", "_remake",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -163,6 +170,7 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._vjp: Callable | None = None
         self._id = next(_ids)
+        self._remake: tuple | None = None  # a recorded PReLU output's (x, a, gate)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -173,6 +181,42 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.shape}, grad={self.requires_grad})"
+
+
+# the array in a tensor's data slot, read without recomputing a released one
+_held = Tensor.data.__get__
+_NAN = np.float64(np.nan)
+
+
+class _Released(Tensor):
+    """A PReLU output whose array gln has released (see _release). Its data
+    slot holds a NaN view of its shape that owns no memory, so its shape
+    reads from there; each read of ``data`` recomputes the array."""
+
+    __slots__ = ()
+
+    @property
+    def data(self) -> np.ndarray:
+        return _remade(self)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return _held(self).shape
+
+
+def _release(t: Tensor) -> None:
+    """Drops the array of the recorded PReLU output t; a later read of
+    ``t.data`` recomputes it from the input, slope and gate it keeps."""
+    t.data = np.broadcast_to(_NAN, t.data.shape)
+    t.__class__ = _Released
+
+
+def _remade(t: _Released) -> np.ndarray:
+    """A released PReLU output's array, as a fresh buffer the caller may
+    overwrite: x * where(gate, 1, a), with the forward's bits."""
+    x, a, gate = t._remake
+    sel = np.where(gate, 1.0, a.data)
+    return np.multiply(x.data, sel, out=sel)
 
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
@@ -201,14 +245,16 @@ class _Later(functools.partial):
     __slots__ = ()
 
 
-def _check(cond: bool, op: str, msg: str) -> None:
+def _check(cond: bool, op: str, msg: str, *args) -> None:
+    """Raises "op: msg" with each {} of msg filled from args when cond fails;
+    the message is formatted only then."""
     if not cond:
-        raise ShapeMismatchError(f"{op}: {msg}")
+        raise ShapeMismatchError(f"{op}: {msg.format(*args)}")
 
 
 def _same_shape(op, a, b):
-    _check(a.data.shape == b.data.shape, op,
-           f"operands must share a shape, got {a.data.shape} vs {b.data.shape}")
+    _check(a.data.shape == b.data.shape, op, "operands must share a shape, got {} vs {}",
+           a.data.shape, b.data.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +312,7 @@ def add_constant(a: Tensor, c: float) -> Tensor:
 
 def scale(a: Tensor, s: Tensor) -> Tensor:
     """Scalar tensor times tensor."""
-    _check(s.data.shape == (), "scale", f"scale factor must be a scalar, got {s.data.shape}")
+    _check(s.data.shape == (), "scale", "scale factor must be a scalar, got {}", s.data.shape)
     return _node("scale", a.data * s.data, (a, s),
                  lambda g: (scale(g, s) if a.requires_grad else None,
                             dot(g, a) if s.requires_grad else None))
@@ -368,7 +414,7 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def expand_scalar(s: Tensor, shape: tuple[int, ...]) -> Tensor:
-    _check(s.data.shape == (), "expand_scalar", f"expected a scalar, got {s.data.shape}")
+    _check(s.data.shape == (), "expand_scalar", "expected a scalar, got {}", s.data.shape)
     shape = tuple(int(d) for d in shape)
     return _node("expand_scalar", np.broadcast_to(s.data, shape), (s,),
                  lambda g: (sum_all(g),))
@@ -376,14 +422,14 @@ def expand_scalar(s: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def sum_time(a: Tensor) -> Tensor:
     """(C, T) -> (C,), summing over the time axis."""
-    _check(a.data.ndim == 2, "sum_time", f"expected a (C, T) tensor, got {a.data.shape}")
+    _check(a.data.ndim == 2, "sum_time", "expected a (C, T) tensor, got {}", a.data.shape)
     t = a.data.shape[1]
     return _node("sum_time", a.data.sum(axis=1), (a,), lambda g: (expand_time(g, t),))
 
 
 def expand_time(a: Tensor, t: int) -> Tensor:
     """(C,) -> (C, T), replicating each channel across time."""
-    _check(a.data.ndim == 1, "expand_time", f"expected a (C,) tensor, got {a.data.shape}")
+    _check(a.data.ndim == 1, "expand_time", "expected a (C,) tensor, got {}", a.data.shape)
     data = np.broadcast_to(a.data[:, None], (a.data.shape[0], int(t)))
     return _node("expand_time", data, (a,), lambda g: (sum_time(g),))
 
@@ -399,26 +445,26 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     shape = tuple(int(d) for d in shape)
     _check(int(np.prod(shape, dtype=np.int64)) == a.data.size, "reshape",
-           f"cannot reshape {a.data.shape} to {shape}")
+           "cannot reshape {} to {}", a.data.shape, shape)
     old = a.data.shape
     return _node("reshape", a.data.reshape(shape), (a,),
                  lambda g: (reshape(g, old),))
 
 
 def slice_channels(a: Tensor, lo: int, hi: int) -> Tensor:
-    _check(a.data.ndim == 2, "slice_channels", f"expected (C, T), got {a.data.shape}")
+    _check(a.data.ndim == 2, "slice_channels", "expected (C, T), got {}", a.data.shape)
     c = a.data.shape[0]
-    _check(0 <= lo < hi <= c, "slice_channels", f"bad channel range [{lo}, {hi}) for C={c}")
+    _check(0 <= lo < hi <= c, "slice_channels", "bad channel range [{}, {}) for C={}", lo, hi, c)
     view = a.data[lo:hi]  # read-only, so a write cannot reach a's data
     view.flags.writeable = False
     return _node("slice_channels", view, (a,), lambda g: (pad_channels(g, lo, c),))
 
 
 def pad_channels(a: Tensor, lo: int, total: int) -> Tensor:
-    _check(a.data.ndim == 2, "pad_channels", f"expected (C, T), got {a.data.shape}")
+    _check(a.data.ndim == 2, "pad_channels", "expected (C, T), got {}", a.data.shape)
     c, t = a.data.shape
     _check(0 <= lo and lo + c <= total, "pad_channels",
-           f"slice of {c} channels at offset {lo} exceeds total {total}")
+           "slice of {} channels at offset {} exceeds total {}", c, lo, total)
     data = np.zeros((total, t))
     data[lo:lo + c] = a.data
     return _node("pad_channels", data, (a,),
@@ -464,8 +510,8 @@ def _conv_geometry(op, t, kernel, stride, dilation, pad):
     _check(stride >= 1 and dilation >= 1 and pad >= 0, op, "stride/dilation/pad out of range")
     span = dilation * (kernel - 1) + 1
     padded = t + 2 * pad
-    _check(padded >= span, op,
-           f"input of length {t} (pad {pad}) shorter than kernel span {span}")
+    _check(padded >= span, op, "input of length {} (pad {}) shorter than kernel span {}",
+           t, pad, span)
     return (padded - span) // stride + 1
 
 
@@ -478,18 +524,20 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
     the node's first parent, and its VJP passes the cotangent through to it,
     as add's does: ((W * x) + b) + a has the bits of add(a, conv1d(x, w, b)),
     and a walk numbers and sums the node's cotangents as it did that add's."""
-    _check(x.data.ndim == 2, "conv1d", f"input must be (Cin, T), got {x.data.shape}")
-    _check(w.data.ndim == 3, "conv1d", f"weight must be (Cout, Cin/groups, K), got {w.data.shape}")
+    _check(x.data.ndim == 2, "conv1d", "input must be (Cin, T), got {}", x.data.shape)
+    _check(w.data.ndim == 3, "conv1d", "weight must be (Cout, Cin/groups, K), got {}",
+           w.data.shape)
     cin, t = x.data.shape
     cout, cg, k = w.data.shape
-    _check(cin == cg * groups, "conv1d",
-           f"weight expects {cg * groups} input channels, input has {cin}")
-    _check(cout % groups == 0, "conv1d", f"Cout={cout} not divisible by groups={groups}")
-    _check(b is None or b.data.shape == (cout,), "conv1d",
-           f"bias must be ({cout},), got {None if b is None else b.data.shape}")
+    _check(cin == cg * groups, "conv1d", "weight expects {} input channels, input has {}",
+           cg * groups, cin)
+    _check(cout % groups == 0, "conv1d", "Cout={} not divisible by groups={}", cout, groups)
+    _check(b is None or b.data.shape == (cout,), "conv1d", "bias must be ({},), got {}",
+           cout, None if b is None else b.data.shape)
     t_out = _conv_geometry("conv1d", t, k, stride, dilation, pad)
     _check(addend is None or addend.data.shape == (cout, t_out), "conv1d",
-           f"addend must be {(cout, t_out)}, got {None if addend is None else addend.data.shape}")
+           "addend must be {}, got {}", (cout, t_out),
+           None if addend is None else addend.data.shape)
 
     wg = w.data.reshape(groups, cout // groups, cg, k)
     if (k, stride, pad, groups) == (1, 1, 0, 1):
@@ -543,16 +591,17 @@ def conv1d_input_grad(g: Tensor, w: Tensor, *, stride: int = 1, dilation: int = 
     g:(Cout, T') and w:(Cout, Cin/groups, K) produce (Cin, out_len) by
     overlap-adding each kernel tap's contribution at its source position.
     """
-    _check(g.data.ndim == 2, "conv1d_input_grad", f"grad must be (Cout, T'), got {g.data.shape}")
-    _check(w.data.ndim == 3, "conv1d_input_grad", f"weight must be 3-d, got {w.data.shape}")
+    _check(g.data.ndim == 2, "conv1d_input_grad", "grad must be (Cout, T'), got {}", g.data.shape)
+    _check(w.data.ndim == 3, "conv1d_input_grad", "weight must be 3-d, got {}", w.data.shape)
     cout, t_out = g.data.shape
     cout_w, cg, k = w.data.shape
-    _check(cout == cout_w, "conv1d_input_grad",
-           f"grad has {cout} channels, weight expects {cout_w}")
+    _check(cout == cout_w, "conv1d_input_grad", "grad has {} channels, weight expects {}",
+           cout, cout_w)
     cin = cg * groups
     t_expect = _conv_geometry("conv1d_input_grad", out_len, k, stride, dilation, pad)
     _check(t_expect == t_out, "conv1d_input_grad",
-           f"grad length {t_out} inconsistent with output length {out_len} (expected {t_expect})")
+           "grad length {} inconsistent with output length {} (expected {})",
+           t_out, out_len, t_expect)
 
     def vjp(c):
         dg = conv1d(c, w, stride=stride, dilation=dilation, groups=groups,
@@ -594,14 +643,14 @@ def conv1d_weight_grad(x: Tensor, g: Tensor, *, kernel: int, stride: int = 1,
                        dilation: int = 1, groups: int = 1, pad: int = 0) -> Tensor:
     """Adjoint of conv1d w.r.t. its weight: correlate input windows with g."""
     _check(x.data.ndim == 2 and g.data.ndim == 2, "conv1d_weight_grad",
-           f"expected 2-d input and grad, got {x.data.shape} and {g.data.shape}")
+           "expected 2-d input and grad, got {} and {}", x.data.shape, g.data.shape)
     cin, t = x.data.shape
     cout, t_out = g.data.shape
     _check(cin % groups == 0 and cout % groups == 0, "conv1d_weight_grad",
-           f"channels ({cin}, {cout}) not divisible by groups={groups}")
+           "channels ({}, {}) not divisible by groups={}", cin, cout, groups)
     t_expect = _conv_geometry("conv1d_weight_grad", t, kernel, stride, dilation, pad)
     _check(t_expect == t_out, "conv1d_weight_grad",
-           f"grad length {t_out} does not match {t_expect} windows of the input")
+           "grad length {} does not match {} windows of the input", t_out, t_expect)
 
     cg = cin // groups
     gg = g.data.reshape(groups, cout // groups, t_out)
@@ -643,12 +692,13 @@ def conv1d_weight_grad(x: Tensor, g: Tensor, *, kernel: int, stride: int = 1,
 # gradient takes one of its means from gamma's gradient. The VJPs of
 # those need x_hat = (x - mean) * inv and inv = 1 / sqrt(var + eps) as
 # functions of x; two more private nodes provide them, and all these VJPs are
-# built from each other again.
+# built from each other again. A PReLU output keeps no array once gln has
+# read it (see _release), so every x_hat of it is recomputed.
 
 
 def prelu(x: Tensor, a: Tensor) -> Tensor:
     """max(x, 0) + a * min(x, 0) with a scalar slope a."""
-    _check(a.data.shape == (), "prelu", f"slope must be a scalar, got {a.data.shape}")
+    _check(a.data.shape == (), "prelu", "slope must be a scalar, got {}", a.data.shape)
     return _gated(x, a, x.data > 0.0)
 
 
@@ -662,7 +712,10 @@ def _gated(x: Tensor, a: Tensor, gate: np.ndarray) -> Tensor:
         return (dx, da)
 
     # one multiply by where(gate, 1, a); the closure keeps only the boolean gate
-    return _node("prelu", x.data * np.where(gate, 1.0, a.data), (x, a), vjp)
+    out = _node("prelu", x.data * np.where(gate, 1.0, a.data), (x, a), vjp)
+    if out.requires_grad:
+        out._remake = (x, a, gate)  # what a read recomputes it from once gln releases it
+    return out
 
 
 def _masked_dot(a: Tensor, b: Tensor, gate: np.ndarray) -> Tensor:
@@ -684,18 +737,19 @@ def gln(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     """Global layer norm (Conv-TasNet): x:(C, T) normalized by the mean and
     variance over all of it, then each channel scaled by gamma and shifted by
     beta."""
-    _check(x.data.ndim == 2 and gamma.data.shape == beta.data.shape == x.data.shape[:1],
-           "gln", f"expected (C, T), (C,) and (C,), got {x.data.shape}, "
-           f"{gamma.data.shape} and {beta.data.shape}")
-    n = x.data.size
-    mu = (1.0 / n) * x.data.sum()
-    y = x.data - mu
+    xd = x.data  # the one read of x that the forward makes
+    _check(xd.ndim == 2 and gamma.data.shape == beta.data.shape == xd.shape[:1], "gln",
+           "expected (C, T), (C,) and (C,), got {}, {} and {}", xd.shape, gamma.data.shape,
+           beta.data.shape)
+    n = xd.size
+    mu = (1.0 / n) * xd.sum()
+    y = xd - mu
     dev = y.ravel()
     inv = 1.0 / np.sqrt((1.0 / n) * np.dot(dev, dev) + float(eps))
     stats = (mu, inv)
 
     def vjp(g):
-        xhat = _xhat(x.data, stats)
+        xhat = _xhat(x, stats)
         # gamma's gradient reads xhat before the input gradient scales it in
         # place, and the input gradient reuses that gradient's sums
         dgamma = _gln_gamma_grad(x, g, stats, xhat) if gamma.requires_grad else None
@@ -707,12 +761,22 @@ def gln(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     # (x - mean) * (inv * gamma) + beta, written over the deviations
     y *= (inv * gamma.data)[:, None]
     y += beta.data[:, None]
-    return _node("gln", y, (x, gamma, beta), vjp)
+    out = _node("gln", y, (x, gamma, beta), vjp)
+    if type(x) is Tensor and x._remake is not None:
+        _release(x)  # a recorded PReLU output; each backward reading it recomputes it
+    return out
 
 
-def _xhat(x: np.ndarray, stats: tuple) -> np.ndarray:
+def _xhat(x: Tensor, stats: tuple) -> np.ndarray:
+    """x_hat = (x - mean) * inv as a fresh array. For a released x that is
+    one buffer: where(gate, 1, a), then times x, minus the mean, times inv,
+    with the bits of (x * where(gate, 1, a) - mean) * inv."""
     mu, inv = stats
-    xhat = x - mu
+    if type(x) is _Released:
+        xhat = _remade(x)
+        xhat -= mu
+    else:
+        xhat = x.data - mu
     xhat *= inv
     return xhat
 
@@ -726,11 +790,11 @@ def _gln_input_grad(x: Tensor, g: Tensor, gamma: Tensor, stats: tuple,
     per-channel sums: gamma . sum_t g / n and gamma . gx / n, where
     gx = sum_t g * x_hat is gamma's gradient. A given `xhat` is x_hat for
     `stats`, and this call overwrites it; a given `gx` is that sum."""
-    n = x.data.size
-    t = x.data.shape[1]
+    n = math.prod(x.shape)
+    t = x.shape[1]
     inv = stats[1]
     if xhat is None:
-        xhat = _xhat(x.data, stats)
+        xhat = _xhat(x, stats)
     if gx is None:
         gx = np.einsum("ct,ct->c", g.data, xhat)
     # inv * (g * gamma - m1 - x_hat * m2), with x_hat kept as (x - mean) * inv:
@@ -767,21 +831,23 @@ def _gln_gamma_grad(x: Tensor, g: Tensor, stats: tuple,
                     xhat: np.ndarray | None = None) -> Tensor:
     """sum_t g * x_hat, gamma's cotangent, as one (C,) node; `xhat`, when
     given, is x_hat for `stats`."""
-    t = x.data.shape[1]
+    t = x.shape[1]
     if xhat is None:
-        xhat = _xhat(x.data, stats)
+        xhat = _xhat(x, stats)
 
     def vjp(s):
-        dx = _gln_input_grad(x, g, s, stats) if x.requires_grad else None
-        dg = mul(expand_time(s, t), _gln_normalize(x, stats)) if g.requires_grad else None
+        # one x_hat node for both uses; the input gradient overwrites the copy it is given
+        xh = _gln_normalize(x, stats)
+        dx = _gln_input_grad(x, g, s, stats, xh.data.copy()) if x.requires_grad else None
+        dg = mul(expand_time(s, t), xh) if g.requires_grad else None
         return (dx, dg)
 
     return _node("gln_gamma_grad", np.einsum("ct,ct->c", g.data, xhat), (x, g), vjp)
 
 
 def _gln_normalize(x: Tensor, stats: tuple) -> Tensor:
-    return _node("gln_normalize", _xhat(x.data, stats), (x,),
-                 lambda h: (_gln_input_grad(x, h, Tensor(np.ones(x.data.shape[:1])), stats),))
+    return _node("gln_normalize", _xhat(x, stats), (x,),
+                 lambda h: (_gln_input_grad(x, h, Tensor(np.ones(x.shape[:1])), stats),))
 
 
 def _gln_inv(x: Tensor, stats: tuple) -> Tensor:
@@ -789,7 +855,7 @@ def _gln_inv(x: Tensor, stats: tuple) -> Tensor:
     def vjp(s):
         inv = ref()
         return (scale(_gln_normalize(x, stats),
-                      scalar_mul(-1.0 / x.data.size, mul(s, mul(inv, inv)))),)
+                      scalar_mul(-1.0 / math.prod(x.shape), mul(s, mul(inv, inv)))),)
 
     out = _node("gln_inv", np.asarray(stats[1]), (x,), vjp)
     ref = weakref.ref(out)
@@ -827,7 +893,6 @@ _MAX_PARKED = 2
 # runs it next itself.
 _MAX_QUEUED = 2
 _MISSING = object()
-_NAN = np.float64(np.nan)
 
 
 class _Walk:
@@ -870,6 +935,8 @@ class _Walk:
     through a weakref). This relies on a VJP's contributions being distinct
     objects that no other node of that VJP takes as a parent. The shapes,
     and so ``mean_elements`` of a later walk, stay as they were.
+    ``mean_elements`` reads each node's size from its data slot, so it
+    recomputes no released PReLU output.
     """
 
     def __init__(self, output: Tensor, wrt: Sequence[Tensor], create_graph: bool):
@@ -896,7 +963,7 @@ class _Walk:
         elements = 0
         for k in range(n - 1, -1, -1):
             node = order[k]
-            elements += node.data.size
+            elements += _held(node).size
             if node._parents:
                 link = links[k] = []
                 for p in node._parents:
@@ -1122,7 +1189,7 @@ def grad(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> l
             f"gradient target must be a scalar, got shape {output.data.shape} from op {output.op!r}")
     wrt = list(wrt)
     if not output.requires_grad:
-        return [Tensor(np.zeros(w.data.shape)) for w in wrt]
+        return [Tensor(np.zeros(w.shape)) for w in wrt]
 
     walk = _Walk(output, wrt, bool(create_graph))
     helpers = 0
@@ -1138,7 +1205,7 @@ def grad(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> l
     if walk.error is not None:
         raise walk.error
     return [walk.cot[k] if k is not None and walk.cot[k] is not None
-            else Tensor(np.zeros(w.data.shape)) for k, w in zip(walk.at, wrt)]
+            else Tensor(np.zeros(w.shape)) for k, w in zip(walk.at, wrt)]
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,11 @@ CASES = {
     "gln": Case(lambda x, gamma, beta: ad.gln(x, gamma, beta, GLN_EPS),
                 {"x": ((4, 6), None), "gamma": ((4,), None), "beta": ((4,), None)},
                 layer=True),
+    # a gLN of a PReLU output, as in each TCN block: gln releases the output's
+    # array, so its backward recomputes it from x, the slope and the gate
+    "prelu_gln": Case(lambda x, a, gamma, beta: ad.gln(ad.prelu(x, a), gamma, beta, GLN_EPS),
+                      {"x": ((4, 6), away_from(0.0)), "a": ((), None), "gamma": ((4,), None),
+                       "beta": ((4,), None)}, layer=True),
 }
 
 

@@ -121,9 +121,9 @@ def test_every_recorded_op_has_a_case(monkeypatch):
     # these stay in the engine only because the benchmark's tracer wraps them,
     # add_constant also for sigmoid_grad_y's VJP, a third derivative;
     # add_channel_bias and conv1d_addend are conv1d's bias add and its addend,
-    # checked on their own
+    # checked on their own, and prelu_gln a gLN of a released PReLU output
     assert set(CASES) - seen == {"relu", "sqrt", "sum_all", "expand_scalar", "add_constant",
-                                 "add_channel_bias", "conv1d_addend"}
+                                 "add_channel_bias", "conv1d_addend", "prelu_gln"}
 
 
 @pytest.mark.parametrize("op", ONE_INPUT)
@@ -322,6 +322,40 @@ def test_prelu_forward_and_input_vjp_are_bit_exact(slope):
         dx, _ = out._vjp(ad.tensor(g))
         assert np.array_equal(_bits(out.data), _bits(np.where(x > 0, x, slope * x)))
         assert np.array_equal(_bits(dx.data), _bits(np.where(x > 0, g, slope * g)))
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.25, -1.5])
+def test_a_released_prelu_output_reads_back_its_bits(slope, monkeypatch):
+    """gln releases the array of the recorded PReLU output it normalizes: the
+    output keeps a NaN view of its shape that owns no memory, its shape and a
+    walk's size count read no data, and each read of its data recomputes a
+    fresh array with the forward's bits."""
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -2.0, 5e-324, -5e-324])
+    x = np.concatenate([special, RNG(983).normal(size=23)]).reshape(2, 16)
+    with np.errstate(invalid="ignore"):  # 0 * inf, and the stats of a NaN
+        out = ad.prelu(ad.tensor(x, requires_grad=True), ad.tensor(slope, requires_grad=True))
+        want = out.data.copy()
+        normed = ad.gln(out, ad.tensor(np.ones(2)), ad.tensor(np.zeros(2)), GLN_EPS)
+        held = ad._held(out)
+        assert held.shape == (2, 16) and held.strides == (0, 0) and np.isnan(held).all()
+        assert not held.flags.owndata
+        reads, remade = [], ad._remade
+        monkeypatch.setattr(ad, "_remade", lambda t: reads.append(t) or remade(t))
+        assert out.shape == (2, 16) and "(2, 16)" in repr(out)
+        ad._Walk(ad.sum_all(normed), [out], create_graph=False)
+        assert reads == []
+        first, second = out.data, out.data
+        assert len(reads) == 2 and first is not second
+        assert np.array_equal(_bits(first), _bits(want))
+        assert np.array_equal(_bits(second), _bits(want))
+
+
+def test_a_prelu_output_that_no_graph_records_keeps_its_array():
+    with ad.no_grad():
+        out = ad.prelu(ad.tensor(RNG(984).normal(size=(2, 5)), requires_grad=True),
+                       ad.tensor(0.25))
+        ad.gln(out, ad.tensor(np.ones(2)), ad.tensor(np.zeros(2)), GLN_EPS)
+    assert type(out) is ad.Tensor and ad._held(out).flags.owndata
 
 
 def _sigmoid_by_sign(x):

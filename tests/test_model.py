@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import json
@@ -477,9 +478,12 @@ def test_mask_halves_are_read_only_views_of_the_sigmoid_output():
 
 def _graph_mib(roots):
     """MiB of the distinct arrays the nodes of the graph of `roots` hold, a
-    view counted as the array that owns its memory."""
+    view counted as the array that owns its memory and a PReLU output that
+    gln released as holding none."""
     owners = {}
     for node in _graph_nodes(roots):
+        if type(node) is ad._Released:
+            continue
         arr = node.data
         while isinstance(arr.base, np.ndarray):
             arr = arr.base
@@ -493,26 +497,30 @@ def test_default_separator_graphs_stay_under_their_byte_bounds():
     bytes: a biased conv keeps only its biased output, the residual and skip
     convs keep only the running sums they add into theirs, the mask halves
     are views of the sigmoid output, and the support graph's cotangent sums
-    keep no operand's array."""
+    keep no operand's array, and no PReLU output that a gLN reads keeps its
+    array."""
     cfg = SeparatorConfig()
     pair = make_pair(n=dsp.SEGMENT_SAMPLES, seed=61)
     theta = model.init_params(cfg, seed=61)
     loss = model.mixture_loss_tensors(pair, theta.to_leaves(), cfg)
-    assert _graph_mib([loss]) <= 128.0  # 126.7 MiB; 140.3 keeping each block's sums
+    # 95.4 MiB; 126.7 keeping each PReLU output, 140.3 also each block's sums
+    assert _graph_mib([loss]) <= 96.5
     del loss
     task = types.SimpleNamespace(
         support_loss=functools.partial(model.mixture_loss_tensors, pair, config=cfg))
     adapted = trainer.inner_adapt(theta, task, 0.01, create_graph=True)
-    # 250.6 MiB; 276.0 keeping each block's sums, 329.3 with the sums' operands
-    assert _graph_mib(adapted.prime.values()) <= 252.0
+    # 219.4 MiB; 250.6 keeping each PReLU output, 276.0 also each block's sums,
+    # 329.3 also the sums' operands
+    assert _graph_mib(adapted.prime.values()) <= 220.5
 
 
 def test_maml_task_peak_stays_under_its_bound():
     """One MAML task at the default separator and 4-second mixtures keeps at
     most two query graphs alive at once, builds the support graph again only
-    after them, keeps no operand array of its cotangent sums, and the
-    Hessian-vector product frees what it walks and holds two (C, T) arrays
-    in the backward of a sigmoid backward."""
+    after them, keeps no operand array of its cotangent sums and no array of
+    a PReLU output that a gLN reads, and the Hessian-vector product frees
+    what it walks and holds two (C, T) arrays in the backward of a sigmoid
+    backward."""
     cfg = SeparatorConfig()
     theta = model.init_params(cfg, seed=62)
     task = trainer.SeparationTask(make_task(62, n=dsp.SEGMENT_SAMPLES), cfg)
@@ -522,9 +530,27 @@ def test_maml_task_peak_stays_under_its_bound():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # 285.4 MiB, in the Hessian-vector product; 310.7 keeping each block's sums
-    # and a four-node sigmoid backward, 349.7 also keeping the sums' operands
-    assert peak / 2 ** 20 <= 295.0
+    # 254.0-254.2 MiB, in the Hessian-vector product; 285.4 keeping each PReLU
+    # output, 310.7 also each block's sums and a four-node sigmoid backward,
+    # 349.7 also the sums' operands
+    assert peak / 2 ** 20 <= 262.0
+
+
+def test_a_first_order_walk_recomputes_each_released_prelu_output_at_most_once(monkeypatch):
+    """In one default mixture graph, each TCN block's gLNs release the PReLU
+    outputs they read. One first-order walk of it recomputes each of them at
+    most once: gln's backward builds x_hat once for its input and gamma
+    gradients, and the walk reads only their sizes."""
+    cfg = SeparatorConfig()
+    leaves = model.init_params(cfg, seed=63).to_leaves()
+    loss = model.mixture_loss_tensors(make_pair(n=dsp.SEGMENT_SAMPLES, seed=63), leaves, cfg)
+    released = [node for node in _graph_nodes([loss]) if type(node) is ad._Released]
+    assert len(released) == 2 * cfg.stacks * cfg.blocks_per_stack
+    reads, remade = collections.Counter(), ad._remade
+    monkeypatch.setattr(ad, "_remade", lambda t: reads.update([id(t)]) or remade(t))
+    ad.grad(loss, list(leaves.values()))
+    assert reads and set(reads) <= {id(node) for node in released}
+    assert max(reads.values()) == 1, reads
 
 
 # ru_maxrss of a process started from a large one (the test runner) carries
@@ -558,9 +584,10 @@ def test_maml_task_resident_peak_stays_under_its_bound():
     env["PYTHONPATH"] = str(Path(metasep.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", _MAML_RSS_PROBE], env=env, capture_output=True,
                          text=True, timeout=300, check=True).stdout.split()
-    # about 343-348 MB; about 364-367 keeping each block's sums and a four-node
-    # sigmoid backward, about 404 also keeping the sums' operands
-    assert int(out[-1]) / 1024 <= 360.0, out
+    # about 312-313 MB; about 343-348 keeping each PReLU output, about 364-367
+    # also each block's sums and a four-node sigmoid backward, about 404 also
+    # the sums' operands
+    assert int(out[-1]) / 1024 <= 325.0, out
 
 
 def _recording_vjp(node, log):
